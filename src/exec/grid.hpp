@@ -143,14 +143,24 @@ class GridStorage {
     });
   }
 
-  /// Applies the boundary policy to the halo cells of `slot`.
+  /// Applies the boundary policy to the halo cells of `slot`, one
+  /// contiguous slab at a time (for_each_halo_slab).  A periodic wrap needs
+  /// halo <= extent in every dimension, or it would read halo cells.
   void fill_halo(int slot, Boundary bc) {
     if (halo_ == 0 || bc == Boundary::External) return;
+    T* data = slot_data(slot);
     if (bc == Boundary::ZeroHalo) {
-      zero_halo(slot);
-    } else {
-      periodic_halo(slot);
+      for_each_halo_slab([&](std::int64_t dst, std::int64_t, std::int64_t len) {
+        std::fill_n(data + dst, len, T{});
+      });
+      return;
     }
+    for (int d = 0; d < ndim_; ++d)
+      MSC_CHECK(halo_ <= extent(d)) << "periodic halo " << halo_ << " exceeds extent "
+                                    << extent(d) << " of dim " << d;
+    for_each_halo_slab([&](std::int64_t dst, std::int64_t src, std::int64_t len) {
+      std::copy_n(data + src, len, data + dst);
+    });
   }
 
   /// Interior values of `slot` as doubles, row-major (last dim fastest) —
@@ -244,77 +254,29 @@ class GridStorage {
     return reinterpret_cast<std::byte*>(base + s * kSlotStaggerBytes);
   }
 
-  void zero_halo(int slot) {
-    // Row-based: rows whose outer coordinates lie in the halo shell are
-    // zeroed whole; interior rows only zero their last-dim edge cells.
-    // (The old padded-box point scan visited every cell per step and cost
-    // as much as the sweep it framed.)
-    T* data = slot_data(slot);
-    const auto lastd = static_cast<std::size_t>(ndim_ - 1);
-    const std::int64_t row = extent_[lastd] + 2 * halo_;
-    const auto edges = [&](std::int64_t base) {
-      std::fill_n(data + base, halo_, T{});
-      std::fill_n(data + base + halo_ + extent_[lastd], halo_, T{});
-    };
-    const auto full = [&](std::int64_t base) { std::fill_n(data + base, row, T{}); };
-    const auto is_halo = [&](std::int64_t p, int d) {
-      return p < halo_ || p >= extent_[static_cast<std::size_t>(d)] + halo_;
-    };
-    if (ndim_ == 1) {
-      edges(0);
-    } else if (ndim_ == 2) {
-      for (std::int64_t p0 = 0; p0 < extent_[0] + 2 * halo_; ++p0) {
-        const std::int64_t base = p0 * stride_[0];
-        is_halo(p0, 0) ? full(base) : edges(base);
-      }
-    } else {
-      for (std::int64_t p0 = 0; p0 < extent_[0] + 2 * halo_; ++p0)
-        for (std::int64_t p1 = 0; p1 < extent_[1] + 2 * halo_; ++p1) {
-          const std::int64_t base = p0 * stride_[0] + p1 * stride_[1];
-          is_halo(p0, 0) || is_halo(p1, 1) ? full(base) : edges(base);
-        }
-    }
-  }
-
-  void periodic_halo(int slot) {
-    T* data = slot_data(slot);
-    iterate_padded([&](std::array<std::int64_t, 3> pc) {
-      bool is_halo = false;
-      std::array<std::int64_t, 3> src = pc;
-      for (int d = 0; d < ndim_; ++d) {
-        const auto e = extent_[static_cast<std::size_t>(d)];
-        auto& v = src[static_cast<std::size_t>(d)];
-        if (pc[static_cast<std::size_t>(d)] < halo_) {
-          v = pc[static_cast<std::size_t>(d)] + e;
-          is_halo = true;
-        } else if (pc[static_cast<std::size_t>(d)] >= e + halo_) {
-          v = pc[static_cast<std::size_t>(d)] - e;
-          is_halo = true;
-        }
-      }
-      if (!is_halo) return;
-      std::int64_t dst_idx = 0, src_idx = 0;
-      for (int d = 0; d < ndim_; ++d) {
-        dst_idx += pc[static_cast<std::size_t>(d)] * stride_[static_cast<std::size_t>(d)];
-        src_idx += src[static_cast<std::size_t>(d)] * stride_[static_cast<std::size_t>(d)];
-      }
-      data[dst_idx] = data[src_idx];
-    });
-  }
-
+  /// Invokes fn(dst, src, len) on every halo slab, innermost dimension
+  /// first.  For dimension d and each interior coordinate of the dimensions
+  /// outside it, the low and high slabs are `halo` consecutive hyperplanes
+  /// of d — `halo * stride(d)` contiguous elements, inner dimensions' halos
+  /// included — and `src` is the opposite interior slab a periodic wrap
+  /// copies.  Every halo cell lies in exactly one slab: the one of the
+  /// outermost dimension it is halo in.  The order makes the wrap exact:
+  /// when d's slabs are copied, the inner halos of their sources are
+  /// already final, so edges and corners come out wrapped in every
+  /// dimension.
   template <typename Fn>
-  void iterate_padded(Fn&& fn) const {
-    std::array<std::int64_t, 3> p{0, 0, 0};
-    const auto pe = [&](int d) { return extent_[static_cast<std::size_t>(d)] + 2 * halo_; };
-    if (ndim_ == 1) {
-      for (p[0] = 0; p[0] < pe(0); ++p[0]) fn(p);
-    } else if (ndim_ == 2) {
-      for (p[0] = 0; p[0] < pe(0); ++p[0])
-        for (p[1] = 0; p[1] < pe(1); ++p[1]) fn(p);
-    } else {
-      for (p[0] = 0; p[0] < pe(0); ++p[0])
-        for (p[1] = 0; p[1] < pe(1); ++p[1])
-          for (p[2] = 0; p[2] < pe(2); ++p[2]) fn(p);
+  void for_each_halo_slab(Fn&& fn) const {
+    for (int d = ndim_ - 1; d >= 0; --d) {
+      const auto u = static_cast<std::size_t>(d);
+      const std::int64_t len = halo_ * stride_[u], span = extent_[u] * stride_[u];
+      const std::int64_t n0 = d > 0 ? extent_[0] : 1, n1 = d > 1 ? extent_[1] : 1;
+      for (std::int64_t i0 = 0; i0 < n0; ++i0)
+        for (std::int64_t i1 = 0; i1 < n1; ++i1) {
+          const std::int64_t base = (d > 0 ? (i0 + halo_) * stride_[0] : 0) +
+                                    (d > 1 ? (i1 + halo_) * stride_[1] : 0);
+          fn(base, base + span, len);
+          fn(base + span + len, base + len, len);
+        }
     }
   }
 

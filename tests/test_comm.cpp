@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "comm/decompose.hpp"
 #include "comm/halo_exchange.hpp"
 #include "comm/network_model.hpp"
 #include "comm/simmpi.hpp"
 #include "exec/executor.hpp"
+#include "frontend/spec.hpp"
 #include "support/error.hpp"
 #include "workload/stencils.hpp"
 
@@ -526,6 +529,52 @@ TEST(PeriodicDecomp, SelfNeighborExchangesOwnFaces) {
   // face must arrive in its own high halo and vice versa — equivalent to
   // the single-node periodic fill.
   expect_distributed_matches_2d("2d9pt_star", {8, 9, 0}, {1, 1}, 3, /*periodic=*/true);
+}
+
+TEST(PeriodicDecomp, ThreeDimensionalBoxMatchesSingleGridWrap) {
+  // A 27-point box reads every face, edge and corner of the halo.  The
+  // single-grid periodic fill and a fully periodic 1-rank run, which wraps
+  // through the exchange plan's self-neighbour path, are independent
+  // implementations of the same wrap: their interiors must agree bit for
+  // bit.  Coefficients differ per offset so a halo taken from the wrong
+  // side changes the result.
+  std::string spec = "name box3d27\ngrid 6 5 7\nhalo 1\ndtype f64\n";
+  int n = 0;
+  for (int k = -1; k <= 1; ++k)
+    for (int j = -1; j <= 1; ++j)
+      for (int i = -1; i <= 1; ++i)
+        spec += "point " + std::to_string(k) + " " + std::to_string(j) + " " +
+                std::to_string(i) + " " + std::to_string(0.01 * (++n)) + "\n";
+  spec += "term -1 0.7\nterm -2 0.3\ntile 2 3 4\n";
+  auto prog = frontend::program_from_spec(spec);
+  const auto& st = prog->stencil();
+  constexpr std::int64_t kSteps = 5;
+
+  auto seed = [&](exec::GridStorage<double>& g) {
+    for (int back = 0; back < st.time_window() - 1; ++back) {
+      const int slot = g.slot_for_time(-back);
+      g.for_each_interior([&](std::array<std::int64_t, 3> c) {
+        g.at(slot, c) =
+            0.001 * static_cast<double>((c[0] * 61 + c[1] * 13 + c[2] * 3 + back) % 211);
+      });
+    }
+  };
+  exec::GridStorage<double> single(st.state());
+  seed(single);
+  exec::run_scheduled(st, prog->primary_schedule(), single, 1, kSteps, exec::Boundary::Periodic);
+
+  CartDecomp dec({1, 1, 1}, {6, 5, 7}, {true, true, true});
+  SimWorld world(1);
+  std::vector<double> got;
+  world.run([&](RankCtx& ctx) {
+    exec::GridStorage<double> local(st.state());
+    seed(local);
+    run_distributed(ctx, dec, st, local, 1, kSteps);
+    got = local.interior_values(local.slot_for_time(kSteps));
+  });
+  const auto want = single.interior_values(single.slot_for_time(kSteps));
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0);
 }
 
 TEST(NetworkModel, AsyncBeatsCentralized) {

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "dsl/program.hpp"
 #include "exec/eval.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
+#include "frontend/spec.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace msc::exec {
 namespace {
@@ -70,6 +75,100 @@ TEST(GridStorage, PeriodicHaloWraps) {
   EXPECT_DOUBLE_EQ(g.at(0, {0, -1, 0}), 3.0);   // wraps to col 3
   EXPECT_DOUBLE_EQ(g.at(0, {4, 4, 0}), 0.0);    // wraps to (0,0)
   EXPECT_DOUBLE_EQ(g.at(0, {-1, -1, 0}), 33.0); // corner wrap
+}
+
+TEST(GridStorage, PeriodicHaloWraps3dEdgesAndCorners) {
+  auto t = ir::make_sp_tensor("B", ir::DataType::f64, {3, 4, 5}, 2);
+  GridStorage<double> g(t);
+  g.for_each_interior([&](std::array<std::int64_t, 3> c) {
+    g.at(0, c) = static_cast<double>(100 * c[0] + 10 * c[1] + c[2]);
+  });
+  g.fill_halo(0, Boundary::Periodic);
+  EXPECT_DOUBLE_EQ(g.at(0, {1, 2, -2}), 123.0);    // face: wraps to col 3
+  EXPECT_DOUBLE_EQ(g.at(0, {4, -2, 2}), 122.0);    // edge: (1, 2, 2)
+  EXPECT_DOUBLE_EQ(g.at(0, {-1, -1, -1}), 234.0);  // low corner: (2, 3, 4)
+  EXPECT_DOUBLE_EQ(g.at(0, {-2, 5, 6}), 111.0);    // mixed low/high corner: (1, 1, 1)
+  EXPECT_DOUBLE_EQ(g.at(0, {4, 5, 6}), 111.0);     // high corner: (1, 1, 1)
+  EXPECT_DOUBLE_EQ(g.at(0, {3, 4, 5}), 0.0);       // high corner: origin
+}
+
+/// The retired per-point periodic fill, kept only as the oracle: every
+/// padded cell that is halo in some dimension takes the interior cell found
+/// by wrapping each of its halo coordinates by the extent.  Returns the
+/// whole padded slot as the fill should leave it.
+template <typename T>
+std::vector<T> periodic_oracle(const GridStorage<T>& g, int slot) {
+  const T* data = g.slot_data(slot);
+  std::vector<T> out(data, data + g.padded_points());
+  const std::int64_t h = g.halo();
+  std::array<std::int64_t, 3> pe{1, 1, 1};
+  for (int d = 0; d < g.ndim(); ++d) pe[static_cast<std::size_t>(d)] = g.extent(d) + 2 * h;
+  std::array<std::int64_t, 3> p{0, 0, 0};
+  for (p[0] = 0; p[0] < pe[0]; ++p[0])
+    for (p[1] = 0; p[1] < pe[1]; ++p[1])
+      for (p[2] = 0; p[2] < pe[2]; ++p[2]) {
+        bool is_halo = false;
+        std::int64_t dst = 0, src = 0;
+        for (int d = 0; d < g.ndim(); ++d) {
+          const std::int64_t e = g.extent(d);
+          std::int64_t s = p[static_cast<std::size_t>(d)];
+          if (s < h) {
+            s += e;
+            is_halo = true;
+          } else if (s >= e + h) {
+            s -= e;
+            is_halo = true;
+          }
+          dst += p[static_cast<std::size_t>(d)] * g.stride(d);
+          src += s * g.stride(d);
+        }
+        if (is_halo) out[static_cast<std::size_t>(dst)] = data[src];
+      }
+  return out;
+}
+
+/// Random 1-3-D grids (odd extents, halo == 0, halo == narrowest extent),
+/// every slot poisoned halos and all: the fill must leave the target slot
+/// exactly as the oracle does and every other slot untouched.
+template <typename T>
+void expect_periodic_fill_matches_oracle(ir::DataType dt, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int ndim = static_cast<int>(rng.next_int(1, 3));
+    std::vector<std::int64_t> shape;
+    for (int d = 0; d < ndim; ++d) shape.push_back(rng.next_int(1, 9));
+    const std::int64_t narrowest = *std::min_element(shape.begin(), shape.end());
+    const std::int64_t halo = iter % 4 == 0   ? narrowest
+                              : iter % 4 == 1 ? 0
+                                              : rng.next_int(0, narrowest);
+    const int slots = static_cast<int>(rng.next_int(1, 3));
+    GridStorage<T> g(ir::make_sp_tensor("B", dt, shape, halo, slots));
+    std::vector<std::vector<T>> before;
+    for (int s = 0; s < slots; ++s) {
+      T* data = g.slot_data(s);
+      for (std::int64_t i = 0; i < g.padded_points(); ++i)
+        data[i] = static_cast<T>(rng.next_real(-1e3, 1e3));
+      before.emplace_back(data, data + g.padded_points());
+    }
+    const int target = static_cast<int>(rng.next_int(0, slots - 1));
+    const auto want = periodic_oracle(g, target);
+    g.fill_halo(target, Boundary::Periodic);
+    for (int s = 0; s < slots; ++s)
+      ASSERT_EQ(std::memcmp(g.slot_data(s),
+                            (s == target ? want : before[static_cast<std::size_t>(s)]).data(),
+                            want.size() * sizeof(T)),
+                0)
+          << "iter " << iter << " ndim " << ndim << " extent0 " << shape[0] << " halo " << halo
+          << " slot " << s << " of " << slots << " (target " << target << ")";
+  }
+}
+
+TEST(GridStorage, PeriodicFillMatchesPerPointOracleF64) {
+  expect_periodic_fill_matches_oracle<double>(ir::DataType::f64, 101);
+}
+
+TEST(GridStorage, PeriodicFillMatchesPerPointOracleF32) {
+  expect_periodic_fill_matches_oracle<float>(ir::DataType::f32, 202);
 }
 
 TEST(GridStorage, ExternalBoundaryLeavesHaloUntouched) {
@@ -228,6 +327,34 @@ TEST(Executor, PeriodicBoundaryMatches) {
   run_scheduled(ep.prog->stencil(), ep.prog->primary_schedule(), a, 1, 4, Boundary::Periodic);
   run_reference(ep.prog->stencil(), b, 1, 4, Boundary::Periodic);
   EXPECT_EQ(max_relative_error(a, a.slot_for_time(4), b, b.slot_for_time(4)), 0.0);
+}
+
+TEST(Executor, PeriodicRunWiderThanGridThrowsBeforeWriting) {
+  // A 3-wide wrap of a 2x2 grid would read halo cells: the run must throw
+  // before it writes anything, halos included.
+  auto prog = frontend::program_from_spec(
+      "name tiny\ngrid 2 2\nhalo 3\npoint 0 0 0.5\npoint 0 -1 0.25\npoint 1 0 0.25\n");
+  prog->input(dsl::GridRef(prog->stencil().state()), 4);
+  const std::int64_t window = prog->stencil().time_window();
+  const auto snapshot = [&] {
+    std::vector<double> cells;
+    for (std::int64_t t = 0; t > -window; --t)
+      for (std::int64_t j = -3; j < 5; ++j)
+        for (std::int64_t i = -3; i < 5; ++i) cells.push_back(prog->value_at(t, {j, i, 0}));
+    return cells;
+  };
+  const auto before = snapshot();
+  try {
+    prog->run(1, 3, Boundary::Periodic);
+    FAIL() << "a wrap wider than the grid must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("periodic halo 3 exceeds extent 2 of dim 0"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto after = snapshot();
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(), before.size() * sizeof(double)), 0);
 }
 
 TEST(Executor, LoopPlanValidatesCoverage) {
