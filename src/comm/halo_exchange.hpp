@@ -21,6 +21,7 @@
 // single-node ZeroHalo runs so tests can compare distributed against
 // single-grid execution point for point.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -293,12 +294,60 @@ DistRunStats run_distributed(RankCtx& ctx, const CartDecomp& dec, const ir::Sten
   return stats;
 }
 
+namespace detail {
+
+/// Boundary regions narrower than this in the contiguous dimension sweep as
+/// strided columns along dimension nd-2 instead of as rows: a row that short
+/// pays sweep_row's dispatch and full term set-up for one to three outputs.
+inline constexpr std::int64_t kColumnSweepWidth = 4;
+
+/// Sweeps the box [lo, hi) of interior coordinates through the compiled
+/// kernels and returns the points swept.  Every point keeps the full-grid
+/// sweep's term order, so neither the region decomposition nor the row or
+/// column shape can change any value.
+template <typename T>
+std::int64_t sweep_box(const exec::GridStorage<T>& local, T* out,
+                       const std::vector<exec::detail::ResolvedTerm<T>>& terms,
+                       const exec::SweepTile& box) {
+  const int nd = local.ndim();
+  const auto last = static_cast<std::size_t>(nd - 1);
+  const std::int64_t n = box.hi[last] - box.lo[last];
+  if (nd >= 2 && n < kColumnSweepWidth) {
+    const std::size_t col = last - 1;
+    const std::int64_t m = box.hi[col] - box.lo[col];
+    const std::int64_t stride = local.stride(nd - 2);
+    std::int64_t points = 0;
+    std::array<std::int64_t, 3> c = box.lo;
+    auto columns = [&] {
+      for (c[last] = box.lo[last]; c[last] < box.hi[last]; ++c[last]) {
+        exec::detail::sweep_column(out, local.index(c), stride, m, terms);
+        points += m;
+      }
+    };
+    if (nd == 2) {
+      columns();
+    } else {
+      for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0]) columns();
+    }
+    return points;
+  }
+  exec::SweepStats tally;
+  exec::detail::tile_rows(box, local, n, tally, [&](std::int64_t base) {
+    exec::detail::sweep_row(out, base, n, terms);
+  });
+  return tally.points;
+}
+
+}  // namespace detail
+
 /// Communication/computation-overlapped distributed run.  Per step: the
 /// freshest slot's exchange is posted (the plan's single phase covers
 /// faces, edges, and corners, so box stencils overlap too), the sub-domain
 /// *interior* (cells at distance >= radius from the local boundary, which
 /// read no halo) computes while the messages fly, then the exchange
-/// completes and the boundary shell finishes the step.
+/// completes and the boundary shell finishes the step.  Shell slabs thinner
+/// than detail::kColumnSweepWidth in the contiguous dimension (the faces of
+/// a decomposition that splits it) sweep as strided columns.
 template <typename T>
 DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
                                         const ir::StencilDef& st, exec::GridStorage<T>& local,
@@ -318,36 +367,49 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
   for (int back = 1; back < st.time_window(); ++back)
     exchange_halo_plan(ctx, plan, pws, local, local.slot_for_time(t_begin - back));
 
-  // Region sweep over [lo, hi) of interior coordinates: contiguous last-dim
-  // rows through the compiled row kernels (same per-point term order as the
-  // full-grid sweep, so region decomposition cannot change any value).
-  const auto sweep_region = [&](std::int64_t t, std::array<std::int64_t, 3> lo,
-                                std::array<std::int64_t, 3> hi) {
-    T* out = local.slot_data(local.slot_for_time(t));
-    const auto terms = exec::resolve_terms(*lin, local, t);
-    const auto last = static_cast<std::size_t>(nd - 1);
-    const std::int64_t n = hi[last] - lo[last];
-    if (n <= 0) return std::int64_t{0};
-    std::int64_t points = 0;
-    auto row = [&](std::array<std::int64_t, 3> c) {
-      c[last] = lo[last];
-      exec::detail::sweep_row(out, local.index(c), n, terms);
-      points += n;
+  // The interior box, and the boundary shell as one slab pair per
+  // dimension, each shrinking the earlier dimensions' ranges so no cell is
+  // swept twice (the high slab starts no lower than the low one ends, for
+  // extents where the slabs collide).  Empty boxes are dropped.
+  exec::SweepTile interior;
+  bool has_interior = true;
+  std::vector<exec::SweepTile> shell;
+  {
+    exec::SweepTile rest;  // the part the shell has not yet covered
+    const auto keep = [&](const exec::SweepTile& box) {
+      for (int d = 0; d < nd; ++d)
+        if (box.hi[static_cast<std::size_t>(d)] <= box.lo[static_cast<std::size_t>(d)]) return;
+      shell.push_back(box);
     };
-    std::array<std::int64_t, 3> c = lo;
-    if (nd == 1) {
-      row(c);
-    } else if (nd == 2) {
-      for (c[0] = lo[0]; c[0] < hi[0]; ++c[0]) row(c);
-    } else {
-      for (c[0] = lo[0]; c[0] < hi[0]; ++c[0])
-        for (c[1] = lo[1]; c[1] < hi[1]; ++c[1]) row(c);
+    for (int d = 0; d < nd; ++d) {
+      const auto s = static_cast<std::size_t>(d);
+      const std::int64_t e = local.extent(d);
+      interior.lo[s] = r;
+      interior.hi[s] = e - r;
+      has_interior &= interior.hi[s] > interior.lo[s];
+      rest.lo[s] = 0;
+      rest.hi[s] = e;
     }
-    return points;
-  };
+    for (int d = 0; d < nd; ++d) {
+      const auto s = static_cast<std::size_t>(d);
+      const std::int64_t e = local.extent(d);
+      const std::int64_t cut = std::min(r, e);
+      auto slab = rest;
+      slab.lo[s] = 0;
+      slab.hi[s] = cut;
+      keep(slab);
+      slab.lo[s] = std::max(cut, e - r);
+      slab.hi[s] = e;
+      keep(slab);
+      rest.lo[s] = cut;
+      rest.hi[s] = std::max(cut, e - r);
+    }
+  }
 
   auto& timeline = prof::global_timeline();
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
+    T* out = local.slot_data(local.slot_for_time(t));
+    const auto terms = exec::resolve_terms(*lin, local, t);
     const int newest = local.slot_for_time(t - 1);
     const auto pending_stats = begin_exchange_plan(ctx, plan, pws, local, newest);
     // Messages are in flight from here until the finish wait; the "send"
@@ -358,18 +420,11 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
     const double flight0 = tl_on ? timeline.now() : 0.0;
 
     // Interior: needs no halo of the in-flight slot.
-    std::array<std::int64_t, 3> ilo{0, 0, 0}, ihi{1, 1, 1};
-    bool has_interior = true;
-    for (int d = 0; d < nd; ++d) {
-      ilo[static_cast<std::size_t>(d)] = r;
-      ihi[static_cast<std::size_t>(d)] = local.extent(d) - r;
-      has_interior &= ihi[static_cast<std::size_t>(d)] > ilo[static_cast<std::size_t>(d)];
-    }
     if (has_interior) {
       // The overlap window: interior cells compute while halo messages fly.
       prof::TraceScope overlap("overlap.interior_compute", "comm");
       prof::TimelineScope compute_span(ctx.rank(), prof::Phase::Compute);
-      const std::int64_t pts = sweep_region(t, ilo, ihi);
+      const std::int64_t pts = detail::sweep_box(local, out, terms, interior);
       overlap.arg("points", static_cast<double>(pts));
       stats.interior_points_overlapped += pts;
       prof::counter("comm.overlap.interior_points").add(pts);
@@ -383,28 +438,11 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
     stats.exchange.messages_sent += pending_stats.messages_sent;
     stats.exchange.bytes_sent += pending_stats.bytes_sent;
 
-    // Boundary shell: one slab pair per dimension, shrinking the earlier
-    // dimensions' ranges so no cell is swept twice.
-    std::array<std::int64_t, 3> lo{0, 0, 0}, hi{1, 1, 1};
-    for (int d = 0; d < nd; ++d) {
-      lo[static_cast<std::size_t>(d)] = 0;
-      hi[static_cast<std::size_t>(d)] = local.extent(d);
-    }
-    for (int d = 0; d < nd; ++d) {
-      const std::int64_t e = local.extent(d);
-      const std::int64_t cut = std::min(r, e);
-      auto slab_lo = lo, slab_hi = hi;
-      // Low slab.
-      slab_lo[static_cast<std::size_t>(d)] = 0;
-      slab_hi[static_cast<std::size_t>(d)] = cut;
-      sweep_region(t, slab_lo, slab_hi);
-      // High slab (guard against tiny extents where the slabs collide).
-      slab_lo[static_cast<std::size_t>(d)] = std::max(cut, e - r);
-      slab_hi[static_cast<std::size_t>(d)] = e;
-      sweep_region(t, slab_lo, slab_hi);
-      // Later dimensions only sweep the strip this dimension left.
-      lo[static_cast<std::size_t>(d)] = cut;
-      hi[static_cast<std::size_t>(d)] = std::max(cut, e - r);
+    {
+      // The shell reads the halos just received; it runs after the wait,
+      // so its compute is exposed (never overlapped) time.
+      prof::TimelineScope compute_span(ctx.rank(), prof::Phase::Compute);
+      for (const auto& box : shell) detail::sweep_box(local, out, terms, box);
     }
 
     local.fill_halo(local.slot_for_time(t), exec::Boundary::External);

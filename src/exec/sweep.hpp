@@ -17,6 +17,10 @@
 //                      generic fallback above), parallel tiles chunked over
 //                      the process pool with per-thread stats merged once
 //                      at the end (no shared-counter contention).
+//   sweep_column     — the same accumulation down a strided column, for
+//                      regions too thin in the contiguous dimension to
+//                      make rows worth their set-up (the overlapped
+//                      distributed driver's boundary shell).
 //
 // Numerics are bit-identical to the retired per-point interpreter: each
 // output element accumulates its terms in the same order with the same
@@ -262,6 +266,22 @@ extern template void sweep_row<float>(float*, std::int64_t, std::int64_t,
                                       const std::vector<ResolvedTerm<float>>&);
 extern template void sweep_row<double>(double*, std::int64_t, std::int64_t,
                                        const std::vector<ResolvedTerm<double>>&);
+
+/// Sweeps one column of `m` outputs at linear indices base, base + stride,
+/// ..., base + (m-1)*stride: the shape of a region that is thin in the
+/// contiguous dimension, where sweep_row would pay a dispatch and a full
+/// term set-up per one-point row.  Each point accumulates its terms in
+/// sweep_row's order, so results are bit-identical to sweep_row(out, base +
+/// j*stride, 1, terms).  Defined in sweep_column.cpp, compiled scalar: a
+/// gather-vectorized column measured slower than the plain loop.
+template <typename T>
+void sweep_column(T* out, std::int64_t base, std::int64_t stride, std::int64_t m,
+                  const std::vector<ResolvedTerm<T>>& terms);
+
+extern template void sweep_column<float>(float*, std::int64_t, std::int64_t, std::int64_t,
+                                         const std::vector<ResolvedTerm<float>>&);
+extern template void sweep_column<double>(double*, std::int64_t, std::int64_t, std::int64_t,
+                                          const std::vector<ResolvedTerm<double>>&);
 
 /// acc[i] += coeff * src[i] over one contiguous row — the staged-buffer
 /// accumulation primitive shared by the CG simulators (expression shape

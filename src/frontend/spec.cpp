@@ -1,7 +1,9 @@
 #include "frontend/spec.hpp"
 
+#include <limits>
 #include <sstream>
 
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -41,6 +43,19 @@ double to_double(const std::string& s, int line_no) {
   } catch (const std::exception&) {
     MSC_FAIL() << "spec line " << line_no << ": bad number '" << s << "'";
   }
+}
+
+/// A `tile`, `parallel` or `mpi` value: a count in [1, INT_MAX].  Anything
+/// else is rejected rather than clamped or narrowed, since the schedule and
+/// the process grid would otherwise silently run something else.
+int to_count(const std::string& s, int line_no, const std::string& directive) {
+  const std::int64_t v = to_int(s, line_no);
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  if (v < 1 || v > kMax)
+    throw CodedError(ErrorCode::InvalidConfig,
+                     strprintf("spec line %d: %s value %s is outside [1, %lld]", line_no,
+                               directive.c_str(), s.c_str(), static_cast<long long>(kMax)));
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -94,15 +109,15 @@ StencilSpec parse_spec(const std::string& text) {
       MSC_CHECK(!spec.grid.empty()) << "spec line " << line_no << ": declare grid before tile";
       MSC_CHECK(argc == spec.grid.size())
           << "spec line " << line_no << ": tile takes one factor per grid dimension";
-      for (std::size_t d = 0; d < argc; ++d) spec.tile[d] = to_int(tok[1 + d], line_no);
+      for (std::size_t d = 0; d < argc; ++d) spec.tile[d] = to_count(tok[1 + d], line_no, key);
     } else if (key == "parallel") {
       MSC_CHECK(argc == 1) << "spec line " << line_no << ": parallel takes a thread count";
-      spec.parallel_threads = static_cast<int>(to_int(tok[1], line_no));
+      spec.parallel_threads = to_count(tok[1], line_no, key);
     } else if (key == "mpi") {
       MSC_CHECK(argc >= 1 && argc <= 3) << "spec line " << line_no << ": mpi takes 1-3 extents";
       spec.mpi.clear();
       for (std::size_t n = 1; n < tok.size(); ++n)
-        spec.mpi.push_back(static_cast<int>(to_int(tok[n], line_no)));
+        spec.mpi.push_back(to_count(tok[n], line_no, key));
     } else {
       MSC_FAIL() << "spec line " << line_no << ": unknown directive '" << key << "'";
     }

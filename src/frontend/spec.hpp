@@ -54,7 +54,9 @@ struct StencilSpec {
 };
 
 /// Parses the text; throws msc::Error with the offending line number on
-/// malformed input.
+/// malformed input, and CodedError(ErrorCode::InvalidConfig) naming the line,
+/// directive and value when a `tile`, `parallel` or `mpi` value is below 1 or
+/// beyond `int` range.  A tile factor above its grid extent is clamped to it.
 StencilSpec parse_spec(const std::string& text);
 
 /// Builds the full DSL program (kernel, stencil, schedule, MPI grid).

@@ -1,9 +1,11 @@
 // Communication-library tests: the simulated MPI runtime, cartesian
 // decomposition, halo exchange correctness, distributed-vs-single-node
-// equivalence, and the analytic network model.
+// equivalence (including a differential matrix over the overlapped
+// driver), and the analytic network model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -363,6 +365,171 @@ TEST(OverlappedRun, BoxStencilsOverlapViaPlanExchange) {
     });
   });
   for (int r = 0; r < 4; ++r) EXPECT_EQ(worst[static_cast<std::size_t>(r)], 0.0) << r;
+}
+
+// ---- overlapped driver: differential matrix -------------------------------
+
+/// Spec text for a star (axis arms) or box stencil of `radius` over `grid`,
+/// with a distinct coefficient per offset so a halo taken from the wrong
+/// side changes the result.
+std::string overlap_spec(std::vector<std::int64_t> grid, int radius, bool box,
+                         const char* dtype, int time_terms) {
+  const int nd = static_cast<int>(grid.size());
+  std::string spec = "name ov\ngrid";
+  for (auto e : grid) spec += " " + std::to_string(e);
+  spec += "\nhalo " + std::to_string(radius) + "\ndtype " + dtype + "\n";
+  int n = 0;
+  const auto point = [&](std::array<int, 3> o) {
+    spec += "point";
+    for (int d = 0; d < nd; ++d) spec += " " + std::to_string(o[static_cast<std::size_t>(d)]);
+    spec += " " + std::to_string(0.01 * (++n)) + "\n";
+  };
+  if (box) {
+    const int r2 = nd > 2 ? radius : 0;
+    for (int a = -radius; a <= radius; ++a)
+      for (int b = -radius; b <= radius; ++b)
+        for (int c = -r2; c <= r2; ++c) point({a, b, c});
+  } else {
+    point({0, 0, 0});
+    for (int d = 0; d < nd; ++d)
+      for (int k = 1; k <= radius; ++k)
+        for (int sign : {-1, 1}) {
+          std::array<int, 3> o{0, 0, 0};
+          o[static_cast<std::size_t>(d)] = sign * k;
+          point(o);
+        }
+  }
+  spec += time_terms == 2 ? "term -1 0.7\nterm -2 0.3\n" : "term -1 1\n";
+  return spec;
+}
+
+/// Runs run_distributed_overlapped over `proc_dims` against a single-grid
+/// exec::run_reference of the same seeded state, and requires every rank's
+/// final interior to match bit for bit and its overlapped interior-point
+/// count to equal the interior box (cells >= radius from the local
+/// boundary) times the step count.
+template <typename T>
+void expect_overlapped_matches_reference(const std::string& spec, std::vector<int> proc_dims,
+                                         bool periodic, std::int64_t steps = 3) {
+  SCOPED_TRACE(spec);
+  auto prog = frontend::program_from_spec(spec);
+  const auto& st = prog->stencil();
+  const int nd = st.state()->ndim();
+  const std::int64_t r = st.max_radius();
+  std::vector<std::int64_t> grid;
+  for (int d = 0; d < nd; ++d) grid.push_back(st.state()->extent(d));
+
+  auto seed = [&](exec::GridStorage<T>& g, std::array<std::int64_t, 3> off) {
+    for (int back = 0; back < st.time_window() - 1; ++back) {
+      const int slot = g.slot_for_time(-back);
+      g.for_each_interior([&](std::array<std::int64_t, 3> c) {
+        const std::int64_t k = off[0] + c[0], j = off[1] + c[1], i = off[2] + c[2];
+        g.at(slot, c) = static_cast<T>(0.001 * static_cast<double>((k * 61 + j * 13 + i * 3 + back) % 211));
+      });
+    }
+  };
+  exec::GridStorage<T> global(st.state());
+  seed(global, {0, 0, 0});
+  exec::run_reference(st, global, 1, steps,
+                      periodic ? exec::Boundary::Periodic : exec::Boundary::ZeroHalo);
+
+  CartDecomp dec(proc_dims, grid, std::vector<bool>(proc_dims.size(), periodic));
+  SimWorld world(dec.size());
+  std::vector<std::int64_t> mismatches(static_cast<std::size_t>(dec.size()), 0);
+  std::vector<std::int64_t> overlapped(static_cast<std::size_t>(dec.size()), 0);
+  std::vector<std::int64_t> want_overlapped(static_cast<std::size_t>(dec.size()), 0);
+  world.run([&](RankCtx& ctx) {
+    const int rank = ctx.rank();
+    const auto at = static_cast<std::size_t>(rank);
+    std::vector<std::int64_t> ext;
+    std::array<std::int64_t, 3> off{0, 0, 0};
+    std::int64_t interior = steps;
+    for (int d = 0; d < nd; ++d) {
+      ext.push_back(dec.local_extent(rank, d));
+      off[static_cast<std::size_t>(d)] = dec.local_offset(rank, d);
+      interior *= std::max<std::int64_t>(0, ext.back() - 2 * r);
+    }
+    want_overlapped[at] = interior;
+    exec::GridStorage<T> local(ir::make_sp_tensor("B", st.state()->dtype(), ext,
+                                                  st.state()->halo(), st.state()->time_window()));
+    seed(local, off);
+    overlapped[at] = run_distributed_overlapped(ctx, dec, st, local, 1, steps)
+                         .interior_points_overlapped;
+    const int slot = local.slot_for_time(steps);
+    const int gslot = global.slot_for_time(steps);
+    local.for_each_interior([&](std::array<std::int64_t, 3> c) {
+      const T got = local.at(slot, c);
+      const T want = global.at(gslot, {off[0] + c[0], off[1] + c[1], off[2] + c[2]});
+      mismatches[at] += std::memcmp(&got, &want, sizeof(T)) != 0;
+    });
+  });
+  for (int rank = 0; rank < dec.size(); ++rank) {
+    const auto at = static_cast<std::size_t>(rank);
+    EXPECT_EQ(mismatches[at], 0) << "rank " << rank;
+    EXPECT_EQ(overlapped[at], want_overlapped[at]) << "rank " << rank;
+  }
+}
+
+// Decompositions that split the contiguous dimension leave shell slabs one
+// or two cells wide there, which the driver sweeps as strided columns.
+
+TEST(OverlappedMatrix, Star3dSplitContiguousPeriodicF64) {
+  expect_overlapped_matches_reference<double>(overlap_spec({6, 7, 10}, 1, false, "f64", 2),
+                                              {1, 1, 2}, true);
+}
+
+TEST(OverlappedMatrix, Star3dTwoSplitsZeroHaloF32) {
+  expect_overlapped_matches_reference<float>(overlap_spec({5, 8, 9}, 1, false, "f32", 1),
+                                             {1, 2, 2}, false);
+}
+
+TEST(OverlappedMatrix, Star3dRadius2SplitContiguousZeroHaloF64) {
+  expect_overlapped_matches_reference<double>(overlap_spec({6, 7, 12}, 2, false, "f64", 2),
+                                              {1, 1, 2}, false);
+}
+
+TEST(OverlappedMatrix, Box3dOver32TermsTakesGenericRoutePeriodicF64) {
+  // 27 offsets x 2 time terms = 54 terms: above kMaxFixedTerms.
+  const auto spec = overlap_spec({6, 6, 8}, 1, true, "f64", 2);
+  const auto prog = frontend::program_from_spec(spec);
+  ASSERT_EQ(exec::linearize_stencil(prog->stencil(), prog->bindings())->size(), 54u);
+  EXPECT_STREQ(exec::sweep_route(54), "generic");
+  expect_overlapped_matches_reference<double>(spec, {2, 2, 2}, true);
+}
+
+TEST(OverlappedMatrix, Box3dOver32TermsZeroHaloF32) {
+  expect_overlapped_matches_reference<float>(overlap_spec({6, 6, 9}, 1, true, "f32", 2),
+                                             {2, 2, 2}, false);
+}
+
+TEST(OverlappedMatrix, Star2dRadius2SplitContiguousPeriodicF32) {
+  expect_overlapped_matches_reference<float>(overlap_spec({9, 10}, 2, false, "f32", 2), {1, 2},
+                                             true);
+}
+
+TEST(OverlappedMatrix, Box2dSplitContiguousZeroHaloF64) {
+  expect_overlapped_matches_reference<double>(overlap_spec({8, 10}, 1, true, "f64", 2), {1, 2},
+                                              false);
+}
+
+// Local last-dimension extents <= 2r: the interior is empty and the two
+// contiguous-dimension slabs collide.
+
+TEST(OverlappedMatrix, EmptyInteriorCollidingSlabs3dPeriodicF64) {
+  // Radius 2 over 3 local cells: low slab [0,2), high slab [2,3).
+  expect_overlapped_matches_reference<double>(overlap_spec({6, 6, 6}, 2, false, "f64", 2),
+                                              {1, 1, 2}, true);
+}
+
+TEST(OverlappedMatrix, EmptyInteriorCollidingSlabs2dZeroHaloF32) {
+  // Radius 1 over 2 local cells: both slabs one cell wide.
+  expect_overlapped_matches_reference<float>(overlap_spec({7, 4}, 1, true, "f32", 1), {1, 2},
+                                             false);
+}
+
+TEST(OverlappedMatrix, EmptyInteriorCollidingSlabs3dBoxZeroHaloF64) {
+  expect_overlapped_matches_reference<double>(overlap_spec({5, 6, 4}, 1, true, "f64", 2),
+                                              {2, 2, 2}, false);
 }
 
 TEST(SinglePhaseExchange, InteriorFacesOnly) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/spec.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 
 namespace msc::frontend {
@@ -90,6 +93,60 @@ TEST(SpecBuild, GeneratesAllTargets) {
 
 TEST(SpecBuild, ParallelWithoutTileRejected) {
   EXPECT_THROW(program_from_spec("name x\ngrid 8 8\npoint 0 0 1.0\nparallel 4\n"), Error);
+}
+
+// ---- out-of-range counts --------------------------------------------------
+
+/// `directive_line` lands on spec line 4; the rejection must be an
+/// InvalidConfig CodedError naming that line, the directive and the value.
+void expect_invalid_config(const std::string& directive_line, const std::string& directive,
+                           const std::string& value) {
+  const std::string text =
+      "name x\ngrid 8 8\npoint 0 0 1.0\n" + directive_line + "\ntile 4 4\n";
+  try {
+    parse_spec(text);
+    ADD_FAILURE() << "accepted '" << directive_line << "'";
+  } catch (const CodedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(directive), std::string::npos) << msg;
+    EXPECT_NE(msg.find(value), std::string::npos) << msg;
+  }
+}
+
+TEST(SpecValidation, NegativeParallelRejected) {
+  expect_invalid_config("parallel -5", "parallel", "-5");
+}
+
+TEST(SpecValidation, ZeroParallelRejected) {
+  expect_invalid_config("parallel 0", "parallel", "0");
+}
+
+TEST(SpecValidation, ParallelBeyondIntRejected) {
+  expect_invalid_config("parallel 99999999999", "parallel", "99999999999");
+}
+
+TEST(SpecValidation, ZeroTileFactorRejected) {
+  expect_invalid_config("tile 0 8", "tile", "0");
+}
+
+TEST(SpecValidation, TileFactorBeyondIntRejected) {
+  expect_invalid_config("tile 8 999999999999", "tile", "999999999999");
+}
+
+TEST(SpecValidation, ZeroMpiExtentRejected) {
+  expect_invalid_config("mpi 0 2", "mpi", "0");
+}
+
+TEST(SpecValidation, MpiExtentBeyondIntRejected) {
+  expect_invalid_config("mpi 99999999999", "mpi", "99999999999");
+}
+
+TEST(SpecValidation, WideParallelStaysValid) {
+  // examples/specs/3d7pt.msc asks for 64 threads.
+  const auto spec = parse_spec("name x\ngrid 8 8\npoint 0 0 1.0\ntile 4 4\nparallel 64\n");
+  EXPECT_EQ(spec.parallel_threads, 64);
 }
 
 TEST(SpecBuild, TwoDimensionalSpecWorks) {

@@ -1,14 +1,15 @@
 // Unit + differential tests of the compiled row-sweep engine (exec/sweep):
 // lowering coverage/clamping, bit-exact agreement between the retired
 // per-point interpreter and the compiled sweep across random conformance
-// cases, the wide-kernel (row-accumulator) formulation, and the row-based
-// grid primitives' order guarantees.
+// cases, the wide-kernel (row-accumulator) formulation, the strided column
+// kernel, and the row-based grid primitives' order guarantees.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -266,6 +267,45 @@ TEST(SweepRow, WideTermCountsMatchPointLoopBitwise) {
       ASSERT_EQ(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)])
           << "nt=" << nt << " i=" << i;
   }
+}
+
+// ---- strided column kernel -----------------------------------------------
+
+// sweep_column must reproduce, bit for bit, the one-point rows it stands in
+// for, on every fixed-kernel term count and the generic route above them,
+// and write nothing but its m strided outputs (the cells between them are
+// poisoned and must survive).
+template <typename T>
+void expect_column_matches_one_point_rows() {
+  Rng rng(321);
+  std::vector<T> backing(4096);
+  for (auto& v : backing) v = static_cast<T>(rng.next_real(-1.0, 1.0));
+  const T poison = static_cast<T>(-777.25);
+  const std::int64_t base = 5, m = 19;
+  for (std::size_t nt = 1; nt <= detail::kMaxFixedTerms + 2; ++nt) {
+    std::vector<detail::ResolvedTerm<T>> terms;
+    for (std::size_t k = 0; k < nt; ++k)
+      terms.push_back({rng.next_real(-1.0, 1.0), static_cast<std::int64_t>(k % 7) - 3,
+                       backing.data() + 512 + 17 * static_cast<std::int64_t>(k % 11)});
+    for (std::int64_t stride : {1, 2, 7, 26}) {
+      std::vector<T> col(600, poison), rows(600, poison);
+      detail::sweep_column(col.data(), base, stride, m, terms);
+      for (std::int64_t j = 0; j < m; ++j) detail::sweep_row(rows.data(), base + j * stride, 1, terms);
+      for (std::size_t i = 0; i < col.size(); ++i) {
+        const auto at = static_cast<std::int64_t>(i);
+        const bool output = at >= base && (at - base) % stride == 0 && (at - base) / stride < m;
+        ASSERT_EQ(std::memcmp(&col[i], &rows[i], sizeof(T)), 0)
+            << "nt=" << nt << " stride=" << stride << " i=" << i;
+        if (!output) ASSERT_EQ(col[i], poison) << "nt=" << nt << " stride=" << stride << " i=" << i;
+        else ASSERT_NE(col[i], poison) << "nt=" << nt << " stride=" << stride << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(SweepColumn, MatchesOnePointRowsBitwiseAndWritesOnlyItsOutputs) {
+  expect_column_matches_one_point_rows<float>();
+  expect_column_matches_one_point_rows<double>();
 }
 
 // ---- non-affine fallback -------------------------------------------------

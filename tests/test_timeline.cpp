@@ -199,6 +199,13 @@ TEST(CommTimeline, OverlappedRunHidesCommUnderCompute) {
   EXPECT_TRUE(saw_send);
   EXPECT_TRUE(saw_pack);
   EXPECT_TRUE(saw_compute);
+  // Both halves of every step's compute are on the timeline: the interior
+  // inside the send window and the boundary shell after the wait.
+  for (int r = 0; r < 4; ++r) {
+    int compute_spans = 0;
+    for (const auto& s : spans) compute_spans += s.rank == r && s.phase == Phase::Compute;
+    EXPECT_EQ(compute_spans, 2 * 5) << "rank " << r;
+  }
 
   // The interior sweep runs inside the in-flight send window, so some comm
   // time must be attributed as hidden (this is paper Fig. 10's mechanism).
