@@ -22,7 +22,6 @@
 
 #include "verify.hpp"
 
-#include "exec/aot_backend.hpp"
 #include "exec/executor.hpp"
 #include "exec/sweep.hpp"
 #include "prof/bench_report.hpp"
@@ -89,8 +88,9 @@ Measured measure(const Row& r) {
   const auto lin = exec::linearize_stencil(st, prog->bindings());
   MSC_CHECK(lin.has_value()) << r.label << ": workload must be affine";
 
-  exec::AotOptions aopts;  // default shared cache dir
-  exec::AotExecInfo ainfo;
+  exec::ExecOptions aot;  // default shared cache dir
+  aot.backend = exec::HostBackend::Aot;
+  exec::ExecInfo ainfo;
 
   // Correctness first, once: AOT vs the sweep engine, bit for bit.
   bench::require_bit_identical<double>(
@@ -100,11 +100,11 @@ Measured measure(const Row& r) {
                             prog->bindings());
       },
       [&](exec::GridStorage<double>& g) {
-        exec::run_scheduled_aot(st, sched, g, 1, r.steps, exec::Boundary::ZeroHalo,
-                                prog->bindings(), nullptr, &ainfo, aopts);
+        exec::run_scheduled(st, sched, g, 1, r.steps, exec::Boundary::ZeroHalo,
+                            prog->bindings(), nullptr, aot, &ainfo);
       },
       r.label);
-  MSC_CHECK(ainfo.aot) << r.label << ": AOT backend fell back ("
+  MSC_CHECK(ainfo.route == exec::Route::Aot) << r.label << ": AOT backend fell back ("
                        << ainfo.fallback_reason << "); nothing to measure";
 
   exec::GridStorage<double> g(st.state());
@@ -115,8 +115,8 @@ Measured measure(const Row& r) {
   // Warm-up one pass per engine (page faults; the AOT module is already
   // compiled and dlopen'd by the bit-check above).
   exec::run_scheduled(st, sched, g, 1, 1, exec::Boundary::ZeroHalo, prog->bindings());
-  exec::run_scheduled_aot(st, sched, g, 1, 1, exec::Boundary::ZeroHalo, prog->bindings(),
-                          nullptr, nullptr, aopts);
+  exec::run_scheduled(st, sched, g, 1, 1, exec::Boundary::ZeroHalo, prog->bindings(),
+                      nullptr, aot);
 
   std::vector<double> ratios, sweep_t, aot_t;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -125,8 +125,8 @@ Measured measure(const Row& r) {
                         prog->bindings());
     const double ts = now_seconds() - t0;
     t0 = now_seconds();
-    exec::run_scheduled_aot(st, sched, g, 1, r.steps, exec::Boundary::ZeroHalo,
-                            prog->bindings(), nullptr, nullptr, aopts);
+    exec::run_scheduled(st, sched, g, 1, r.steps, exec::Boundary::ZeroHalo,
+                        prog->bindings(), nullptr, aot);
     const double ta = now_seconds() - t0;
     ratios.push_back(ts / ta);
     sweep_t.push_back(ts);
@@ -139,7 +139,7 @@ Measured measure(const Row& r) {
   m.aot_pps = points / median(aot_t);
   m.terms = lin->terms.size();
   m.route = exec::sweep_route(lin->terms.size());
-  m.cache_hit = ainfo.cache_hit;
+  m.cache_hit = ainfo.aot.cache_hit;
   return m;
 }
 

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/aot_backend.hpp"
 #include "exec/executor.hpp"
 #include "machine/probe.hpp"
 #include "prof/attribution.hpp"
@@ -101,51 +100,29 @@ double measure_recorder_efficiency(prof::BenchReport& report) {
   return efficiency;
 }
 
-/// One informational attribution row: run `backend`, drain the recorder,
+/// One informational attribution row: run `route`, drain the recorder,
 /// join against the measured host roofline.
-void attribute_backend(prof::BenchReport& report, const machine::MachineModel& host,
-                       const char* name, prof::AttrBackend backend, TextTable& table) {
+void attribute_route(prof::BenchReport& report, const machine::MachineModel& host,
+                     const char* name, exec::Route route, TextTable& table) {
   const auto& info = workload::benchmark(name);
   const std::array<std::int64_t, 3> grid =
       info.ndim == 3 ? std::array<std::int64_t, 3>{64, 64, 64}
                      : std::array<std::int64_t, 3>{512, 512, 0};
   auto prog = workload::make_program(info, ir::DataType::f64, grid);
   workload::apply_msc_schedule(*prog, info, "cpu");
-  if (backend == prof::AttrBackend::Temporal) prog->primary_kernel().time_tile(4);
+  if (route == exec::Route::Temporal) prog->primary_kernel().time_tile(4);
   const auto& st = prog->stencil();
   const auto& sched = prog->primary_schedule();
 
   exec::GridStorage<double> g(st.state());
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 7);
 
-  bool ran = true;
-  std::string note;
+  exec::ExecOptions opts;
+  if (route == exec::Route::Aot) opts.backend = exec::HostBackend::Aot;
+  exec::ExecInfo taken;
   auto run = [&](std::int64_t t0, std::int64_t t1) {
-    switch (backend) {
-      case prof::AttrBackend::Sweep:
-        exec::run_scheduled(st, sched, g, t0, t1, exec::Boundary::ZeroHalo);
-        break;
-      case prof::AttrBackend::Temporal: {
-        exec::TemporalExecInfo ti;
-        exec::run_scheduled_temporal(st, sched, g, t0, t1, exec::Boundary::ZeroHalo, {},
-                                     nullptr, &ti);
-        if (!ti.temporal) {
-          ran = false;
-          note = ti.fallback_reason;
-        }
-        break;
-      }
-      case prof::AttrBackend::Aot: {
-        exec::AotExecInfo ai;
-        exec::run_scheduled_aot(st, sched, g, t0, t1, exec::Boundary::ZeroHalo, {}, nullptr,
-                                &ai);
-        if (!ai.aot) {
-          ran = false;
-          note = ai.fallback_reason;
-        }
-        break;
-      }
-    }
+    exec::run_scheduled(st, sched, g, t0, t1, exec::Boundary::ZeroHalo, {}, nullptr, opts,
+                        &taken);
   };
 
   run(1, 1);  // warm-up: pool spin-up, AOT compile+dlopen off the clock
@@ -156,12 +133,12 @@ void attribute_backend(prof::BenchReport& report, const machine::MachineModel& h
   const double wall = now_seconds() - t0;
 
   const auto phases = prof::bucket_phases(flight.drain(), wall);
-  const auto cost = prof::attribute_plan(st, sched, backend, sizeof(double), 1, kSteps);
-  auto row = prof::attribute_run(name, backend, cost, phases, host);
-  row.ran = ran;
-  row.note = note;
+  const auto cost = prof::attribute_plan(st, sched, route, sizeof(double), 1, kSteps);
+  auto row = prof::attribute_run(name, route, cost, phases, host);
+  const bool ran = taken.route == route;
+  const std::string& note = taken.fallback_reason;
 
-  table.add_row({name, prof::attr_backend_name(backend),
+  table.add_row({name, exec::route_name(route),
                  ran ? strprintf("%.2f", row.measured_gflops) : std::string("-"),
                  strprintf("%.3f", row.cost.oi),
                  ran ? strprintf("%.1f%%", row.pct_of_attainable) : std::string("-"),
@@ -170,7 +147,7 @@ void attribute_backend(prof::BenchReport& report, const machine::MachineModel& h
 
   workload::Json j = workload::Json::object();
   j["benchmark"] = workload::Json::string(name);
-  j["backend"] = workload::Json::string(prof::attr_backend_name(backend));
+  j["backend"] = workload::Json::string(exec::route_name(route));
   j["ran"] = workload::Json::boolean(ran);
   if (!ran) j["note"] = workload::Json::string(note);
   j["gf_per_s"] = workload::Json::number(row.measured_gflops);
@@ -211,10 +188,10 @@ int main() {
 
   TextTable t({"benchmark", "backend", "GF/s", "OI (F/B)", "% attainable", "bound", "note"});
   for (const char* name : {"3d7pt_star", "2d9pt_star", "3d13pt_star"}) {
-    attribute_backend(report, host, name, prof::AttrBackend::Sweep, t);
-    attribute_backend(report, host, name, prof::AttrBackend::Temporal, t);
+    attribute_route(report, host, name, exec::Route::Sweep, t);
+    attribute_route(report, host, name, exec::Route::Temporal, t);
   }
-  attribute_backend(report, host, "3d7pt_star", prof::AttrBackend::Aot, t);
+  attribute_route(report, host, "3d7pt_star", exec::Route::Aot, t);
   std::printf("%s\n", t.render().c_str());
 
   report.capture_global_counters();

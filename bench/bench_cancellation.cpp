@@ -76,6 +76,8 @@ int main() {
   // far beyond the run so every checkpoint takes the full poll-and-compare
   // path without ever firing.
   CancelToken token(Deadline::after_ms(3600.0 * 1000.0));
+  exec::ExecOptions armed;
+  armed.cancel = &token;
   double t_off = 1e300, t_on = 1e300;
   std::vector<double> ratios;
   ratios.reserve(kReps);
@@ -84,8 +86,7 @@ int main() {
     exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
     const double off = now_seconds() - t0;
     t0 = now_seconds();
-    exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo, {}, nullptr,
-                        &token);
+    exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo, {}, nullptr, armed);
     const double on = now_seconds() - t0;
     t_off = std::min(t_off, off);
     t_on = std::min(t_on, on);

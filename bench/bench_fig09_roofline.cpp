@@ -68,8 +68,8 @@ std::map<std::string, prof::AttributionRow> measured_host_rows(
 
     const auto phases = prof::bucket_phases(flight.drain(), wall);
     const auto cost =
-        prof::attribute_plan(st, sched, prof::AttrBackend::Sweep, sizeof(double), 1, kSteps);
-    rows.emplace(info.name, prof::attribute_run(info.name, prof::AttrBackend::Sweep, cost,
+        prof::attribute_plan(st, sched, exec::Route::Sweep, sizeof(double), 1, kSteps);
+    rows.emplace(info.name, prof::attribute_run(info.name, exec::Route::Sweep, cost,
                                                 phases, host));
   }
   return rows;

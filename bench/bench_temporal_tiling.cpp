@@ -82,23 +82,23 @@ Measured measure(const Row& r) {
   const auto& st = prog->stencil();
   const auto& sched = prog->primary_schedule();
 
-  exec::TemporalOptions topts;
-  topts.wedge_depth = r.wedge_depth;
-  topts.wedge_width = r.wedge_width;
+  // The same schedule with time_tile(): run_scheduled takes the wedges.
+  schedule::Schedule wedged = sched;
+  wedged.time_tile(r.wedge_depth, r.wedge_width);
 
   // Correctness first, once: both engines vs the interpreter oracle.
-  exec::TemporalExecInfo tinfo;
+  exec::ExecInfo tinfo;
   bench::require_bit_identical<double>(
       st,
       [&](exec::GridStorage<double>& g) {
         exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
       },
       [&](exec::GridStorage<double>& g) {
-        exec::run_scheduled_temporal(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo, {},
-                                     nullptr, &tinfo, topts);
+        exec::run_scheduled(st, wedged, g, 1, kSteps, exec::Boundary::ZeroHalo, {}, nullptr,
+                            {}, &tinfo);
       },
       r.label);
-  MSC_CHECK(tinfo.temporal) << r.label << ": temporal engine fell back ("
+  MSC_CHECK(tinfo.route == exec::Route::Temporal) << r.label << ": temporal engine fell back ("
                             << tinfo.fallback_reason << "); nothing to measure";
 
   exec::GridStorage<double> g(st.state());
@@ -108,8 +108,7 @@ Measured measure(const Row& r) {
 
   // Warm-up one pass per engine (page faults, pool spin-up).
   exec::run_scheduled(st, sched, g, 1, 1, exec::Boundary::ZeroHalo);
-  exec::run_scheduled_temporal(st, sched, g, 1, 1, exec::Boundary::ZeroHalo, {}, nullptr,
-                               nullptr, topts);
+  exec::run_scheduled(st, wedged, g, 1, 1, exec::Boundary::ZeroHalo);
 
   std::vector<double> ratios, per_step_t, temporal_t;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -117,8 +116,7 @@ Measured measure(const Row& r) {
     exec::run_scheduled(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
     const double tb = now_seconds() - t0;
     t0 = now_seconds();
-    exec::run_scheduled_temporal(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo, {},
-                                 nullptr, nullptr, topts);
+    exec::run_scheduled(st, wedged, g, 1, kSteps, exec::Boundary::ZeroHalo);
     const double tt = now_seconds() - t0;
     ratios.push_back(tb / tt);
     per_step_t.push_back(tb);

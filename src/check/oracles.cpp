@@ -17,7 +17,6 @@
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "machine/machine.hpp"
-#include "exec/aot_backend.hpp"
 #include "resilience/fault_plan.hpp"
 #include "support/error.hpp"
 #include "support/shell.hpp"
@@ -212,21 +211,21 @@ OracleRun run_aot_oracle(const CaseSpec& spec, const OracleOptions& opts) {
   exec::GridStorage<double> state(prog->stencil().state());
   seed_state(state);
 
-  exec::AotOptions aopts;
-  aopts.cc = opts.cc;
+  exec::ExecOptions eopts;
+  eopts.backend = exec::HostBackend::Aot;
+  eopts.aot.cc = opts.cc;
   if (!opts.work_dir.empty())
-    aopts.cache_dir =
-        (std::filesystem::path(opts.work_dir) / "aot_cache").string();
-  exec::AotExecInfo info;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), state, 1, spec.timesteps,
-                          exec::Boundary::ZeroHalo, prog->bindings(), nullptr, &info, aopts);
+    eopts.aot.cache_dir = (std::filesystem::path(opts.work_dir) / "aot_cache").string();
+  exec::ExecInfo info;
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), state, 1, spec.timesteps,
+                      exec::Boundary::ZeroHalo, prog->bindings(), nullptr, eopts, &info);
   // A fallback result would vacuously match the scheduled oracle — the AOT
   // oracle only passes when the dlopen'd module actually ran.  A quarantined
   // plan (the circuit breaker tripped on an earlier compile crash/timeout)
   // is called out separately: it means the compiler is broken for this plan,
   // not merely absent.
-  if (!info.aot) {
-    run.note = std::string(info.quarantined ? "aot quarantined: " : "aot fallback: ") +
+  if (info.route != exec::Route::Aot) {
+    run.note = std::string(info.aot.quarantined ? "aot quarantined: " : "aot fallback: ") +
                info.fallback_reason;
     return run;
   }

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "codegen/codegen.hpp"
-#include "exec/aot_backend.hpp"
 #include "ir/printer.hpp"
 #include "ir/simplify.hpp"
 #include "ir/verifier.hpp"
@@ -265,8 +264,8 @@ RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary 
         << "auxiliary grid '" << aux->name() << "' was never filled (call set_aux first)";
 
   RunResult result;
-  const auto& sched = primary_schedule();
   const bool affine = exec::linearize_stencil(stencil(), bindings_).has_value();
+  last_info_ = {};
 
   const auto start = std::chrono::steady_clock::now();
   std::visit(
@@ -274,14 +273,10 @@ RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary 
         if constexpr (!std::is_same_v<std::decay_t<decltype(s)>, std::monostate>) {
           using T = std::decay_t<decltype(*s.slot_data(0))>;
           if (affine) {
-            if (backend_ == HostBackend::Aot) {
-              last_aot_info_ = {};
-              exec::run_scheduled_aot(stencil(), sched, s, t_begin, t_end, bc, bindings_,
-                                      &result.stats, &last_aot_info_);
-            } else {
-              exec::run_scheduled(stencil(), sched, s, t_begin, t_end, bc, bindings_,
-                                  &result.stats);
-            }
+            exec::ExecOptions opts;
+            opts.backend = backend_;
+            exec::run_scheduled(stencil(), primary_schedule(), s, t_begin, t_end, bc,
+                                bindings_, &result.stats, opts, &last_info_);
           } else {
             exec::AuxGrids<T> aux;
             for (const auto& [name, var] : aux_storage_)

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "dsl/expr.hpp"
-#include "exec/aot_info.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "ir/kernel.hpp"
@@ -118,11 +117,8 @@ struct RunResult {
   double seconds = 0.0;  ///< host wall-clock of the sweep loop
 };
 
-/// Host execution engine used by Program::run for affine stencils.
-enum class HostBackend {
-  Sweep,  ///< in-process compiled row-sweep engine (default)
-  Aot,    ///< AOT-specialized C compiled with the host cc and dlopen'd
-};
+/// Host engine family Program::run asks exec::run_scheduled for.
+using HostBackend = exec::HostBackend;
 
 class Program {
  public:
@@ -179,21 +175,26 @@ class Program {
                const std::function<double(std::array<std::int64_t, 3>)>& fn,
                exec::Boundary bc = exec::Boundary::ZeroHalo);
 
-  /// Executes timesteps t_begin..t_end with the scheduled executor (falls
-  /// back to the reference executor for non-affine kernels).
+  /// Executes timesteps t_begin..t_end with exec::run_scheduled, which
+  /// picks the sweep, wedge (time_tile) or AOT engine; non-affine kernels
+  /// run the reference executor.
   RunResult run(std::int64_t t_begin, std::int64_t t_end,
                 exec::Boundary bc = exec::Boundary::ZeroHalo);
 
-  /// Selects the host engine run() dispatches affine stencils to.  The Aot
+  /// Selects the host engine run() asks for on affine stencils.  The Aot
   /// backend compiles a specialized kernel with the host cc and falls back
-  /// to the sweep engine (recorded in last_aot_info()) when it cannot run.
+  /// to the in-process engines (recorded in last_exec_info()) when it
+  /// cannot run.
   void set_backend(HostBackend b) { backend_ = b; }
   HostBackend backend() const { return backend_; }
 
-  /// Provenance of the most recent run() under HostBackend::Aot: whether
-  /// the dlopen'd module ran, the compile-cache verdict, plan hash, and
-  /// any fallback reason.
-  const exec::AotExecInfo& last_aot_info() const { return last_aot_info_; }
+  /// What the most recent run() executed: the route taken, any fallback
+  /// reason, and the wedge shape.  Reset by every run().
+  const exec::ExecInfo& last_exec_info() const { return last_info_; }
+
+  /// AOT cache provenance of the most recent run(): whether the dlopen'd
+  /// module ran, the compile-cache verdict, plan hash and module path.
+  const exec::AotExecInfo& last_aot_info() const { return last_info_.aot; }
 
   /// Executes with the serial reference executor into a *separate* copy of
   /// the state, then reports the max relative error of the last scheduled
@@ -247,7 +248,7 @@ class Program {
   std::map<std::string, StorageVariant> aux_storage_;
   std::int64_t last_t_end_ = 0;
   HostBackend backend_ = HostBackend::Sweep;
-  exec::AotExecInfo last_aot_info_;
+  exec::ExecInfo last_info_;
 };
 
 }  // namespace msc::dsl

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
-#include <vector>
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -319,124 +318,5 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
 }
 
 }  // namespace detail
-
-template <typename T>
-void run_scheduled_aot(const ir::StencilDef& st, const schedule::Schedule& sched,
-                       GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                       Boundary bc, const Bindings& bindings, ExecStats* stats,
-                       AotExecInfo* info, const AotOptions& opts,
-                       const CancelToken* cancel) {
-  MSC_CHECK(t_begin <= t_end) << "empty time range";
-
-  const auto fallback = [&](const std::string& reason) {
-    if (info != nullptr) {
-      info->aot = false;
-      info->fallback_reason = reason;
-    }
-    const char* slug = aot_fallback_slug(reason);
-    prof::counter("aot.fallback").add(1);
-    prof::counter(std::string("aot.fallback.") + slug).add(1);
-    prof::LogEvent(prof::LogLevel::Warn, "exec.aot", "fallback to run_scheduled")
-        .str("slug", slug)
-        .str("reason", reason)
-        .str("stencil", st.name());
-    // run_scheduled carries its own CancelGuard (all-or-nothing holds on
-    // the degraded path too) and produces bit-identical results.
-    run_scheduled(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel);
-  };
-
-  if (bc != Boundary::ZeroHalo) {
-    fallback(std::string("boundary '") + boundary_name(bc) +
-             "' needs a per-step halo exchange");
-    return;
-  }
-  if (!host_cc_available(opts.cc)) {
-    fallback("no host C compiler ('" + opts.cc + "') on PATH");
-    return;
-  }
-
-  // Same schedule validation as run_scheduled: the baked extents must be
-  // the grid's (the module's own padded_points check below re-pins this).
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-
-  std::string why;
-  auto mod = detail::load_aot_module(st, sched, bindings, opts, info, &why, cancel);
-  if (mod == nullptr) {
-    fallback(why);
-    return;
-  }
-  MSC_CHECK(mod->padded_points == state.padded_points())
-      << "AOT module geometry mismatch: " << mod->padded_points << " padded points vs grid "
-      << state.padded_points();
-  MSC_CHECK(mod->window == state.slots())
-      << "AOT module window " << mod->window << " vs grid " << state.slots();
-
-  detail::CancelGuard<T> guard(state, cancel);
-  try {
-  // The kernel writes interior cells only, so zeroing every ring slot's
-  // halo once up front is equivalent to the per-step fill of run_scheduled
-  // (zero halos are idempotent) — same reasoning as the temporal engine.
-  for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, bc);
-
-  std::vector<void*> slots;
-  slots.reserve(static_cast<std::size_t>(state.slots()));
-  for (int s = 0; s < state.slots(); ++s) slots.push_back(state.slot_data(s));
-
-  const auto lin = linearize_stencil(st, bindings);
-  prof::TraceScope scope("run_scheduled_aot", "exec");
-  scope.arg("t_begin", static_cast<double>(t_begin));
-  scope.arg("t_end", static_cast<double>(t_end));
-  {
-    const prof::FlightPlanScope flight_plan(prof::plan_fingerprint(
-        static_cast<std::uint64_t>(plan.extent[0]), static_cast<std::uint64_t>(plan.extent[1]),
-        static_cast<std::uint64_t>(plan.extent[2]),
-        lin.has_value() ? lin->terms.size() : 0,
-        static_cast<std::uint64_t>(plan.tiles_per_step), /*extra=*/0xA07));
-    prof::FlightScope flight_run(prof::FlightKind::AotRun, t_end - t_begin + 1);
-    if (cancel != nullptr) {
-      // Cooperative cancellation cannot interrupt compiled code, so bound
-      // its latency by dispatching one timestep per call with a checkpoint
-      // between steps.  Per-step calls produce bit-identical results: each
-      // step reads only completed ring slots.
-      for (std::int64_t t = t_begin; t <= t_end; ++t) {
-        cancel->checkpoint_now("aot.run");
-        mod->run(slots.data(), static_cast<long>(t), static_cast<long>(t));
-      }
-    } else {
-      mod->run(slots.data(), static_cast<long>(t_begin), static_cast<long>(t_end));
-    }
-  }
-  if (info != nullptr) info->aot = true;
-
-  const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t points = st.state()->interior_points() * nsteps;
-  const std::int64_t flops =
-      2 * static_cast<std::int64_t>(lin.has_value() ? lin->terms.size() : 0) * points;
-  prof::counter("exec.points_updated").add(points);
-  prof::counter("exec.flops").add(flops);
-  prof::counter("exec.timesteps").add(nsteps);
-  if (stats != nullptr) {
-    stats->timesteps += nsteps;
-    stats->points_updated += points;
-    stats->flops += flops;
-  }
-  } catch (const Cancelled&) {
-    guard.restore();
-    throw;
-  }
-}
-
-template void run_scheduled_aot<float>(const ir::StencilDef&, const schedule::Schedule&,
-                                       GridStorage<float>&, std::int64_t, std::int64_t,
-                                       Boundary, const Bindings&, ExecStats*, AotExecInfo*,
-                                       const AotOptions&, const CancelToken*);
-template void run_scheduled_aot<double>(const ir::StencilDef&, const schedule::Schedule&,
-                                        GridStorage<double>&, std::int64_t, std::int64_t,
-                                        Boundary, const Bindings&, ExecStats*, AotExecInfo*,
-                                        const AotOptions&, const CancelToken*);
 
 }  // namespace msc::exec

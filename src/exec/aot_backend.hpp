@@ -8,7 +8,7 @@
 //   linearize -> make_aot_spec -> gen_aot_kernel     (emit)
 //   -> <cache_dir>/<hash>.c -> cc -shared -> <hash>.so  (compile, cached)
 //   -> dlopen + symbol/ABI checks                    (load)
-//   -> msc_aot_run(slot_ptrs, t_begin, t_end)        (dispatch)
+//   -> msc_aot_run(slot_ptrs, t_begin, t_end)        (dispatch, in run_scheduled)
 //
 // The compile cache is keyed by an FNV-1a hash over the *generated source
 // text*, the compile command flags, and the emitter ABI version — so any
@@ -16,9 +16,10 @@
 // and stale shared objects are never reused.  A cached .so that fails to
 // dlopen or fails its ABI checks is deleted and rebuilt once.
 //
-// Fallback discipline mirrors run_scheduled_temporal: boundaries other
-// than ZeroHalo, a missing host cc, or a failed compile fall back to
-// run_scheduled and report why through AotExecInfo — never silently.
+// exec::run_scheduled (executor.hpp) takes this route under
+// HostBackend::Aot.  Boundaries other than ZeroHalo, a missing host cc, or
+// a failed compile fall back to the in-process engines and report why
+// through ExecInfo — never silently.
 
 #include <cstdint>
 #include <memory>
@@ -92,31 +93,5 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
                                            const CancelToken* cancel = nullptr);
 
 }  // namespace detail
-
-/// AOT executor: same numerics as run_scheduled — bit-identical for every
-/// dtype — dispatched through the dlopen'd specialized kernel.  Boundaries
-/// other than ZeroHalo, a missing cc, a compile failure, or a quarantined
-/// plan fall back to run_scheduled and report it via `info` (and the
-/// aot.fallback counter).  With `cancel` attached the compiled kernel is
-/// dispatched one timestep at a time with a checkpoint between steps, and
-/// a fired token restores the grid (all-or-nothing) before Cancelled
-/// escapes; a null token dispatches the whole range in one call.
-template <typename T>
-void run_scheduled_aot(const ir::StencilDef& st, const schedule::Schedule& sched,
-                       GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                       Boundary bc, const Bindings& bindings = {}, ExecStats* stats = nullptr,
-                       AotExecInfo* info = nullptr, const AotOptions& opts = {},
-                       const CancelToken* cancel = nullptr);
-
-extern template void run_scheduled_aot<float>(const ir::StencilDef&, const schedule::Schedule&,
-                                              GridStorage<float>&, std::int64_t, std::int64_t,
-                                              Boundary, const Bindings&, ExecStats*,
-                                              AotExecInfo*, const AotOptions&,
-                                              const CancelToken*);
-extern template void run_scheduled_aot<double>(const ir::StencilDef&,
-                                               const schedule::Schedule&, GridStorage<double>&,
-                                               std::int64_t, std::int64_t, Boundary,
-                                               const Bindings&, ExecStats*, AotExecInfo*,
-                                               const AotOptions&, const CancelToken*);
 
 }  // namespace msc::exec

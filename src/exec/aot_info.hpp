@@ -2,12 +2,11 @@
 
 // Lightweight AOT backend types shared with the DSL layer.
 //
-// dsl/program.hpp stores an AotExecInfo on every Program so callers can
-// inspect what the AOT backend did (cache provenance, fallback reason)
-// after run().  Keeping these structs in their own header lets the DSL
-// include just the plain-data types — pulling the full exec/aot_backend.hpp
-// (dlopen module machinery, template dispatch) into every DSL consumer
-// measurably perturbed code generation of unrelated hot kernels.
+// exec::ExecOptions carries the AotOptions and exec::ExecInfo the
+// AotExecInfo of a run, so executor.hpp (and through it the DSL) includes
+// just these plain-data types — pulling the full exec/aot_backend.hpp
+// (dlopen module machinery) into every consumer measurably perturbed code
+// generation of unrelated hot kernels.
 
 #include <string>
 
@@ -19,15 +18,15 @@ struct AotOptions {
   bool force_recompile = false; ///< ignore (and overwrite) cached objects
   /// Compile budget in ms: on expiry the cc process group is killed, the
   /// plan is quarantined by the circuit breaker, and the run degrades to
-  /// the sweep engine.  0 = take MSC_AOT_COMPILE_TIMEOUT_MS (default
+  /// the in-process engines.  0 = take MSC_AOT_COMPILE_TIMEOUT_MS (default
   /// 120000); negative = wait forever.
   double compile_timeout_ms = 0.0;
 };
 
-/// What run_scheduled_aot actually executed, plus cache provenance.
+/// Cache provenance of one AOT attempt (ExecInfo::fallback_reason says
+/// why a failed attempt fell back).
 struct AotExecInfo {
-  bool aot = false;             ///< compiled module ran (vs reported fallback)
-  std::string fallback_reason;  ///< non-empty iff aot == false
+  bool aot = false;             ///< compiled module ran
   bool cache_hit = false;       ///< reused an on-disk .so (no cc invocation)
   bool quarantined = false;     ///< circuit breaker routed this plan around AOT
   std::string plan_hash;        ///< cache key of the emitted kernel

@@ -5,11 +5,15 @@
 //  * run_reference — serial, definition-order sweep straight off the IR;
 //    the ground truth for correctness checks (paper §5.1 measures relative
 //    error of generated code against exactly such a serial version).
-//  * run_scheduled — executes the kernel's Schedule through the compiled
-//    row-sweep engine (sweep.hpp): the loop nest is lowered once to a flat
-//    clamped tile list and every tile's innermost dimension runs as a
-//    stride-1 row loop; a parallel schedule chunks whole tiles over the
-//    process thread pool.
+//  * run_scheduled — the one scheduled entry point.  It lowers the
+//    kernel's Schedule once and picks the host engine itself:
+//      1. the dlopen'd AOT kernel (aot_backend.hpp) when ExecOptions asks
+//         for HostBackend::Aot;
+//      2. otherwise the time-skewed wedges (temporal_sweep.hpp) when the
+//         schedule's time_tile() depth is > 1 and the boundary is ZeroHalo;
+//      3. otherwise the per-step row sweep (sweep.hpp).
+//    An engine that was asked for but cannot run falls through to the next
+//    rule, and ExecInfo says which engine ran and why another did not.
 //  * run_scheduled_interpreted — the retired per-point recursive nest
 //    interpreter, retained as the differential baseline the sweep engine
 //    is tested (and benchmarked) against.
@@ -23,17 +27,15 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "exec/aot_info.hpp"
 #include "exec/eval.hpp"
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
 #include "exec/sweep.hpp"
-#include "exec/temporal_sweep.hpp"
 #include "ir/stencil.hpp"
-#include "prof/counters.hpp"
-#include "prof/flight.hpp"
-#include "prof/trace.hpp"
 #include "schedule/schedule.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
@@ -97,6 +99,17 @@ class CancelGuard {
   GridStorage<T>* state_ = nullptr;
   std::vector<T> backup_;
 };
+
+/// build_loop_plan plus the check that the schedule was built for `state`.
+template <typename T>
+LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>& state) {
+  LoopPlan plan = build_loop_plan(sched);
+  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
+  for (int d = 0; d < plan.ndim; ++d)
+    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
+        << "schedule extent mismatch in dim " << d;
+  return plan;
+}
 
 }  // namespace detail
 
@@ -178,169 +191,68 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
   }
 }
 
-/// Scheduled executor: same numerics as run_reference, loop structure and
-/// parallelism from `sched`, lowered once to the compiled row sweep.
+/// The host engine a scheduled run took.
+enum class Route {
+  Sweep,     ///< per-step compiled row sweep
+  Temporal,  ///< time-skewed wedges of time_tile() steps
+  Aot,       ///< dlopen'd AOT-specialized kernel
+};
+
+/// "sweep", "temporal" or "aot".
+const char* route_name(Route r);
+
+/// Engine family a caller asks run_scheduled for.  Within Sweep, the
+/// schedule's time_tile() and the boundary pick the per-step or the wedge
+/// engine.
+enum class HostBackend {
+  Sweep,  ///< in-process compiled engines (default)
+  Aot,    ///< AOT-specialized C compiled with the host cc and dlopen'd
+};
+
+/// Caller knobs of run_scheduled; none of them changes a result bit.
+struct ExecOptions {
+  HostBackend backend = HostBackend::Sweep;
+  AotOptions aot;                       ///< compile settings under HostBackend::Aot
+  const CancelToken* cancel = nullptr;  ///< all-or-nothing cancellation
+  ThreadPool* pool = nullptr;           ///< wedge-engine pool (tests); nullptr = global_pool()
+};
+
+/// What run_scheduled actually executed.  A fallback is never silent:
+/// `fallback_reason` names the first requested engine that could not run,
+/// and the aot.fallback.<slug> or sweep.temporal.fallback counter ticks.
+struct ExecInfo {
+  Route route = Route::Sweep;
+  std::string fallback_reason;  ///< empty unless a requested engine fell back
+  // Wedge decomposition, set when route == Temporal.
+  std::int64_t blocks = 0;       ///< time blocks executed (incl. remainder)
+  std::int64_t wedges = 0;       ///< wedge count of a full-depth block
+  std::int64_t wedge_depth = 0;  ///< timesteps fused per full block
+  std::int64_t wedge_width = 0;  ///< dim-0 rows per wedge
+  std::int64_t dep_span = 0;     ///< wedges a step may read behind itself
+  AotExecInfo aot;               ///< cache provenance; aot.aot == (route == Aot)
+};
+
+/// Scheduled executor: same numerics as run_reference — bit-identical on
+/// every route — with loop structure, parallelism and engine taken from
+/// `sched`, `bc` and `opts` (see the route rules at the top of this file).
+/// The stencil must be affine.  With `opts.cancel` attached a fired token
+/// restores every ring slot before Cancelled escapes.  `stats` and the
+/// exec.points_updated/flops/timesteps counters are filled the same way on
+/// every route.
 template <typename T>
 void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
                    GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,
                    const Bindings& bindings = {}, ExecStats* stats = nullptr,
-                   const CancelToken* cancel = nullptr) {
-  MSC_CHECK(t_begin <= t_end) << "empty time range";
-  const auto lin = linearize_stencil(st, bindings);
-  MSC_CHECK(lin.has_value())
-      << "run_scheduled requires an affine stencil (use run_reference for the generic fragment)";
+                   const ExecOptions& opts = {}, ExecInfo* info = nullptr);
 
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-  const SweepPlan sweep = lower_sweep(plan);
-  const prof::FlightPlanScope flight_plan(prof::plan_fingerprint(
-      static_cast<std::uint64_t>(plan.extent[0]), static_cast<std::uint64_t>(plan.extent[1]),
-      static_cast<std::uint64_t>(plan.extent[2]), lin->terms.size(),
-      static_cast<std::uint64_t>(plan.tiles_per_step)));
-
-  detail::CancelGuard<T> guard(state, cancel);
-  try {
-  for (int back = 1; back < st.time_window(); ++back)
-    state.fill_halo(state.slot_for_time(t_begin - back), bc);
-
-  for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    prof::TraceScope step_scope("run_scheduled.step", "exec");
-    step_scope.arg("t", static_cast<double>(t));
-    prof::FlightScope flight_step(prof::FlightKind::Step, 0,
-                                  static_cast<std::int64_t>(lin->terms.size()));
-    const int out_slot = state.slot_for_time(t);
-    T* out = state.slot_data(out_slot);
-
-    const auto terms = resolve_terms(*lin, state, t);
-    const SweepStats swept = run_sweep(sweep, state, out, terms, cancel);
-    flight_step.set_a(swept.points);
-
-    state.fill_halo(out_slot, bc);
-    const std::int64_t step_points = swept.points;
-    const std::int64_t step_flops = 2 * static_cast<std::int64_t>(terms.size()) * step_points;
-    prof::counter("exec.points_updated").add(step_points);
-    prof::counter("exec.flops").add(step_flops);
-    prof::counter("exec.timesteps").add(1);
-    if (stats != nullptr) {
-      ++stats->timesteps;
-      stats->points_updated += step_points;
-      stats->flops += step_flops;
-      stats->tiles_executed += plan.tiles_per_step;
-      stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read;
-      stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write;
-    }
-  }
-  } catch (const Cancelled&) {
-    guard.restore();
-    throw;
-  }
-}
-
-/// What run_scheduled_temporal actually executed: either the wedge
-/// decomposition it ran, or — when the boundary condition needs a per-step
-/// halo exchange — the reason it fell back to the per-step engine.  A
-/// fallback is never silent: `fallback_reason` says why and the
-/// sweep.temporal.fallback counter ticks.
-struct TemporalExecInfo {
-  bool temporal = false;          ///< wedge engine ran (vs reported fallback)
-  std::string fallback_reason;    ///< non-empty iff temporal == false
-  std::int64_t blocks = 0;        ///< time blocks executed (incl. remainder)
-  std::int64_t wedges = 0;        ///< wedge count of a full-depth block
-  std::int64_t wedge_depth = 0;   ///< timesteps fused per full block
-  std::int64_t wedge_width = 0;   ///< dim-0 rows per wedge
-  std::int64_t dep_span = 0;      ///< wedges a step may read behind itself
-};
-
-/// Temporal executor: same numerics as run_scheduled — bit-identical for
-/// every dtype and time depth — but sweeps time-skewed wedges of
-/// time_tile() timesteps per pass (temporal_sweep.hpp) so a wedge's rows
-/// stay cache-resident across the whole time window.  Boundaries other
-/// than ZeroHalo need a fresh halo every step, which a multi-step wedge
-/// cannot see: those fall back to run_scheduled and report it via `info`.
-template <typename T>
-void run_scheduled_temporal(const ir::StencilDef& st, const schedule::Schedule& sched,
-                            GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                            Boundary bc, const Bindings& bindings = {},
-                            ExecStats* stats = nullptr, TemporalExecInfo* info = nullptr,
-                            const TemporalOptions& topts = {},
-                            const CancelToken* cancel = nullptr) {
-  MSC_CHECK(t_begin <= t_end) << "empty time range";
-  if (bc != Boundary::ZeroHalo) {
-    if (info != nullptr) {
-      info->temporal = false;
-      info->fallback_reason = std::string("boundary '") + boundary_name(bc) +
-                              "' needs a per-step halo exchange";
-    }
-    prof::counter("sweep.temporal.fallback").add(1);
-    // run_scheduled carries its own CancelGuard, so the all-or-nothing
-    // contract holds on the fallback path too.
-    run_scheduled(st, sched, state, t_begin, t_end, bc, bindings, stats, cancel);
-    return;
-  }
-
-  const auto lin = linearize_stencil(st, bindings);
-  MSC_CHECK(lin.has_value())
-      << "run_scheduled_temporal requires an affine stencil (use run_reference otherwise)";
-
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-
-  const TemporalPlan tplan =
-      lower_temporal(plan, st.time_window(), st.max_radius(), t_begin, t_end, topts);
-  if (info != nullptr) {
-    info->temporal = true;
-    info->fallback_reason.clear();
-    info->blocks = tplan.blocks();
-    info->wedges = static_cast<std::int64_t>(tplan.full.wedges.size());
-    info->wedge_depth = tplan.wedge_depth;
-    info->wedge_width = tplan.wedge_width;
-    info->dep_span = tplan.dep_span;
-  }
-
-  detail::CancelGuard<T> guard(state, cancel);
-  SweepStats swept;
-  try {
-    // Zero halos are idempotent: zero every ring slot's halo once up front.
-    // Sweeps never write halo cells, so every read — and the final grid,
-    // halos included — sees exactly the halo state the per-step engines
-    // produce with their per-step fill.
-    for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, bc);
-
-    prof::TraceScope scope("run_scheduled_temporal", "exec");
-    scope.arg("t_begin", static_cast<double>(t_begin));
-    scope.arg("t_end", static_cast<double>(t_end));
-    const prof::FlightPlanScope flight_plan(prof::plan_fingerprint(
-        static_cast<std::uint64_t>(plan.extent[0]), static_cast<std::uint64_t>(plan.extent[1]),
-        static_cast<std::uint64_t>(plan.extent[2]), lin->terms.size(),
-        static_cast<std::uint64_t>(plan.tiles_per_step),
-        static_cast<std::uint64_t>(tplan.wedge_depth)));
-    swept = run_temporal_sweep(tplan, *lin, state, topts.pool, cancel);
-  } catch (const Cancelled&) {
-    guard.restore();
-    throw;
-  }
-
-  const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t flops = 2 * static_cast<std::int64_t>(lin->terms.size()) * swept.points;
-  prof::counter("exec.points_updated").add(swept.points);
-  prof::counter("exec.flops").add(flops);
-  prof::counter("exec.timesteps").add(nsteps);
-  if (stats != nullptr) {
-    stats->timesteps += nsteps;
-    stats->points_updated += swept.points;
-    stats->flops += flops;
-    stats->tiles_executed += plan.tiles_per_step * nsteps;
-    stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read * nsteps;
-    stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write * nsteps;
-  }
-}
-
+extern template void run_scheduled<float>(const ir::StencilDef&, const schedule::Schedule&,
+                                          GridStorage<float>&, std::int64_t, std::int64_t,
+                                          Boundary, const Bindings&, ExecStats*,
+                                          const ExecOptions&, ExecInfo*);
+extern template void run_scheduled<double>(const ir::StencilDef&, const schedule::Schedule&,
+                                           GridStorage<double>&, std::int64_t, std::int64_t,
+                                           Boundary, const Bindings&, ExecStats*,
+                                           const ExecOptions&, ExecInfo*);
 /// The retired per-point interpreter: recurses through the schedule's loop
 /// nest once per output element.  Numerically identical to run_scheduled;
 /// kept as the baseline the sweep engine is differentially tested against
@@ -355,11 +267,7 @@ void run_scheduled_interpreted(const ir::StencilDef& st, const schedule::Schedul
   MSC_CHECK(lin.has_value())
       << "run_scheduled_interpreted requires an affine stencil";
 
-  const LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
+  const LoopPlan plan = detail::checked_loop_plan(sched, state);
 
   for (int back = 1; back < st.time_window(); ++back)
     state.fill_halo(state.slot_for_time(t_begin - back), bc);

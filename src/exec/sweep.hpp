@@ -13,10 +13,11 @@
 //   resolve_terms    — LinearKernel x GridStorage -> per-term base pointer
 //                      + linear delta for one output timestep
 //   run_sweep        — sweeps every tile; rows dispatch to term-count-
-//                      templated inner kernels (1..8 terms fully unrolled,
-//                      generic fallback above), parallel tiles chunked over
-//                      the process pool with per-thread stats merged once
-//                      at the end (no shared-counter contention).
+//                      templated inner kernels (1..kMaxFixedTerms = 32
+//                      terms unrolled, generic fallback above), parallel
+//                      tiles chunked over the process pool with per-thread
+//                      stats merged once at the end (no shared-counter
+//                      contention).
 //   sweep_column     — the same accumulation down a strided column, for
 //                      regions too thin in the contiguous dimension to
 //                      make rows worth their set-up (the overlapped
@@ -205,7 +206,7 @@ inline void sweep_row_fixed(T* out, std::int64_t base, std::int64_t n,
   sweep_span_fixed<T, N>(out + base, src, coeff, n);
 }
 
-/// Generic fallback for stencils with more than 8 terms.  The term base
+/// Generic fallback for stencils with more than kMaxFixedTerms terms.  The term base
 /// pointers and coefficients are still hoisted out of the i-loop — into
 /// thread-local flat arrays reused across rows — so the per-point cost is
 /// the same loads-and-fmas as the fixed kernels, just with a runtime trip
@@ -406,8 +407,8 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 /// `cancel`, when non-null, is polled at row-chunk granularity (before each
 /// tile); a fired token throws Cancelled out of the sweep, leaving the
 /// current output slot partially written — callers that expose cancellation
-/// (exec::run_scheduled and friends) wrap the whole run in a slot snapshot
-/// so the caller-visible contract stays all-or-nothing.
+/// (exec::run_scheduled, exec::run_reference) wrap the whole run in a slot
+/// snapshot so the caller-visible contract stays all-or-nothing.
 template <typename T>
 SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
                      const std::vector<detail::ResolvedTerm<T>>& terms,

@@ -214,8 +214,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
 }  // namespace
 
 TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window, std::int64_t skew,
-                            std::int64_t t_begin, std::int64_t t_end,
-                            const TemporalOptions& opts) {
+                            std::int64_t t_begin, std::int64_t t_end) {
   MSC_CHECK(plan.ndim >= 1 && plan.ndim <= 3) << "temporal lowering supports 1-3 D";
   MSC_CHECK(time_window >= 2) << "stencil time window must be >= 2, got " << time_window;
   MSC_CHECK(skew >= 0) << "stencil radius must be >= 0, got " << skew;
@@ -232,16 +231,14 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window, std:
   // A wedge deeper than the step count would fuse steps that do not exist:
   // clamp here so callers can ask for any depth.
   const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t requested =
-      opts.wedge_depth > 0 ? opts.wedge_depth : std::max<std::int64_t>(1, plan.time_depth);
-  tp.wedge_depth = std::clamp<std::int64_t>(requested, 1, nsteps);
+  tp.wedge_depth = std::clamp<std::int64_t>(plan.time_depth, 1, nsteps);
 
-  // Width: explicit option, then the schedule's time_tile() width, then the
-  // dim-0 tile of the spatial schedule (full extent when untiled).  A halo
-  // deeper than the width is legal — the skew just hands more wedges to the
-  // dependency span below.
+  // Width: the schedule's time_tile() width, else the dim-0 tile of the
+  // spatial schedule (full extent when untiled).  A halo deeper than the
+  // width is legal — the skew just hands more wedges to the dependency
+  // span below.
   const SweepPlan sweep = lower_sweep(plan);
-  std::int64_t width = opts.wedge_width > 0 ? opts.wedge_width : plan.time_width;
+  std::int64_t width = plan.time_width;
   if (width <= 0) {
     width = plan.extent[0];
     for (const auto& lv : plan.levels)

@@ -42,7 +42,10 @@
 // level counters (release/acquire), and the serial fast path is preserved
 // whenever the plan is serial or only one chunk exists.
 //
-// Numerics are bit-identical to run_scheduled / run_scheduled_interpreted:
+// exec::run_scheduled takes this route when the schedule's time_tile()
+// depth is > 1 and the boundary is ZeroHalo.
+//
+// Numerics are bit-identical to the per-step sweep and the interpreter:
 // every output element is written exactly once per step by the same
 // detail::sweep_tile kernels with the same term order, so the wedge visit
 // order cannot change any value.  tests/test_temporal_tiling.cpp pins this
@@ -58,14 +61,6 @@
 #include "support/thread_pool.hpp"
 
 namespace msc::exec {
-
-/// Caller knobs for the temporal lowering.  Zero means "take the value
-/// from the schedule's time_tile() / derive it from the spatial tiling".
-struct TemporalOptions {
-  std::int64_t wedge_depth = 0;  ///< timesteps fused per block (0 = schedule)
-  std::int64_t wedge_width = 0;  ///< dim-0 rows per wedge (0 = schedule/tile)
-  ThreadPool* pool = nullptr;    ///< pool override (tests); nullptr = global_pool()
-};
 
 /// One timestep of one wedge: the clamped dim-0 row range at local step
 /// `step` plus the spatial tiles of the schedule intersected with it.
@@ -113,12 +108,12 @@ struct TemporalPlan {
 
 /// Lowers a LoopPlan plus the stencil's temporal shape into the wedge
 /// decomposition.  `time_window` / `skew` come from the StencilDef
-/// (time_window(), max_radius()).  Clamps the wedge depth to the step
-/// count, derives the width from the dim-0 tile when unset, and resolves
-/// every boundary clamp and remainder wedge here, at lowering time.
+/// (time_window(), max_radius()); the wedge depth and width from the
+/// plan's time_tile() fields.  Clamps the wedge depth to the step count,
+/// derives the width from the dim-0 tile when unset, and resolves every
+/// boundary clamp and remainder wedge here, at lowering time.
 TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
-                            std::int64_t skew, std::int64_t t_begin, std::int64_t t_end,
-                            const TemporalOptions& opts = {});
+                            std::int64_t skew, std::int64_t t_begin, std::int64_t t_end);
 
 /// Executes the lowered temporal sweep in place over the grid's ring
 /// slots.  Serial fast path sweeps wedge-major; parallel plans run the
@@ -129,8 +124,8 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// done-counter spin of the parallel wavefront (a cancelled run must not
 /// keep spinning on a predecessor that itself stopped).  A fired token
 /// poisons the wavefront counters exactly like a worker exception and
-/// throws Cancelled; exec::run_scheduled_temporal restores the ring slots
-/// so the caller-visible contract is all-or-nothing.
+/// throws Cancelled; exec::run_scheduled restores the ring slots so the
+/// caller-visible contract is all-or-nothing.
 template <typename T>
 SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
                               GridStorage<T>& state, ThreadPool* pool = nullptr,

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "exec/executor.hpp"
 #include "exec/sweep.hpp"
 #include "exec/temporal_sweep.hpp"
 #include "support/error.hpp"
@@ -23,17 +22,8 @@ std::string fmt(const char* spec, double v) {
 
 }  // namespace
 
-const char* attr_backend_name(AttrBackend b) {
-  switch (b) {
-    case AttrBackend::Sweep: return "sweep";
-    case AttrBackend::Temporal: return "temporal";
-    case AttrBackend::Aot: return "aot";
-  }
-  return "?";
-}
-
 PlanCost attribute_plan(const ir::StencilDef& st, const schedule::Schedule& sched,
-                        AttrBackend backend, int dtype_bytes, std::int64_t t_begin,
+                        exec::Route route, int dtype_bytes, std::int64_t t_begin,
                         std::int64_t t_end, const exec::Bindings& bindings) {
   MSC_CHECK(t_begin <= t_end) << "empty time range";
   MSC_CHECK(dtype_bytes > 0) << "bad element size";
@@ -59,7 +49,7 @@ PlanCost attribute_plan(const ir::StencilDef& st, const schedule::Schedule& sche
   // from the same lower_temporal() the engine executes.
   c.wedge_depth = 1;
   c.blocks = c.steps;
-  if (backend == AttrBackend::Temporal) {
+  if (route == exec::Route::Temporal) {
     const exec::LoopPlan plan = exec::build_loop_plan(sched);
     const exec::TemporalPlan tplan =
         lower_temporal(plan, st.time_window(), st.max_radius(), t_begin, t_end);
@@ -114,12 +104,12 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
   return p;
 }
 
-AttributionRow attribute_run(const std::string& benchmark, AttrBackend backend,
+AttributionRow attribute_run(const std::string& benchmark, exec::Route route,
                              const PlanCost& cost, const PhaseBreakdown& phases,
                              const machine::MachineModel& host) {
   AttributionRow row;
   row.benchmark = benchmark;
-  row.backend = backend;
+  row.route = route;
   row.cost = cost;
   row.phases = phases;
   if (phases.wall_s > 0)
@@ -150,7 +140,7 @@ workload::Json attribution_json(const std::vector<AttributionRow>& rows,
   for (const AttributionRow& r : rows) {
     Json j = Json::object();
     j["benchmark"] = Json::string(r.benchmark);
-    j["backend"] = Json::string(attr_backend_name(r.backend));
+    j["backend"] = Json::string(exec::route_name(r.route));
     j["ran"] = Json::boolean(r.ran);
     if (!r.note.empty()) j["note"] = Json::string(r.note);
     j["steps"] = Json::integer(r.cost.steps);
@@ -192,7 +182,7 @@ std::string attribution_markdown(const std::vector<AttributionRow>& rows,
   out +=
       "|---|---|---:|---:|---:|---:|---|---:|---:|---:|---:|---|\n";
   for (const AttributionRow& r : rows) {
-    out += "| " + r.benchmark + " | " + attr_backend_name(r.backend);
+    out += "| " + r.benchmark + " | " + exec::route_name(r.route);
     if (!r.ran) {
       out += " | - | - | - | - | - | - | - | - | - | " +
              (r.note.empty() ? std::string("fallback") : r.note) + " |\n";

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/linearize.hpp"
+#include "exec/executor.hpp"
 #include "ir/stencil.hpp"
 #include "machine/machine.hpp"
 #include "prof/flight.hpp"
@@ -41,10 +41,6 @@
 #include "workload/report.hpp"
 
 namespace msc::prof {
-
-/// Which host engine a row attributes.
-enum class AttrBackend { Sweep, Temporal, Aot };
-const char* attr_backend_name(AttrBackend b);
 
 /// The analytic half: exact counts from the lowered plan.
 struct PlanCost {
@@ -61,12 +57,12 @@ struct PlanCost {
 };
 
 /// Walks the lowered plan and computes the exact counts.  `dtype_bytes` is
-/// sizeof the state element.  For AttrBackend::Temporal the wedge depth
+/// sizeof the state element.  For Route::Temporal the wedge depth
 /// and block count come from the same lower_temporal() the engine runs
 /// (depth <= 1 degrades to per-step).  Throws msc::Error for stencils
 /// outside the affine fragment — exactly the ones the engines reject too.
 PlanCost attribute_plan(const ir::StencilDef& st, const schedule::Schedule& sched,
-                        AttrBackend backend, int dtype_bytes, std::int64_t t_begin,
+                        exec::Route route, int dtype_bytes, std::int64_t t_begin,
                         std::int64_t t_end, const exec::Bindings& bindings = {});
 
 /// Wall-clock phase breakdown bucketed from drained flight events.
@@ -87,7 +83,7 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
 /// One attributed run: analytic counts x measured time x machine roofline.
 struct AttributionRow {
   std::string benchmark;
-  AttrBackend backend = AttrBackend::Sweep;
+  exec::Route route = exec::Route::Sweep;  ///< the engine the row asked for
   bool ran = true;               ///< false: engine fell back (reason below)
   std::string note;              ///< fallback reason etc.
   PlanCost cost;
@@ -99,7 +95,7 @@ struct AttributionRow {
 };
 
 /// Joins the three halves into a row.  `wall_s` is the run's wall clock.
-AttributionRow attribute_run(const std::string& benchmark, AttrBackend backend,
+AttributionRow attribute_run(const std::string& benchmark, exec::Route route,
                              const PlanCost& cost, const PhaseBreakdown& phases,
                              const machine::MachineModel& host);
 

@@ -219,19 +219,19 @@ ChaosResult run_cc_hang_scenario(const ChaosScenario& sc) {
   fs::permissions(cc, fs::perms::owner_all, ec);
 
   exec::aot_breaker_reset();
-  exec::AotOptions opts;
-  opts.cc = cc.string();
-  opts.cache_dir = (dir / "cache").string();
-  opts.compile_timeout_ms = 150.0;
+  exec::ExecOptions opts;
+  opts.backend = exec::HostBackend::Aot;
+  opts.aot.cc = cc.string();
+  opts.aot.cache_dir = (dir / "cache").string();
+  opts.aot.compile_timeout_ms = 150.0;
 
   Timer chaos_timer;
-  exec::AotExecInfo first, second;
+  exec::ExecInfo first, second;
   res.attempts = 2;
-  exec::run_scheduled_aot(st, sched, degraded, 1, sc.timesteps, exec::Boundary::ZeroHalo,
-                          prog->bindings(), nullptr, &first, opts);
-  exec::run_scheduled_aot(st, sched, quarantined, 1, sc.timesteps,
-                          exec::Boundary::ZeroHalo, prog->bindings(), nullptr, &second,
-                          opts);
+  exec::run_scheduled(st, sched, degraded, 1, sc.timesteps, exec::Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, opts, &first);
+  exec::run_scheduled(st, sched, quarantined, 1, sc.timesteps, exec::Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, opts, &second);
   res.chaos_seconds = chaos_timer.seconds();
   fs::remove_all(dir, ec);
 
@@ -243,7 +243,7 @@ ChaosResult run_cc_hang_scenario(const ChaosScenario& sc) {
                          first.fallback_reason.c_str());
     return res;
   }
-  if (!second.quarantined || exec::aot_quarantined_count() < 1) {
+  if (!second.aot.quarantined || exec::aot_quarantined_count() < 1) {
     res.note = "second attempt was not quarantined by the circuit breaker";
     return res;
   }

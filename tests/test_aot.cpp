@@ -45,6 +45,14 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
 
 // A small double-precision workload program (the paper grids are far too
 // large for unit tests).
+/// AOT-backend run options over `aot`.
+ExecOptions aot_options(const AotOptions& aot) {
+  ExecOptions opts;
+  opts.backend = HostBackend::Aot;
+  opts.aot = aot;
+  return opts;
+}
+
 std::unique_ptr<dsl::Program> small_benchmark(const std::string& name) {
   const auto& info = workload::benchmark(name);
   const std::array<std::int64_t, 3> small{24, 24, 24};
@@ -140,10 +148,10 @@ void expect_aot_bit_identical(const std::string& bench, std::int64_t steps,
 
   AotOptions opts;
   opts.cache_dir = cache_dir;
-  AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, steps, Boundary::ZeroHalo, prog->bindings(),
-                    nullptr, &info, opts);
-  ASSERT_TRUE(info.aot) << "unexpected fallback: " << info.fallback_reason;
+  ExecInfo info;
+  run_scheduled(st, sched, ga, 1, steps, Boundary::ZeroHalo, prog->bindings(), nullptr,
+                aot_options(opts), &info);
+  ASSERT_EQ(info.route, Route::Aot) << "unexpected fallback: " << info.fallback_reason;
 
   const int fs_slot = gs.slot_for_time(steps);
   const auto vs = gs.interior_values(fs_slot);
@@ -180,10 +188,10 @@ TEST(AotBackend, BitIdenticalWithTimeTiledSchedule) {
   run_scheduled(st, sched, gs, 1, 7, Boundary::ZeroHalo, prog->bindings());
   AotOptions opts;
   opts.cache_dir = dir;
-  AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, 7, Boundary::ZeroHalo, prog->bindings(), nullptr,
-                    &info, opts);
-  ASSERT_TRUE(info.aot) << info.fallback_reason;
+  ExecInfo info;
+  run_scheduled(st, sched, ga, 1, 7, Boundary::ZeroHalo, prog->bindings(), nullptr,
+                aot_options(opts), &info);
+  ASSERT_EQ(info.route, Route::Aot) << info.fallback_reason;
   const int fs_slot = gs.slot_for_time(7);
   const auto vs = gs.interior_values(fs_slot);
   const auto va = ga.interior_values(fs_slot);
@@ -200,7 +208,7 @@ TEST(AotBackend, ProgramRunDispatchesThroughBackendSelector) {
   sweep_prog->run(1, 5);
   aot_prog->run(1, 5);
   ASSERT_TRUE(aot_prog->last_aot_info().aot)
-      << aot_prog->last_aot_info().fallback_reason;
+      << aot_prog->last_exec_info().fallback_reason;
   EXPECT_FALSE(aot_prog->last_aot_info().plan_hash.empty());
   for (std::int64_t j = 0; j < 24; ++j)
     for (std::int64_t i = 0; i < 24; ++i)
@@ -293,10 +301,10 @@ TEST(AotBackend, StaleCachedObjectIsEvictedAndRebuilt) {
   }
   run_scheduled(st, sched, gs, 1, 3, Boundary::ZeroHalo, prog->bindings());
   mod2.reset();
-  AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, 3, Boundary::ZeroHalo, prog->bindings(), nullptr,
-                    &info, opts);
-  ASSERT_TRUE(info.aot) << info.fallback_reason;
+  ExecInfo info;
+  run_scheduled(st, sched, ga, 1, 3, Boundary::ZeroHalo, prog->bindings(), nullptr,
+                aot_options(opts), &info);
+  ASSERT_EQ(info.route, Route::Aot) << info.fallback_reason;
   const int fs_slot = gs.slot_for_time(3);
   EXPECT_EQ(gs.interior_values(fs_slot), ga.interior_values(fs_slot));
 }
@@ -331,12 +339,12 @@ TEST(AotBackend, ModulesAreDlclosedAtTeardown) {
     for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 1);
     AotOptions opts;
     opts.cache_dir = dir;
-    AotExecInfo info;
-    run_scheduled_aot(prog->stencil(), prog->primary_schedule(), g, 1, 2,
-                      Boundary::ZeroHalo, prog->bindings(), nullptr, &info, opts);
-    ASSERT_TRUE(info.aot) << info.fallback_reason;
+    ExecInfo info;
+    run_scheduled(prog->stencil(), prog->primary_schedule(), g, 1, 2, Boundary::ZeroHalo,
+                  prog->bindings(), nullptr, aot_options(opts), &info);
+    ASSERT_EQ(info.route, Route::Aot) << info.fallback_reason;
   }
-  // run_scheduled_aot holds the module only for the dispatch; nothing else
+  // run_scheduled holds the module only for the dispatch; nothing else
   // pins it, so the handle count must return to where it started.
   EXPECT_EQ(detail::AotModule::live(), before);
 }
@@ -357,10 +365,10 @@ TEST(AotBackend, FallsBackToSweepWithoutCompiler) {
 
   AotOptions opts;
   opts.cc = "msc-no-such-compiler";
-  AotExecInfo info;
-  run_scheduled_aot(st, sched, ga, 1, 4, Boundary::ZeroHalo, prog->bindings(), nullptr,
-                    &info, opts);
-  EXPECT_FALSE(info.aot);
+  ExecInfo info;
+  run_scheduled(st, sched, ga, 1, 4, Boundary::ZeroHalo, prog->bindings(), nullptr,
+                aot_options(opts), &info);
+  EXPECT_EQ(info.route, Route::Sweep);
   EXPECT_NE(info.fallback_reason.find("no host C compiler"), std::string::npos)
       << info.fallback_reason;
   // The fallback still computes the right answer through run_scheduled.

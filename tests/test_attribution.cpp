@@ -36,7 +36,7 @@ TEST(Attribution, SweepPlanCountsMatchHandComputation) {
   auto prog = workload::make_program(info, ir::DataType::f64, {16, 16, 16});
   workload::apply_msc_schedule(*prog, info, "cpu");
   const auto cost = attribute_plan(prog->stencil(), prog->primary_schedule(),
-                                   AttrBackend::Sweep, sizeof(double), 1, 3);
+                                   exec::Route::Sweep, sizeof(double), 1, 3);
   EXPECT_EQ(cost.steps, 3);
   EXPECT_EQ(cost.terms, 14);
   EXPECT_EQ(cost.interior_points, 4096);
@@ -56,7 +56,7 @@ TEST(Attribution, TwoDStarCountsMatchHandComputation) {
   auto prog = workload::make_program(info, ir::DataType::f64, {32, 32, 0});
   workload::apply_msc_schedule(*prog, info, "cpu");
   const auto cost = attribute_plan(prog->stencil(), prog->primary_schedule(),
-                                   AttrBackend::Sweep, sizeof(double), 1, 1);
+                                   exec::Route::Sweep, sizeof(double), 1, 1);
   EXPECT_EQ(cost.terms, 18);
   EXPECT_EQ(cost.interior_points, 1024);
   EXPECT_EQ(cost.flops, 2 * 18 * 1024);
@@ -75,8 +75,8 @@ TEST(Attribution, TemporalReuseMatchesEngineLowering) {
   const auto& st = prog->stencil();
   const auto& sched = prog->primary_schedule();
 
-  const auto sweep = attribute_plan(st, sched, AttrBackend::Sweep, 8, 1, 4);
-  const auto temporal = attribute_plan(st, sched, AttrBackend::Temporal, 8, 1, 4);
+  const auto sweep = attribute_plan(st, sched, exec::Route::Sweep, 8, 1, 4);
+  const auto temporal = attribute_plan(st, sched, exec::Route::Temporal, 8, 1, 4);
   EXPECT_EQ(temporal.flops, sweep.flops) << "fusing time never changes the math";
   EXPECT_EQ(temporal.bytes_written, sweep.bytes_written);
   EXPECT_GT(temporal.wedge_depth, 1);
@@ -86,10 +86,9 @@ TEST(Attribution, TemporalReuseMatchesEngineLowering) {
 
   exec::GridStorage<double> g(st.state());
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 3);
-  exec::TemporalExecInfo ti;
-  exec::run_scheduled_temporal(st, sched, g, 1, 4, exec::Boundary::ZeroHalo, {}, nullptr,
-                               &ti);
-  ASSERT_TRUE(ti.temporal) << ti.fallback_reason;
+  exec::ExecInfo ti;
+  exec::run_scheduled(st, sched, g, 1, 4, exec::Boundary::ZeroHalo, {}, nullptr, {}, &ti);
+  ASSERT_EQ(ti.route, exec::Route::Temporal) << ti.fallback_reason;
   EXPECT_EQ(temporal.wedge_depth, ti.wedge_depth);
   EXPECT_EQ(temporal.blocks, ti.blocks);
 }
@@ -144,7 +143,7 @@ TEST(Attribution, AttributeRunJoinsAgainstTheRoofline) {
   PhaseBreakdown phases;
   phases.wall_s = 1.0;
 
-  const auto row = attribute_run("fixture", AttrBackend::Sweep, cost, phases, m);
+  const auto row = attribute_run("fixture", exec::Route::Sweep, cost, phases, m);
   EXPECT_DOUBLE_EQ(row.measured_gflops, 2.0);  // 2e9 flops / 1 s
   // attainable = min(peak, oi * bw) = min(peak, 200 GF/s)
   const double expected_attainable = std::min(m.peak_gflops(), 2.0 * 100.0);
@@ -168,8 +167,8 @@ TEST(Attribution, JsonSchemaAndMarkdownRows) {
   PhaseBreakdown phases;
   phases.wall_s = 0.5;
 
-  auto ok = attribute_run("3d7pt_star", AttrBackend::Sweep, cost, phases, m);
-  auto fell_back = attribute_run("3d7pt_star", AttrBackend::Aot, cost, phases, m);
+  auto ok = attribute_run("3d7pt_star", exec::Route::Sweep, cost, phases, m);
+  auto fell_back = attribute_run("3d7pt_star", exec::Route::Aot, cost, phases, m);
   fell_back.ran = false;
   fell_back.note = "no host C compiler";
 

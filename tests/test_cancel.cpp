@@ -61,6 +61,22 @@ bool grids_identical(const GridStorage<double>& a, const GridStorage<double>& b)
   return true;
 }
 
+/// Run options with `cancel` attached, on the sweep or the AOT backend.
+exec::ExecOptions with_cancel(const CancelToken* cancel,
+                              exec::HostBackend backend = exec::HostBackend::Sweep) {
+  exec::ExecOptions opts;
+  opts.backend = backend;
+  opts.cancel = cancel;
+  return opts;
+}
+
+/// AOT-backend run options over `aot`, with `cancel` attached.
+exec::ExecOptions aot_options(const exec::AotOptions& aot, const CancelToken* cancel = nullptr) {
+  exec::ExecOptions opts = with_cancel(cancel, exec::HostBackend::Aot);
+  opts.aot = aot;
+  return opts;
+}
+
 void seed(GridStorage<double>& g, std::uint64_t base = 42) {
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, base + static_cast<std::uint64_t>(s));
 }
@@ -167,7 +183,7 @@ TEST(CancelSweep, PreCancelledRunLeavesGridPristine) {
   token.cancel();
   try {
     exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 4,
-                        Boundary::ZeroHalo, prog->bindings(), nullptr, &token);
+                        Boundary::ZeroHalo, prog->bindings(), nullptr, with_cancel(&token));
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.site(), "sweep.row_chunk");
@@ -187,7 +203,7 @@ TEST(CancelSweep, MidRunDeadlineRestoresEveryGridSlot) {
   CancelToken token(Deadline::after_ms(2));
   try {
     exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 64,
-                        Boundary::ZeroHalo, prog->bindings(), nullptr, &token);
+                        Boundary::ZeroHalo, prog->bindings(), nullptr, with_cancel(&token));
     GTEST_SKIP() << "machine outran the deadline; nothing to verify";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
@@ -204,9 +220,9 @@ TEST(CancelSweep, ArmedButUnfiredTokenIsBitIdenticalToNoToken) {
 
   CancelToken token(Deadline::after_ms(60000));
   exec::run_scheduled(prog->stencil(), prog->primary_schedule(), with_token, 1, 5,
-                      Boundary::ZeroHalo, prog->bindings(), nullptr, &token);
+                      Boundary::ZeroHalo, prog->bindings(), nullptr, with_cancel(&token));
   exec::run_scheduled(prog->stencil(), prog->primary_schedule(), without, 1, 5,
-                      Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr);
+                      Boundary::ZeroHalo, prog->bindings());
   EXPECT_TRUE(grids_identical(with_token, without));
   EXPECT_GT(token.polls(), 0) << "checkpoints must actually poll the token";
 }
@@ -235,9 +251,8 @@ TEST(CancelTemporal, MidWedgeCancelRestoresGrid) {
   CancelToken token;
   token.cancel(ErrorCode::WatchdogStall);
   try {
-    exec::run_scheduled_temporal(prog->stencil(), prog->primary_schedule(), grid, 1, 8,
-                                 Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr,
-                                 {}, &token);
+    exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 8,
+                        Boundary::ZeroHalo, prog->bindings(), nullptr, with_cancel(&token));
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.code(), ErrorCode::WatchdogStall);
@@ -254,13 +269,12 @@ TEST(CancelTemporal, ParallelWavefrontDrainsCleanlyOnDeadline) {
   const GridStorage<double> before = grid;
 
   ThreadPool pool(4);
-  exec::TemporalOptions topts;
-  topts.pool = &pool;
   CancelToken token(Deadline::after_ms(2));
+  exec::ExecOptions opts = with_cancel(&token);
+  opts.pool = &pool;
   try {
-    exec::run_scheduled_temporal(prog->stencil(), prog->primary_schedule(), grid, 1, 64,
-                                 Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr,
-                                 topts, &token);
+    exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 64,
+                        Boundary::ZeroHalo, prog->bindings(), nullptr, opts);
     GTEST_SKIP() << "machine outran the deadline; nothing to verify";
   } catch (const Cancelled&) {
   }
@@ -302,9 +316,8 @@ TEST(CancelAot, PreCancelledRunStopsBeforeThePipeline) {
   exec::AotOptions opts;
   opts.cache_dir = scratch_dir("msc_cancel_aot_pre");
   try {
-    exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 3,
-                            Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr, opts,
-                            &token);
+    exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 3, Boundary::ZeroHalo,
+                        prog->bindings(), nullptr, aot_options(opts, &token));
     FAIL() << "expected Cancelled";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.site(), "aot.emit");
@@ -328,9 +341,8 @@ TEST(CancelAot, DeadlineDuringCompileThrowsCancelledNotQuarantine) {
 
   CancelToken token(Deadline::after_ms(200));
   try {
-    exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 3,
-                            Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr, opts,
-                            &token);
+    exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 3, Boundary::ZeroHalo,
+                        prog->bindings(), nullptr, aot_options(opts, &token));
     FAIL() << "expected Cancelled (deadline-driven compile kill)";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
@@ -365,24 +377,24 @@ TEST(CancelAot, BudgetTimeoutQuarantinesAndDegradesBitExactly) {
 
   // First run: the hanging cc is killed at the budget, the plan is
   // quarantined, and the run degrades to the sweep engine.
-  exec::AotExecInfo first;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), degraded, 1, 4,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &first, opts);
-  EXPECT_FALSE(first.aot);
+  exec::ExecInfo first;
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), degraded, 1, 4, Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, aot_options(opts), &first);
+  EXPECT_EQ(first.route, exec::Route::Sweep);
   EXPECT_NE(first.fallback_reason.find("timed out"), std::string::npos);
   EXPECT_STREQ(exec::aot_fallback_slug(first.fallback_reason), "compile_timeout");
   EXPECT_EQ(exec::aot_quarantined_count(), 1);
-  EXPECT_FALSE(exec::aot_quarantine_reason(first.plan_hash).empty());
+  EXPECT_FALSE(exec::aot_quarantine_reason(first.aot.plan_hash).empty());
 
   // Second run: the circuit breaker routes around the compiler entirely.
   const auto t0 = std::chrono::steady_clock::now();
-  exec::AotExecInfo second;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), quarantined, 1, 4,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &second, opts);
+  exec::ExecInfo second;
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), quarantined, 1, 4,
+                      Boundary::ZeroHalo, prog->bindings(), nullptr, aot_options(opts), &second);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  EXPECT_FALSE(second.aot);
-  EXPECT_TRUE(second.quarantined);
+  EXPECT_EQ(second.route, exec::Route::Sweep);
+  EXPECT_TRUE(second.aot.quarantined);
   EXPECT_STREQ(exec::aot_fallback_slug(second.fallback_reason), "quarantined");
   EXPECT_LT(wall, 1.0) << "quarantined plans must skip the compiler";
 
@@ -405,18 +417,17 @@ TEST(CancelAot, PerStepDispatchCancelsBetweenStepsAndRestores) {
 
   // Warm the compile cache with an unbounded run so the cancelled attempt
   // below reaches the per-step dispatch loop instead of dying in compile.
-  exec::AotExecInfo warm;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 2,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &warm, opts);
-  ASSERT_TRUE(warm.aot) << warm.fallback_reason;
+  exec::ExecInfo warm;
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 2, Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, aot_options(opts), &warm);
+  ASSERT_EQ(warm.route, exec::Route::Aot) << warm.fallback_reason;
 
   seed(grid);
   const GridStorage<double> before = grid;
   CancelToken token(Deadline::after_ms(15));
   try {
-    exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), grid, 1, 5000,
-                            Boundary::ZeroHalo, prog->bindings(), nullptr, nullptr, opts,
-                            &token);
+    exec::run_scheduled(prog->stencil(), prog->primary_schedule(), grid, 1, 5000,
+                        Boundary::ZeroHalo, prog->bindings(), nullptr, aot_options(opts, &token));
     GTEST_SKIP() << "machine outran the deadline; nothing to verify";
   } catch (const Cancelled& c) {
     EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
@@ -437,14 +448,13 @@ TEST(CancelAot, ArmedTokenDispatchMatchesSingleCallBitExactly) {
   opts.cache_dir = dir;
   CancelToken token(Deadline::after_ms(60000));
 
-  exec::AotExecInfo ia, ib;
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), stepped, 1, 6,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &ia, opts,
-                          &token);
-  exec::run_scheduled_aot(prog->stencil(), prog->primary_schedule(), whole, 1, 6,
-                          Boundary::ZeroHalo, prog->bindings(), nullptr, &ib, opts);
-  ASSERT_TRUE(ia.aot) << ia.fallback_reason;
-  ASSERT_TRUE(ib.aot) << ib.fallback_reason;
+  exec::ExecInfo ia, ib;
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), stepped, 1, 6, Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, aot_options(opts, &token), &ia);
+  exec::run_scheduled(prog->stencil(), prog->primary_schedule(), whole, 1, 6, Boundary::ZeroHalo,
+                      prog->bindings(), nullptr, aot_options(opts), &ib);
+  ASSERT_EQ(ia.route, exec::Route::Aot) << ia.fallback_reason;
+  ASSERT_EQ(ib.route, exec::Route::Aot) << ib.fallback_reason;
   EXPECT_TRUE(grids_identical(stepped, whole));
 }
 

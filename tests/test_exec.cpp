@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "dsl/program.hpp"
@@ -14,8 +16,10 @@
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
 #include "frontend/spec.hpp"
+#include "prof/counters.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/shell.hpp"
 
 namespace msc::exec {
 namespace {
@@ -432,6 +436,165 @@ TEST(Executor, RejectsEmptyTimeRange) {
   auto grid = ir::make_sp_tensor("B", ir::DataType::f64, {8, 8}, 1, 3);
   GridStorage<double> g(grid);
   EXPECT_THROW(run_reference(ep.prog->stencil(), g, 5, 4, Boundary::ZeroHalo), Error);
+}
+
+// ---- the one scheduled entry point: route matrix ---------------------------
+
+// 2-D, radius 1, three-slot window, odd extents under 8x8 tiles with staged
+// buffers (so every ExecStats field is non-zero) and a parallel level.
+std::unique_ptr<dsl::Program> route_program(ir::DataType dt, std::int64_t time_depth) {
+  auto prog = std::make_unique<dsl::Program>("route");
+  dsl::Var j = prog->var("j"), i = prog->var("i");
+  dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, dt, 19, 23);
+  auto& k = prog->kernel("k", {j, i},
+                         dsl::ExprH(0.3) * B(j, i) + dsl::ExprH(0.15) * B(j, i - 1) +
+                             dsl::ExprH(0.15) * B(j, i + 1) + dsl::ExprH(0.2) * B(j - 1, i) +
+                             dsl::ExprH(0.2) * B(j + 1, i));
+  k.tile({8, 8})
+      .reorder({"j_outer", "i_outer", "j_inner", "i_inner"})
+      .cache_read("B", "rbuf")
+      .cache_write("wbuf")
+      .compute_at("rbuf", "i_outer")
+      .compute_at("wbuf", "i_outer")
+      .parallel("j_outer", 4);
+  if (time_depth > 1) k.time_tile(time_depth);
+  prog->def_stencil("st", B, 0.7 * k[prog->t() - 1] + 0.3 * k[prog->t() - 2]);
+  return prog;
+}
+
+std::int64_t counter_value(const char* name) {
+  return prof::global_counters().value(name);
+}
+
+using RouteCell = std::tuple<HostBackend, std::int64_t, Boundary, ir::DataType>;
+
+class RouteMatrix : public ::testing::TestWithParam<RouteCell> {
+ protected:
+  template <typename T>
+  void run_cell() {
+    const auto [backend, depth, bc, dt] = GetParam();
+    if (backend == HostBackend::Aot && !host_cc_available())
+      GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+    auto prog = route_program(dt, depth);
+    const auto& st = prog->stencil();
+    const auto& sched = prog->primary_schedule();
+    constexpr std::int64_t kSteps = 5;  // depth 3: one full block + remainder
+
+    GridStorage<T> ref(st.state()), got(st.state());
+    for (int s = 0; s < ref.slots(); ++s) {
+      ref.fill_random(s, 31 + static_cast<std::uint64_t>(s));
+      got.fill_random(s, 31 + static_cast<std::uint64_t>(s));
+    }
+    run_reference(st, ref, 1, kSteps, bc);
+
+    // The selection rule: AOT when asked for and the boundary is ZeroHalo;
+    // else the wedges when time_tile() > 1 and the boundary is ZeroHalo;
+    // else the per-step sweep.  Every refused request names the boundary.
+    const bool zero = bc == Boundary::ZeroHalo;
+    const bool want_aot = backend == HostBackend::Aot;
+    const Route want = want_aot && zero ? Route::Aot
+                       : depth > 1 && zero ? Route::Temporal
+                                            : Route::Sweep;
+    const bool want_fallback = !zero && (want_aot || depth > 1);
+
+    const auto points0 = counter_value("exec.points_updated");
+    const auto flops0 = counter_value("exec.flops");
+    const auto steps0 = counter_value("exec.timesteps");
+    const auto aot_fb0 = counter_value("aot.fallback.boundary");
+    const auto tt_fb0 = counter_value("sweep.temporal.fallback");
+    ExecOptions opts;
+    opts.backend = backend;
+    ExecInfo info;
+    ExecStats stats;
+    run_scheduled(st, sched, got, 1, kSteps, bc, {}, &stats, opts, &info);
+
+    EXPECT_EQ(info.route, want) << route_name(info.route) << ": " << info.fallback_reason;
+    EXPECT_EQ(info.aot.aot, want == Route::Aot);
+    if (want_fallback) {
+      EXPECT_NE(info.fallback_reason.find("per-step halo exchange"), std::string::npos)
+          << info.fallback_reason;
+    } else {
+      EXPECT_EQ(info.fallback_reason, "");
+    }
+    EXPECT_EQ(counter_value("aot.fallback.boundary") - aot_fb0, want_aot && !zero ? 1 : 0);
+    EXPECT_EQ(counter_value("sweep.temporal.fallback") - tt_fb0,
+              depth > 1 && !zero && want != Route::Aot ? 1 : 0);
+    if (want == Route::Temporal) {
+      EXPECT_EQ(info.wedge_depth, depth);
+      EXPECT_EQ(info.blocks, 2);
+    } else {
+      EXPECT_EQ(info.blocks, 0);
+    }
+
+    // Every ring slot, halos included, bit for bit.
+    const auto bytes = static_cast<std::size_t>(ref.padded_points()) * sizeof(T);
+    for (int s = 0; s < ref.slots(); ++s)
+      EXPECT_EQ(std::memcmp(ref.slot_data(s), got.slot_data(s), bytes), 0) << "slot " << s;
+
+    // The same accounting on every route.
+    const LoopPlan plan = build_loop_plan(sched);
+    const auto terms = static_cast<std::int64_t>(linearize_stencil(st, {})->terms.size());
+    const std::int64_t points = kSteps * 19 * 23;
+    ASSERT_GT(plan.tiles_per_step, 0);
+    ASSERT_GT(plan.tile_bytes_read, 0);
+    ASSERT_GT(plan.tile_bytes_write, 0);
+    EXPECT_EQ(stats.timesteps, kSteps);
+    EXPECT_EQ(stats.points_updated, points);
+    EXPECT_EQ(stats.flops, 2 * terms * points);
+    EXPECT_EQ(stats.tiles_executed, kSteps * plan.tiles_per_step);
+    EXPECT_EQ(stats.staged_bytes_in, kSteps * plan.tiles_per_step * plan.tile_bytes_read);
+    EXPECT_EQ(stats.staged_bytes_out, kSteps * plan.tiles_per_step * plan.tile_bytes_write);
+    EXPECT_EQ(counter_value("exec.points_updated") - points0, stats.points_updated);
+    EXPECT_EQ(counter_value("exec.flops") - flops0, stats.flops);
+    EXPECT_EQ(counter_value("exec.timesteps") - steps0, stats.timesteps);
+  }
+};
+
+TEST_P(RouteMatrix, MatchesReferenceAndReportsTheRoute) {
+  if (std::get<3>(GetParam()) == ir::DataType::f32) {
+    run_cell<float>();
+  } else {
+    run_cell<double>();
+  }
+}
+
+std::string route_cell_name(const ::testing::TestParamInfo<RouteCell>& p) {
+  const auto [backend, depth, bc, dt] = p.param;
+  return std::string(backend == HostBackend::Aot ? "Aot" : "Sweep") + "_tt" +
+         std::to_string(depth) + "_" + (bc == Boundary::ZeroHalo ? "ZeroHalo" : "Periodic") +
+         "_" + (dt == ir::DataType::f32 ? "f32" : "f64");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Exec, RouteMatrix,
+    ::testing::Combine(::testing::Values(HostBackend::Sweep, HostBackend::Aot),
+                       ::testing::Values(std::int64_t{1}, std::int64_t{3}),
+                       ::testing::Values(Boundary::ZeroHalo, Boundary::Periodic),
+                       ::testing::Values(ir::DataType::f32, ir::DataType::f64)),
+    route_cell_name);
+
+TEST(ProgramRun, TimeTileTakesTheWedgeRoute) {
+  auto prog = route_program(ir::DataType::f64, 4);
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  const auto wedges0 = counter_value("sweep.temporal.wedges");
+  prog->run(1, 8);
+  EXPECT_GT(counter_value("sweep.temporal.wedges"), wedges0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Temporal);
+  EXPECT_EQ(prog->last_exec_info().wedge_depth, 4);
+}
+
+TEST(ProgramRun, SweepRunAfterAotRunClearsTheAotProvenance) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto prog = route_program(ir::DataType::f64, 1);
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  prog->set_backend(HostBackend::Aot);
+  prog->run(1, 2);
+  ASSERT_TRUE(prog->last_aot_info().aot) << prog->last_exec_info().fallback_reason;
+  prog->set_backend(HostBackend::Sweep);
+  prog->run(3, 4);
+  EXPECT_FALSE(prog->last_aot_info().aot);
+  EXPECT_EQ(prog->last_aot_info().plan_hash, "");
+  EXPECT_EQ(prog->last_exec_info().route, Route::Sweep);
 }
 
 }  // namespace

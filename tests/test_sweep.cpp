@@ -205,12 +205,11 @@ TEST(TemporalGoldenPin, EngineMatchesCommittedChecksums) {
       GridStorage<double> temporal(st.state());
       for (int s = 0; s < temporal.slots(); ++s)
         temporal.fill_random(s, 4242 + static_cast<std::uint64_t>(s));
-      TemporalOptions opts;
-      opts.wedge_depth = depth;
-      TemporalExecInfo info;
-      run_scheduled_temporal(st, sched, temporal, 1, steps, Boundary::ZeroHalo, {}, nullptr,
-                             &info, opts);
-      ASSERT_TRUE(info.temporal) << info.fallback_reason;
+      schedule::Schedule wedged = sched;
+      wedged.time_tile(depth);
+      ExecInfo info;
+      run_scheduled(st, wedged, temporal, 1, steps, Boundary::ZeroHalo, {}, nullptr, {}, &info);
+      ASSERT_EQ(info.route, Route::Temporal) << info.fallback_reason;
       for (int s = 0; s < base.slots(); ++s)
         ASSERT_EQ(base.interior_values(s), temporal.interior_values(s))
             << name << " wedge depth " << depth << " slot " << s;

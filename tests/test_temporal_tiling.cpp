@@ -1,7 +1,7 @@
 // Differential battery for the time-skewed temporal engine
 // (exec/temporal_sweep): wedge lowering must cover every (step, point)
 // exactly once with every clamp resolved at lowering time, and
-// run_scheduled_temporal must be bit-identical to the per-point
+// run_scheduled's wedge route must be bit-identical to the per-point
 // interpreter for every dtype, time depth and wedge shape — including odd
 // extents that force remainder wedges, skews clamped at the grid
 // boundary, wedge depths past the stencil's time window, single-row
@@ -33,14 +33,23 @@ ThreadPool& test_pool() {
   return pool;
 }
 
-// Runs the interpreter and the temporal engine from identically seeded
-// grids and compares every ring slot's interior bit for bit, so the whole
-// retained window — not just the final step — must agree.
+// `sched` with time_tile(depth, width) applied.
+schedule::Schedule time_tiled(const schedule::Schedule& sched, std::int64_t depth,
+                              std::int64_t width = 0) {
+  schedule::Schedule out = sched;
+  out.time_tile(depth, width);
+  return out;
+}
+
+// Runs the interpreter and run_scheduled from identically seeded grids and
+// compares every ring slot's interior bit for bit, so the whole retained
+// window — not just the final step — must agree.  A time_tile() depth > 1
+// must take the wedge route, depth 1 the per-step sweep.
 template <typename T>
 ::testing::AssertionResult temporal_bit_identical(const ir::StencilDef& st,
                                                   const schedule::Schedule& sched,
                                                   std::int64_t steps, std::uint64_t seed,
-                                                  TemporalOptions topts = {}) {
+                                                  ThreadPool* pool = nullptr) {
   GridStorage<T> gi(st.state());
   GridStorage<T> gt(st.state());
   for (int s = 0; s < gi.slots(); ++s) {
@@ -48,12 +57,14 @@ template <typename T>
     gt.fill_random(s, seed + static_cast<std::uint64_t>(s));
   }
   run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo);
-  TemporalExecInfo info;
-  run_scheduled_temporal(st, sched, gt, 1, steps, Boundary::ZeroHalo, {}, nullptr, &info,
-                         topts);
-  if (!info.temporal)
-    return ::testing::AssertionFailure()
-           << "unexpected fallback: " << info.fallback_reason;
+  ExecOptions opts;
+  opts.pool = pool;
+  ExecInfo info;
+  run_scheduled(st, sched, gt, 1, steps, Boundary::ZeroHalo, {}, nullptr, opts, &info);
+  const Route want = sched.time_tile_depth() > 1 ? Route::Temporal : Route::Sweep;
+  if (info.route != want)
+    return ::testing::AssertionFailure() << "ran the " << route_name(info.route)
+                                         << " route: " << info.fallback_reason;
   for (int s = 0; s < gi.slots(); ++s) {
     const auto vi = gi.interior_values(s);
     const auto vt = gt.interior_values(s);
@@ -147,11 +158,8 @@ void expect_each_step_covers_once(const WedgeSet& set,
 
 TEST(LowerTemporal, WedgeStepsCoverEachStepExactlyOnce) {
   auto prog = odd_2d_program();
-  const LoopPlan plan = build_loop_plan(prog->primary_schedule());
-  TemporalOptions opts;
-  opts.wedge_depth = 3;
-  opts.wedge_width = 5;
-  const TemporalPlan tp = lower_temporal(plan, 4, 1, 1, 7, opts);
+  const LoopPlan plan = build_loop_plan(time_tiled(prog->primary_schedule(), 3, 5));
+  const TemporalPlan tp = lower_temporal(plan, 4, 1, 1, 7);
   EXPECT_EQ(tp.wedge_depth, 3);
   EXPECT_EQ(tp.full_blocks, 2);
   EXPECT_EQ(tp.remainder.depth, 1);
@@ -166,10 +174,9 @@ TEST(LowerTemporal, WedgeStepsCoverEachStepExactlyOnce) {
 
 TEST(LowerTemporal, DepthBeyondStepCountClampsToStepCount) {
   auto prog = odd_2d_program();
-  const LoopPlan plan = build_loop_plan(prog->primary_schedule());
-  TemporalOptions opts;
-  opts.wedge_depth = 16;  // only 5 steps exist
-  const TemporalPlan tp = lower_temporal(plan, 4, 1, 1, 5, opts);
+  // Depth 16, but only 5 steps exist.
+  const LoopPlan plan = build_loop_plan(time_tiled(prog->primary_schedule(), 16));
+  const TemporalPlan tp = lower_temporal(plan, 4, 1, 1, 5);
   EXPECT_EQ(tp.wedge_depth, 5);
   EXPECT_EQ(tp.full_blocks, 1);
   EXPECT_EQ(tp.remainder.depth, 0);
@@ -181,11 +188,8 @@ TEST(LowerTemporal, DegenerateSkewWiderThanWedgeStillCovers) {
   // footprint lies entirely outside its own wedge's step-0 rows and the
   // dependency span gets deep.  The lowering must still cover exactly once.
   auto prog = odd_3d_program(ir::DataType::f64);
-  const LoopPlan plan = build_loop_plan(prog->primary_schedule());
-  TemporalOptions opts;
-  opts.wedge_depth = 3;
-  opts.wedge_width = 1;
-  const TemporalPlan tp = lower_temporal(plan, 3, 2, 1, 6, opts);
+  const LoopPlan plan = build_loop_plan(time_tiled(prog->primary_schedule(), 3, 1));
+  const TemporalPlan tp = lower_temporal(plan, 3, 2, 1, 6);
   EXPECT_GE(tp.dep_span, 6);  // ceil(3 * 2 / 1)
   expect_each_step_covers_once(tp.full, tp.extent, tp.ndim);
 }
@@ -199,18 +203,15 @@ TEST(LowerTemporal, SingleRowGridDegeneratesToOneWedge) {
   k.tile({1, 8}).reorder({"j_outer", "i_outer", "j_inner", "i_inner"});
   prog->def_stencil("st", B, k[prog->t() - 1]);
 
-  const LoopPlan plan = build_loop_plan(prog->primary_schedule());
-  TemporalOptions opts;
-  opts.wedge_depth = 4;
-  const TemporalPlan tp = lower_temporal(plan, 2, 1, 1, 8, opts);
+  const auto sched = time_tiled(prog->primary_schedule(), 4);
+  const TemporalPlan tp = lower_temporal(build_loop_plan(sched), 2, 1, 1, 8);
   expect_each_step_covers_once(tp.full, tp.extent, tp.ndim);
-  EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 8,
-                                             77, opts));
+  EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), sched, 8, 77));
 }
 
 TEST(LowerTemporal, ScheduleTimeTileFeedsDefaults) {
   // time_tile() on the schedule must reach the lowering through the
-  // LoopPlan when no explicit options override it.
+  // LoopPlan.
   auto prog = odd_2d_program(/*time_depth=*/2, /*time_width=*/7);
   const LoopPlan plan = build_loop_plan(prog->primary_schedule());
   EXPECT_EQ(plan.time_depth, 2);
@@ -227,12 +228,10 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery2D) {
   auto prog = odd_2d_program();
   for (std::int64_t steps : {1, 2, 3, 7, 16}) {
     for (std::int64_t depth : {1, 2, 3, 4}) {
-      TemporalOptions opts;
-      opts.wedge_depth = depth;
       SCOPED_TRACE("steps=" + std::to_string(steps) + " depth=" + std::to_string(depth));
-      EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(),
-                                                 steps, 1000 + static_cast<std::uint64_t>(steps),
-                                                 opts));
+      EXPECT_TRUE(temporal_bit_identical<double>(
+          prog->stencil(), time_tiled(prog->primary_schedule(), depth), steps,
+          1000 + static_cast<std::uint64_t>(steps)));
     }
   }
 }
@@ -242,18 +241,15 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery3D) {
     auto prog = odd_3d_program(dtype);
     for (std::int64_t steps : {1, 3, 7, 16}) {
       for (std::int64_t depth : {1, 2, 4}) {
-        TemporalOptions opts;
-        opts.wedge_depth = depth;
+        const auto sched = time_tiled(prog->primary_schedule(), depth);
         SCOPED_TRACE("dtype=" + std::string(dtype == ir::DataType::f64 ? "f64" : "f32") +
                      " steps=" + std::to_string(steps) + " depth=" + std::to_string(depth));
         if (dtype == ir::DataType::f64) {
           EXPECT_TRUE(temporal_bit_identical<double>(
-              prog->stencil(), prog->primary_schedule(), steps,
-              2000 + static_cast<std::uint64_t>(steps), opts));
+              prog->stencil(), sched, steps, 2000 + static_cast<std::uint64_t>(steps)));
         } else {
           EXPECT_TRUE(temporal_bit_identical<float>(
-              prog->stencil(), prog->primary_schedule(), steps,
-              3000 + static_cast<std::uint64_t>(steps), opts));
+              prog->stencil(), sched, steps, 3000 + static_cast<std::uint64_t>(steps)));
         }
       }
     }
@@ -265,11 +261,8 @@ TEST(TemporalVsInterpreter, WedgeDepthBeyondTimeWindowBitIdentical) {
   // step's inputs within the same wedge pass; the skew proof says that is
   // safe, and this pins it.
   auto prog = odd_3d_program(ir::DataType::f64);
-  TemporalOptions opts;
-  opts.wedge_depth = 4;
-  opts.wedge_width = 3;
-  EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 9,
-                                             41, opts));
+  EXPECT_TRUE(temporal_bit_identical<double>(
+      prog->stencil(), time_tiled(prog->primary_schedule(), 4, 3), 9, 41));
 }
 
 TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
@@ -287,13 +280,10 @@ TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
   prog->def_stencil("st", B, 0.6 * k[prog->t() - 1] + 0.4 * k[prog->t() - 2]);
 
   for (std::int64_t depth : {2, 3, 7}) {
-    TemporalOptions opts;
-    opts.wedge_depth = depth;
-    opts.pool = &test_pool();
     SCOPED_TRACE("depth=" + std::to_string(depth));
-    EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(),
-                                               16, 500 + static_cast<std::uint64_t>(depth),
-                                               opts));
+    EXPECT_TRUE(temporal_bit_identical<double>(
+        prog->stencil(), time_tiled(prog->primary_schedule(), depth), 16,
+        500 + static_cast<std::uint64_t>(depth), &test_pool()));
   }
 }
 
@@ -308,12 +298,8 @@ TEST(TemporalVsInterpreter, OversubscribedParallelPlanBitIdentical) {
   k.parallel("j", 16);
   prog->def_stencil("st", B, 0.5 * k[prog->t() - 1] + 0.5 * k[prog->t() - 2]);
 
-  TemporalOptions opts;
-  opts.wedge_depth = 3;
-  opts.wedge_width = 2;
-  opts.pool = &test_pool();
-  EXPECT_TRUE(temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 11,
-                                             87, opts));
+  EXPECT_TRUE(temporal_bit_identical<double>(
+      prog->stencil(), time_tiled(prog->primary_schedule(), 3, 2), 11, 87, &test_pool()));
 }
 
 TEST(TemporalVsInterpreter, NonZeroHaloFallsBackReported) {
@@ -328,12 +314,10 @@ TEST(TemporalVsInterpreter, NonZeroHaloFallsBackReported) {
     gt.fill_random(s, 11 + static_cast<std::uint64_t>(s));
   }
   run_scheduled_interpreted(st, prog->primary_schedule(), gi, 1, 5, Boundary::Periodic);
-  TemporalExecInfo info;
-  TemporalOptions opts;
-  opts.wedge_depth = 3;
-  run_scheduled_temporal(st, prog->primary_schedule(), gt, 1, 5, Boundary::Periodic, {},
-                         nullptr, &info, opts);
-  EXPECT_FALSE(info.temporal);
+  ExecInfo info;
+  run_scheduled(st, time_tiled(prog->primary_schedule(), 3), gt, 1, 5, Boundary::Periodic, {},
+                nullptr, {}, &info);
+  EXPECT_EQ(info.route, Route::Sweep);
   EXPECT_NE(info.fallback_reason.find("per-step halo"), std::string::npos)
       << info.fallback_reason;
   const int fs = gi.slot_for_time(5);
@@ -345,11 +329,10 @@ TEST(TemporalVsInterpreter, RandomCasesShrinkOnFailure) {
     auto prog = check::build_program(spec);
     if (!linearize_stencil(prog->stencil(), prog->bindings()).has_value())
       return ::testing::AssertionSuccess();
-    TemporalOptions opts;
-    opts.wedge_depth = 1 + static_cast<std::int64_t>(spec.seed % 4);
-    opts.pool = &test_pool();
-    return temporal_bit_identical<double>(prog->stencil(), prog->primary_schedule(),
-                                          spec.timesteps, spec.seed * 131 + 7, opts);
+    const std::int64_t depth = 1 + static_cast<std::int64_t>(spec.seed % 4);
+    return temporal_bit_identical<double>(prog->stencil(),
+                                          time_tiled(prog->primary_schedule(), depth),
+                                          spec.timesteps, spec.seed * 131 + 7, &test_pool());
   };
 
   int ran = 0;

@@ -30,7 +30,6 @@
 #include "comm/halo_exchange.hpp"
 #include "comm/network_model.hpp"
 #include "comm/simmpi.hpp"
-#include "exec/aot_backend.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "machine/cost_model.hpp"
@@ -90,8 +89,7 @@ double now_seconds() {
 
 /// One attributed run of `name` on one host engine: warm up (pool spin-up,
 /// AOT compile), clear the flight recorder, run for real, drain, join.
-msc::prof::AttributionRow attribute_one(const std::string& name,
-                                        msc::prof::AttrBackend backend,
+msc::prof::AttributionRow attribute_one(const std::string& name, msc::exec::Route route,
                                         std::array<std::int64_t, 3> grid,
                                         std::int64_t steps, std::int64_t time_depth,
                                         const msc::machine::MachineModel& host) {
@@ -99,42 +97,19 @@ msc::prof::AttributionRow attribute_one(const std::string& name,
   const auto& info = workload::benchmark(name);
   auto prog = workload::make_program(info, ir::DataType::f64, grid);
   workload::apply_msc_schedule(*prog, info, "cpu");
-  if (backend == prof::AttrBackend::Temporal)
-    prog->primary_kernel().time_tile(time_depth);
+  if (route == exec::Route::Temporal) prog->primary_kernel().time_tile(time_depth);
   const auto& st = prog->stencil();
   const auto& sched = prog->primary_schedule();
 
   exec::GridStorage<double> g(st.state());
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 7);
 
-  bool ran = true;
-  std::string note;
+  exec::ExecOptions opts;
+  if (route == exec::Route::Aot) opts.backend = exec::HostBackend::Aot;
+  exec::ExecInfo taken;
   const auto run = [&](std::int64_t tb, std::int64_t te) {
-    switch (backend) {
-      case prof::AttrBackend::Sweep:
-        exec::run_scheduled(st, sched, g, tb, te, exec::Boundary::ZeroHalo);
-        break;
-      case prof::AttrBackend::Temporal: {
-        exec::TemporalExecInfo ti;
-        exec::run_scheduled_temporal(st, sched, g, tb, te, exec::Boundary::ZeroHalo, {},
-                                     nullptr, &ti);
-        if (!ti.temporal) {
-          ran = false;
-          note = ti.fallback_reason;
-        }
-        break;
-      }
-      case prof::AttrBackend::Aot: {
-        exec::AotExecInfo ai;
-        exec::run_scheduled_aot(st, sched, g, tb, te, exec::Boundary::ZeroHalo, {}, nullptr,
-                                &ai);
-        if (!ai.aot) {
-          ran = false;
-          note = ai.fallback_reason;
-        }
-        break;
-      }
-    }
+    exec::run_scheduled(st, sched, g, tb, te, exec::Boundary::ZeroHalo, {}, nullptr, opts,
+                        &taken);
   };
 
   run(1, 1);  // warm-up step
@@ -145,10 +120,10 @@ msc::prof::AttributionRow attribute_one(const std::string& name,
   const double wall = now_seconds() - t0;
 
   const auto phases = prof::bucket_phases(flight.drain(), wall);
-  const auto cost = prof::attribute_plan(st, sched, backend, sizeof(double), 1, steps);
-  auto row = prof::attribute_run(name, backend, cost, phases, host);
-  row.ran = ran;
-  row.note = note;
+  const auto cost = prof::attribute_plan(st, sched, route, sizeof(double), 1, steps);
+  auto row = prof::attribute_run(name, route, cost, phases, host);
+  row.ran = taken.route == route;
+  row.note = taken.fallback_reason;
   return row;
 }
 
@@ -173,9 +148,8 @@ int run_attribution(std::vector<std::string> names, const std::vector<std::int64
                                            : std::array<std::int64_t, 3>{64, 64, 64};
     for (std::size_t d = 0; d < grid_arg.size() && d < 3; ++d)
       if (grid_arg[d] > 0) grid[d] = grid_arg[d];
-    for (const auto backend : {prof::AttrBackend::Sweep, prof::AttrBackend::Temporal,
-                               prof::AttrBackend::Aot})
-      rows.push_back(attribute_one(name, backend, grid, steps, time_depth, host));
+    for (const auto route : {exec::Route::Sweep, exec::Route::Temporal, exec::Route::Aot})
+      rows.push_back(attribute_one(name, route, grid, steps, time_depth, host));
   }
 
   const std::string md = prof::attribution_markdown(rows, host);

@@ -110,13 +110,14 @@ int main(int argc, char** argv) {
                   static_cast<long long>(result.stats.points_updated),
                   msc::workload::fmt_seconds(result.seconds).c_str());
       if (backend == "aot") {
-        const auto& info = prog->last_aot_info();
-        if (info.aot) {
-          std::printf("mscc: aot backend: plan %s (%s) from %s\n", info.plan_hash.c_str(),
-                      info.cache_hit ? "cache hit" : "compiled", info.module_path.c_str());
+        const auto& info = prog->last_exec_info();
+        if (info.route == msc::exec::Route::Aot) {
+          std::printf("mscc: aot backend: plan %s (%s) from %s\n", info.aot.plan_hash.c_str(),
+                      info.aot.cache_hit ? "cache hit" : "compiled",
+                      info.aot.module_path.c_str());
         } else {
-          std::printf("mscc: aot backend fell back to sweep: %s\n",
-                      info.fallback_reason.c_str());
+          std::printf("mscc: aot backend fell back to %s: %s\n",
+                      msc::exec::route_name(info.route), info.fallback_reason.c_str());
         }
       }
       if (validate) {
