@@ -145,9 +145,11 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
   const auto sym = [&](const char* name) { return dlsym(handle, name); };
   auto* abi_fn = reinterpret_cast<int (*)()>(sym("msc_aot_abi"));
   auto* run_fn = reinterpret_cast<AotModule::RunFn>(sym("msc_aot_run"));
+  auto* rows_fn = reinterpret_cast<AotModule::RowsFn>(sym("msc_aot_rows"));
   auto* pp_fn = reinterpret_cast<long (*)()>(sym("msc_aot_padded_points"));
   auto* win_fn = reinterpret_cast<int (*)()>(sym("msc_aot_window"));
-  if (abi_fn == nullptr || run_fn == nullptr || pp_fn == nullptr || win_fn == nullptr) {
+  if (abi_fn == nullptr || run_fn == nullptr || rows_fn == nullptr || pp_fn == nullptr ||
+      win_fn == nullptr) {
     *why = "module is missing msc_aot_* symbols";
     return nullptr;  // mod dtor dlcloses
   }
@@ -156,6 +158,7 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
     return nullptr;
   }
   mod->run = run_fn;
+  mod->rows = rows_fn;
   mod->padded_points = static_cast<std::int64_t>(pp_fn());
   mod->window = win_fn();
   return mod;

@@ -8,7 +8,9 @@
 //   linearize -> make_aot_spec -> gen_aot_kernel     (emit)
 //   -> <cache_dir>/<hash>.c -> cc -shared -> <hash>.so  (compile, cached)
 //   -> dlopen + symbol/ABI checks                    (load)
-//   -> msc_aot_run(slot_ptrs, t_begin, t_end)        (dispatch, in run_scheduled)
+//   -> msc_aot_rows(slot_ptrs, t, r0, r1)            (dispatch, in run_scheduled:
+//                                                     per step, the schedule's
+//                                                     dim-0 bands over the pool)
 //
 // The compile cache is keyed by an FNV-1a hash over the *generated source
 // text*, the compile command flags, and the emitter ABI version — so any
@@ -67,7 +69,9 @@ class AotModule {
   AotModule& operator=(const AotModule&) = delete;
 
   using RunFn = void (*)(void* const*, long, long);
-  RunFn run = nullptr;
+  using RowsFn = void (*)(void* const*, long, long, long);
+  RunFn run = nullptr;    ///< msc_aot_run: steps [t_begin, t_end], serial
+  RowsFn rows = nullptr;  ///< msc_aot_rows: step t over dim-0 rows [r0, r1)
   std::int64_t padded_points = 0;
   int window = 0;
   const std::string& path() const { return path_; }

@@ -1,6 +1,8 @@
 #include "exec/executor.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "exec/aot_backend.hpp"
 #include "exec/temporal_sweep.hpp"
@@ -28,6 +30,19 @@ std::optional<LinearKernel> linearize_stencil(const ir::StencilDef& st,
   }
   return combined;
 }
+
+namespace detail {
+
+void count_run(std::int64_t points, std::int64_t flops, std::int64_t steps) {
+  static prof::Counter& points_counter = prof::counter("exec.points_updated");
+  static prof::Counter& flops_counter = prof::counter("exec.flops");
+  static prof::Counter& steps_counter = prof::counter("exec.timesteps");
+  points_counter.add(points);
+  flops_counter.add(flops);
+  steps_counter.add(steps);
+}
+
+}  // namespace detail
 
 const char* route_name(Route r) {
   switch (r) {
@@ -139,11 +154,14 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
   return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel).points;
 }
 
-/// Route::Aot: the compiled kernel over the whole range, zero halos filled
-/// once up front as for the wedges.  Cooperative cancellation cannot
-/// interrupt compiled code, so an attached token bounds the latency by
-/// dispatching one timestep per call with a checkpoint between steps —
-/// bit-identical, as each step reads only completed ring slots.
+/// Route::Aot: the compiled kernel, zero halos filled once up front as for
+/// the wedges.  Each step runs the schedule's dim-0 bands (the distinct
+/// dim-0 ranges of its sweep tiles) through msc_aot_rows, spread over the
+/// pool under the same rule as run_sweep's tiles, else one call over every
+/// row.  Bands are disjoint and the ring slots a step reads are not
+/// written during it, so concurrent calls are safe and every point is
+/// computed exactly as by a serial call.  Compiled code cannot poll a
+/// token, so cancellation is checked before each band.
 template <typename T>
 std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
                        const detail::AotModule& mod, GridStorage<T>& state,
@@ -153,18 +171,39 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
   slots.reserve(static_cast<std::size_t>(state.slots()));
   for (int s = 0; s < state.slots(); ++s) slots.push_back(state.slot_data(s));
 
+  const SweepPlan sweep = lower_sweep(plan);
+  std::vector<std::pair<std::int64_t, std::int64_t>> bands;
+  for (const auto& tile : sweep.tiles) bands.emplace_back(tile.lo[0], tile.hi[0]);
+  // Tiles are enumerated dim 0 outermost, so equal bands are adjacent.
+  bands.erase(std::unique(bands.begin(), bands.end()), bands.end());
+  const auto nbands = static_cast<std::int64_t>(bands.size());
+  const bool parallel = fans_out(sweep, nbands);
+  if (!parallel) bands.assign(1, {0, plan.extent[0]});
+  const std::int64_t points_per_row = state.tensor()->interior_points() / plan.extent[0];
+
   prof::TraceScope scope("run_scheduled.aot", "exec");
   scope.arg("t_begin", static_cast<double>(t_begin));
   scope.arg("t_end", static_cast<double>(t_end));
   const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0xA07));
   prof::FlightScope flight_run(prof::FlightKind::AotRun, t_end - t_begin + 1);
-  if (cancel != nullptr) {
-    for (std::int64_t t = t_begin; t <= t_end; ++t) {
-      cancel->checkpoint_now("aot.run");
-      mod.run(slots.data(), static_cast<long>(t), static_cast<long>(t));
+  std::int64_t t = t_begin;
+  const auto run_bands = [&](std::int64_t lo, std::int64_t hi) {
+    prof::FlightScope flight(prof::FlightKind::RowChunk, 0, hi - lo);
+    std::int64_t rows = 0;
+    for (std::int64_t n = lo; n < hi; ++n) {
+      if (cancel != nullptr) cancel->checkpoint_now("aot.band");
+      const auto& [r0, r1] = bands[static_cast<std::size_t>(n)];
+      mod.rows(slots.data(), static_cast<long>(t), static_cast<long>(r0),
+               static_cast<long>(r1));
+      rows += r1 - r0;
     }
-  } else {
-    mod.run(slots.data(), static_cast<long>(t_begin), static_cast<long>(t_end));
+    flight.set_a(rows * points_per_row);
+  };
+  for (; t <= t_end; ++t) {
+    if (parallel)
+      global_pool().parallel_for(0, nbands, run_bands);
+    else
+      run_bands(0, 1);
   }
   return state.tensor()->interior_points() * (t_end - t_begin + 1);
 }
@@ -223,12 +262,7 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
 
   const std::int64_t nsteps = t_end - t_begin + 1;
   const std::int64_t flops = 2 * static_cast<std::int64_t>(lin->terms.size()) * points;
-  static prof::Counter& points_counter = prof::counter("exec.points_updated");
-  static prof::Counter& flops_counter = prof::counter("exec.flops");
-  static prof::Counter& steps_counter = prof::counter("exec.timesteps");
-  points_counter.add(points);
-  flops_counter.add(flops);
-  steps_counter.add(nsteps);
+  detail::count_run(points, flops, nsteps);
   if (stats != nullptr) {
     stats->timesteps += nsteps;
     stats->points_updated += points;

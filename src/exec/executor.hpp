@@ -67,6 +67,11 @@ using AuxGrids = std::map<std::string, const GridStorage<T>*>;
 
 namespace detail {
 
+/// Ticks the exec.points_updated, exec.flops and exec.timesteps counters
+/// once per completed run, through cached Counter references.  Shared by
+/// run_reference and run_scheduled so both account the same way.
+void count_run(std::int64_t points, std::int64_t flops, std::int64_t steps);
+
 /// All-or-nothing cancellation guard: snapshots every ring slot (halos
 /// included) once at run entry, and restore() puts them back so a cancelled
 /// run leaves the grid bit-identical to its pre-run state.  Armed only when
@@ -117,6 +122,8 @@ LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>
 /// the row-sweep engine on a single full-interior tile; stencils outside
 /// the affine fragment fall back to the per-point expression evaluator.
 /// Stencils whose kernels read auxiliary grids supply them via `aux`.
+/// A completed run adds to `stats` and ticks the exec.* counters once, as
+/// run_scheduled does; a cancelled one leaves both untouched.
 template <typename T>
 void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
                    std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
@@ -141,6 +148,7 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
     plan = full_sweep(state.ndim(), extent);
   }
 
+  std::int64_t flops = 0;  // the generic evaluator counts none
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
     const int out_slot = state.slot_for_time(t);
     T* out = state.slot_data(out_slot);
@@ -148,8 +156,7 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
     if (lin.has_value()) {
       const auto terms = resolve_terms(*lin, state, t);
       const SweepStats swept = run_sweep(plan, state, out, terms, cancel);
-      if (stats != nullptr)
-        stats->flops += 2 * static_cast<std::int64_t>(terms.size()) * swept.points;
+      flops += 2 * static_cast<std::int64_t>(terms.size()) * swept.points;
     } else {
       // The generic evaluator has no tile structure; step granularity is
       // the checkpoint unit.
@@ -180,10 +187,14 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
     }
 
     state.fill_halo(out_slot, bc);
-    if (stats != nullptr) {
-      ++stats->timesteps;
-      stats->points_updated += state.tensor()->interior_points();
-    }
+  }
+  const std::int64_t nsteps = t_end - t_begin + 1;
+  const std::int64_t points = state.tensor()->interior_points() * nsteps;
+  detail::count_run(points, flops, nsteps);
+  if (stats != nullptr) {
+    stats->timesteps += nsteps;
+    stats->points_updated += points;
+    stats->flops += flops;
   }
   } catch (const Cancelled&) {
     guard.restore();

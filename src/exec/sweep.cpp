@@ -140,6 +140,10 @@ SweepPlan lower_sweep(const LoopPlan& plan) {
   return sweep;
 }
 
+bool fans_out(const SweepPlan& plan, std::int64_t units) {
+  return plan.parallel && plan.threads > 1 && units > 1 && global_pool().size() > 1;
+}
+
 SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent) {
   MSC_CHECK(ndim >= 1 && ndim <= 3) << "sweep lowering supports 1-3 D";
   SweepPlan sweep;
@@ -190,9 +194,7 @@ SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
   MSC_CHECK(plan.ndim == state.ndim()) << "sweep plan rank mismatch";
   SweepStats total;
   const auto ntiles = static_cast<std::int64_t>(plan.tiles.size());
-  // A one-worker pool adds a cross-thread handoff per step and computes
-  // serially anyway — stay on the calling thread.
-  if (plan.parallel && plan.threads > 1 && ntiles > 1 && global_pool().size() > 1) {
+  if (fans_out(plan, ntiles)) {
     std::mutex merge;
     global_pool().parallel_for(0, ntiles, [&](std::int64_t lo, std::int64_t hi) {
       // One flight span per chunk, not per tile: bounded event rate at any

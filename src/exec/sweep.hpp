@@ -116,6 +116,13 @@ struct SweepPlan {
 /// for.  Remainder tiles are clamped here.
 SweepPlan lower_sweep(const LoopPlan& plan);
 
+/// The one rule for spreading a step's `units` of work (sweep tiles, AOT
+/// row bands) over the process pool: the schedule asked for more than one
+/// thread, there is more than one unit, and the pool has more than one
+/// worker — a one-worker pool adds a cross-thread handoff per step and
+/// computes serially anyway.
+bool fans_out(const SweepPlan& plan, std::int64_t units);
+
 /// Trivial serial plan: the whole interior as one tile of full rows (used
 /// by run_reference, the grid utilities, and region sweeps).
 SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent);

@@ -73,11 +73,10 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
     for (const auto& ev : d.events) {
       const double s = static_cast<double>(ev.dur_ns) * 1e-9;
       switch (ev.kind) {
-        // Leaf compute spans only: Step and WedgeBlock are structural
-        // parents of RowChunk / Wedge and would double-count.
+        // Leaf compute spans only: Step, WedgeBlock and AotRun are
+        // structural parents of RowChunk / Wedge and would double-count.
         case FlightKind::RowChunk:
         case FlightKind::Wedge:
-        case FlightKind::AotRun:
           p.compute_s += s;
           thread_total += s;
           ++p.events;

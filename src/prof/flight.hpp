@@ -18,7 +18,7 @@
 //
 //   kind          a                  b
 //   Step          points swept       terms
-//   RowChunk      points swept       tiles in the chunk
+//   RowChunk      points swept       tiles (AOT: row bands) in the chunk
 //   WedgeBlock    block start step   steps in the block
 //   Wedge         wedge/chunk index  wedge steps run
 //   WedgeWait     chunk index        level waited for
@@ -49,14 +49,14 @@ namespace msc::prof {
 enum class FlightKind : std::uint8_t {
   None = 0,
   Step,           ///< one timestep through the per-step sweep engine
-  RowChunk,       ///< one parallel_for chunk of sweep tiles
+  RowChunk,       ///< one parallel_for chunk of sweep tiles or AOT row bands
   WedgeBlock,     ///< one temporal time block
   Wedge,          ///< one wedge (or one chunk-level of the wavefront)
   WedgeWait,      ///< spin waiting on a predecessor chunk's level
   AotCacheProbe,  ///< memory+disk cache lookup for a compiled module
   AotCompile,     ///< host cc invocation
   AotDlopen,      ///< dlopen + symbol/ABI validation
-  AotRun,         ///< the dlopen'd kernel's whole time loop
+  AotRun,         ///< the AOT route's whole time loop (parent of RowChunk)
   Crash,          ///< a fault-plan crash fired (instant, dur 0)
 };
 

@@ -1,15 +1,21 @@
 // Tests of the AOT dlopen host backend: term-count routing pins, the
 // specialized emitter's full-unroll contract, bit-identity against the
 // in-process sweep engine (including >16-term box stencils the sweep can
-// only run through its generic path), the compile cache's hit/stale/evict
-// behavior, dlclose discipline, and the graceful no-compiler fallback.
+// only run through its generic path, and a dtype x rank x row-shape x
+// schedule matrix over the blocked, remainder and row-band paths), the
+// compile cache's hit/stale/evict behavior, dlclose discipline, and the
+// graceful no-compiler fallback.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/case_gen.hpp"
@@ -97,24 +103,49 @@ TEST(AotRouting, AotOracleIsRegistered) {
 
 // ---- emitter -------------------------------------------------------------
 
-TEST(AotEmitter, UnrollsEveryTermWithConstantExtents) {
-  auto prog = small_benchmark("2d121pt_box");
+/// Kernel source for 2d121pt_box (242 linear terms) on an n x n f64 grid.
+std::string box121_source(std::int64_t n) {
+  auto prog = workload::make_program(workload::benchmark("2d121pt_box"), ir::DataType::f64,
+                                     {n, n, n});
   const auto lin = linearize_stencil(prog->stencil(), prog->bindings());
-  ASSERT_TRUE(lin.has_value());
-  const auto spec =
-      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin);
-  const std::string src = codegen::gen_aot_kernel(spec);
+  return codegen::gen_aot_kernel(
+      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin));
+}
 
-  // One straight-line accumulation statement per linear term — no term
-  // loop, no 16/32 cap.  (The banner comment also says "acc +=", so count
-  // the load pattern only term statements contain.)
-  EXPECT_EQ(count_occurrences(src, "* (double)in_m"), lin->terms.size());
-  // The ABI surface is complete and the geometry is baked in as constants.
-  EXPECT_NE(src.find("msc_aot_run"), std::string::npos);
-  EXPECT_NE(src.find("msc_aot_padded_points"), std::string::npos);
-  EXPECT_NE(src.find("msc_aot_window"), std::string::npos);
-  EXPECT_NE(src.find("msc_aot_abi"), std::string::npos);
-  EXPECT_NE(src.find("c0 < 24"), std::string::npos) << "interior extent must be a literal";
+TEST(AotEmitter, UnrollsEveryTermWithConstantExtents) {
+  // 27 = 3 * 8 + 3 points per row: both the blocked loop and the remainder.
+  const std::string src = box121_source(27);
+  constexpr std::size_t kTerms = 242;
+
+  // Every linear term is a straight-line statement — no term loop, no
+  // 16/32 cap — once per accumulator of the 8-point block and once more in
+  // the scalar remainder loop.
+  EXPECT_EQ(count_occurrences(src, "a0 += "), kTerms);
+  EXPECT_EQ(count_occurrences(src, "a1 += "), kTerms);
+  EXPECT_EQ(count_occurrences(src, "* msc_ld(&in_m"), 2 * kTerms);
+  EXPECT_EQ(count_occurrences(src, "* (double)in_m"), kTerms);
+  // The ABI surface is complete, the step takes a dim-0 row range, and the
+  // inner geometry is baked in as literals.
+  EXPECT_NE(src.find("MSC_EXPORT void msc_aot_rows(void *const *slots_v, long t, long r0, "
+                     "long r1)"),
+            std::string::npos);
+  EXPECT_NE(src.find("MSC_EXPORT void msc_aot_run("), std::string::npos);
+  EXPECT_NE(src.find("MSC_EXPORT long msc_aot_padded_points("), std::string::npos);
+  EXPECT_NE(src.find("MSC_EXPORT int msc_aot_window("), std::string::npos);
+  EXPECT_NE(src.find("MSC_EXPORT int msc_aot_abi("), std::string::npos);
+  EXPECT_NE(src.find("for (long c0 = r0; c0 < r1; ++c0)"), std::string::npos);
+  EXPECT_NE(src.find("i + 8 <= 27L"), std::string::npos) << "row extent must be a literal";
+  EXPECT_NE(src.find("for (; i < 27L; ++i)"), std::string::npos);
+  EXPECT_NE(src.find("0L, 27L);"), std::string::npos) << "msc_aot_run covers every row";
+
+  // A literal row extent leaves out the loop that cannot run: no remainder
+  // for a multiple of 8 points, no blocked loop under 8.
+  const std::string even = box121_source(24);
+  EXPECT_EQ(count_occurrences(even, "a0 += "), kTerms);
+  EXPECT_EQ(count_occurrences(even, "* (double)in_m"), 0u);
+  const std::string narrow = box121_source(7);
+  EXPECT_EQ(count_occurrences(narrow, "a0 += "), 0u);
+  EXPECT_EQ(count_occurrences(narrow, "* (double)in_m"), kTerms);
 }
 
 TEST(AotEmitter, SpecPicksUpTimeTileDepth) {
@@ -196,6 +227,145 @@ TEST(AotBackend, BitIdenticalWithTimeTiledSchedule) {
   const auto vs = gs.interior_values(fs_slot);
   const auto va = ga.interior_values(fs_slot);
   for (std::size_t p = 0; p < vs.size(); ++p) ASSERT_EQ(vs[p], va[p]) << p;
+}
+
+// ---- bit-identity matrix: blocked rows, remainders and row bands ----------
+
+/// Radius-1 star over every dimension, two time dependencies, `row` points
+/// in the contiguous dimension.  Dim 0 has 11 (2-D) or 7 (3-D) rows, so a
+/// 3-row band height never divides it; a 1-D grid bands the row itself.
+ir::StencilPtr star_stencil(int ndim, ir::DataType dt, std::int64_t row) {
+  std::vector<std::int64_t> shape;
+  if (ndim == 2) shape = {11};
+  if (ndim == 3) shape = {7, 4};
+  shape.push_back(row);
+  const auto B = ir::make_sp_tensor("B", dt, shape, 1, 3);
+  const auto axes = ir::default_axes(B);
+  const auto at = [&](int dim, std::int64_t off) {
+    std::vector<ir::IndexExpr> idx;
+    for (int d = 0; d < ndim; ++d)
+      idx.push_back({axes[static_cast<std::size_t>(d)].id_var, d == dim ? off : 0});
+    return ir::make_access(B, idx);
+  };
+  const auto mul = [](double c, ir::Expr e) {
+    return ir::make_binary(ir::BinaryOp::Mul, ir::make_float(c), std::move(e));
+  };
+  ir::Expr rhs = mul(0.3, at(0, 0));
+  double c = 0.11;
+  for (int d = 0; d < ndim; ++d)
+    for (std::int64_t off : {-1, 1}) {
+      rhs = ir::make_binary(ir::BinaryOp::Add, rhs, mul(c, at(d, off)));
+      c += 0.013;
+    }
+  const auto k = ir::make_kernel("k", ir::make_te_tensor("o", B), axes, rhs);
+  return ir::make_stencil("st", B, {{k, -1, 0.7}, {k, -2, 0.3}});
+}
+
+/// Reference, sweep and AOT runs of one matrix cell, every ring slot
+/// (halos included) compared byte for byte.
+template <typename T>
+void expect_cell_bit_identical(int ndim, std::int64_t row, bool parallel,
+                               const std::string& cache_dir) {
+  SCOPED_TRACE(::testing::Message() << ndim << "-D, row " << row
+                                    << (parallel ? ", parallel 4" : ", serial"));
+  const auto dt = std::is_same_v<T, float> ? ir::DataType::f32 : ir::DataType::f64;
+  const auto st = star_stencil(ndim, dt, row);
+  schedule::Schedule sched(st->terms().front().kernel);
+  if (parallel) {
+    // Bands of 3 rows (1-D: two uneven halves of the row) over 4 threads.
+    const std::string ax = ir::default_axes(st->state()).front().id_var;
+    const std::int64_t height = ndim == 1 ? (row + 1) / 2 : 3;
+    sched.split(ax, height, ax + "_outer", ax + "_inner").parallel(ax + "_outer", 4);
+  }
+
+  GridStorage<T> ref(st->state()), swept(st->state()), aot(st->state());
+  for (int s = 0; s < ref.slots(); ++s) {
+    const auto seed = 5 + static_cast<std::uint64_t>(s);
+    ref.fill_random(s, seed);
+    swept.fill_random(s, seed);
+    aot.fill_random(s, seed);
+  }
+  constexpr std::int64_t kSteps = 3;
+  run_reference(*st, ref, 1, kSteps, Boundary::ZeroHalo);
+  run_scheduled(*st, sched, swept, 1, kSteps, Boundary::ZeroHalo);
+  AotOptions opts;
+  opts.cache_dir = cache_dir;
+  ExecInfo info;
+  run_scheduled(*st, sched, aot, 1, kSteps, Boundary::ZeroHalo, {}, nullptr,
+                aot_options(opts), &info);
+  ASSERT_EQ(info.route, Route::Aot) << info.fallback_reason;
+
+  const auto bytes = static_cast<std::size_t>(ref.padded_points()) * sizeof(T);
+  for (int s = 0; s < ref.slots(); ++s) {
+    EXPECT_EQ(std::memcmp(ref.slot_data(s), aot.slot_data(s), bytes), 0) << "aot slot " << s;
+    EXPECT_EQ(std::memcmp(ref.slot_data(s), swept.slot_data(s), bytes), 0)
+        << "sweep slot " << s;
+  }
+}
+
+class AotBitMatrix : public ::testing::TestWithParam<std::tuple<ir::DataType, int>> {};
+
+TEST_P(AotBitMatrix, MatchesSweepAndReferenceForEveryRowShape) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  const auto [dt, ndim] = GetParam();
+  const std::string dir = scratch_dir(
+      ("msc_aot_test_matrix_" + ir::dtype_c_name(dt) + std::to_string(ndim)).c_str());
+  // Rows of 1-7 points run only the scalar remainder, 8 only the blocked
+  // loop, 19 = 2 * 8 + 3 both (and, as 1-D bands [0, 10) and [10, 19), a
+  // block that starts off the 8-point grid).
+  for (std::int64_t row : {1, 2, 3, 4, 5, 6, 7, 8, 19})
+    for (bool parallel : {false, true}) {
+      if (dt == ir::DataType::f32) {
+        expect_cell_bit_identical<float>(ndim, row, parallel, dir);
+      } else {
+        expect_cell_bit_identical<double>(ndim, row, parallel, dir);
+      }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DtypeRank, AotBitMatrix,
+    ::testing::Combine(::testing::Values(ir::DataType::f32, ir::DataType::f64),
+                       ::testing::Values(1, 2, 3)),
+    [](const ::testing::TestParamInfo<AotBitMatrix::ParamType>& p) {
+      return ir::dtype_c_name(std::get<0>(p.param)) + "_" +
+             std::to_string(std::get<1>(p.param)) + "d";
+    });
+
+TEST(AotBackend, RowBandsMatchOneRunCallBitForBit) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  const std::string dir = scratch_dir("msc_aot_test_rows");
+  auto prog = small_benchmark("2d9pt_box");
+  prog->primary_kernel().time_tile(3);  // msc_aot_run unrolls depth-3 blocks
+  const auto& st = prog->stencil();
+  AotOptions opts;
+  opts.cache_dir = dir;
+  AotExecInfo ai;
+  std::string why;
+  const auto mod =
+      detail::load_aot_module(st, prog->primary_schedule(), prog->bindings(), opts, &ai, &why);
+  ASSERT_NE(mod, nullptr) << why;
+  ASSERT_NE(mod->rows, nullptr);
+
+  GridStorage<double> whole(st.state()), banded(st.state());
+  std::vector<void*> ws, bs;
+  for (int s = 0; s < whole.slots(); ++s) {
+    whole.fill_random(s, 17 + static_cast<std::uint64_t>(s));
+    banded.fill_random(s, 17 + static_cast<std::uint64_t>(s));
+    whole.fill_halo(s, Boundary::ZeroHalo);
+    banded.fill_halo(s, Boundary::ZeroHalo);
+    ws.push_back(whole.slot_data(s));
+    bs.push_back(banded.slot_data(s));
+  }
+  // Steps 1-7: two unrolled blocks plus a remainder step in one call,
+  // against uneven disjoint bands issued last band first.
+  mod->run(ws.data(), 1, 7);
+  for (long t = 1; t <= 7; ++t)
+    for (const auto& [r0, r1] : {std::pair<long, long>{17, 24}, {5, 17}, {0, 5}})
+      mod->rows(bs.data(), t, r0, r1);
+  const auto bytes = static_cast<std::size_t>(whole.padded_points()) * sizeof(double);
+  for (int s = 0; s < whole.slots(); ++s)
+    EXPECT_EQ(std::memcmp(whole.slot_data(s), banded.slot_data(s), bytes), 0) << "slot " << s;
 }
 
 TEST(AotBackend, ProgramRunDispatchesThroughBackendSelector) {

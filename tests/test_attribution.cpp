@@ -108,7 +108,8 @@ TEST(Attribution, BucketPhasesSplitsLeafKindsAndComputesDispatch) {
   dumps[0].events = {ev(FlightKind::RowChunk, 10'000'000), ev(FlightKind::AotCompile, 2'000'000),
                      ev(FlightKind::Step, 99'000'000)};  // structural parent: not bucketed
   dumps[1].tid = 1;
-  dumps[1].events = {ev(FlightKind::WedgeWait, 5'000'000), ev(FlightKind::Wedge, 4'000'000)};
+  dumps[1].events = {ev(FlightKind::WedgeWait, 5'000'000), ev(FlightKind::Wedge, 4'000'000),
+                     ev(FlightKind::AotRun, 50'000'000)};  // parent of AOT RowChunks
 
   const auto p = bucket_phases(dumps, 0.020);
   EXPECT_DOUBLE_EQ(p.compute_s, 0.014);    // RowChunk + Wedge
@@ -117,7 +118,7 @@ TEST(Attribution, BucketPhasesSplitsLeafKindsAndComputesDispatch) {
   EXPECT_DOUBLE_EQ(p.wall_s, 0.020);
   // Busiest thread: tid 0 with 10+2 = 12 ms attributed; dispatch is the rest.
   EXPECT_DOUBLE_EQ(p.dispatch_s, 0.008);
-  EXPECT_EQ(p.events, 4);  // the Step parent span is excluded
+  EXPECT_EQ(p.events, 4);  // the Step and AotRun parent spans are excluded
 }
 
 TEST(Attribution, BucketPhasesClampsDispatchAtZero) {

@@ -485,7 +485,16 @@ class RouteMatrix : public ::testing::TestWithParam<RouteCell> {
       ref.fill_random(s, 31 + static_cast<std::uint64_t>(s));
       got.fill_random(s, 31 + static_cast<std::uint64_t>(s));
     }
-    run_reference(st, ref, 1, kSteps, bc);
+    // run_reference ticks the exec.* counters once per run, as run_scheduled
+    // does, with the same values it reports in its stats.
+    const auto ref_points0 = counter_value("exec.points_updated");
+    const auto ref_flops0 = counter_value("exec.flops");
+    const auto ref_steps0 = counter_value("exec.timesteps");
+    ExecStats ref_stats;
+    run_reference(st, ref, 1, kSteps, bc, {}, &ref_stats);
+    EXPECT_EQ(counter_value("exec.points_updated") - ref_points0, ref_stats.points_updated);
+    EXPECT_EQ(counter_value("exec.flops") - ref_flops0, ref_stats.flops);
+    EXPECT_EQ(counter_value("exec.timesteps") - ref_steps0, ref_stats.timesteps);
 
     // The selection rule: AOT when asked for and the boundary is ZeroHalo;
     // else the wedges when time_tile() > 1 and the boundary is ZeroHalo;
@@ -547,6 +556,9 @@ class RouteMatrix : public ::testing::TestWithParam<RouteCell> {
     EXPECT_EQ(counter_value("exec.points_updated") - points0, stats.points_updated);
     EXPECT_EQ(counter_value("exec.flops") - flops0, stats.flops);
     EXPECT_EQ(counter_value("exec.timesteps") - steps0, stats.timesteps);
+    EXPECT_EQ(ref_stats.timesteps, stats.timesteps);
+    EXPECT_EQ(ref_stats.points_updated, stats.points_updated);
+    EXPECT_EQ(ref_stats.flops, stats.flops);
   }
 };
 
