@@ -170,9 +170,8 @@ void measured_weak_scaling(prof::BenchReport& report) {
     const auto& st = prog->stencil();
     comm::CartDecomp dec(mpi, global);
 
-    auto& tl = prof::global_timeline();
-    tl.clear();
-    tl.set_enabled(true);
+    auto& flight = prof::global_flight();
+    flight.clear();
     std::atomic<std::int64_t> messages{0};
     comm::SimWorld world(dec.size());
     const auto wall0 = std::chrono::steady_clock::now();
@@ -190,12 +189,13 @@ void measured_weak_scaling(prof::BenchReport& report) {
     });
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-    tl.set_enabled(false);
-    const auto critical = prof::critical_path(tl.spans());
+    const auto dumps = flight.drain();
+    const auto spans = prof::phase_spans(dumps);
+    const auto critical = prof::critical_path(spans);
     const std::string tl_path = prof::bench_report_dir() +
                                 strprintf("/TIMELINE_fig10_r%d.json", dec.size());
-    tl.write_json(tl_path);
-    tl.clear();
+    workload::write_file(tl_path,
+                         prof::timeline_json(spans, prof::dropped_events(dumps)).dump() + "\n");
 
     const double msgs_per_rank_step =
         static_cast<double>(messages.load()) / dec.size() / 2.0;

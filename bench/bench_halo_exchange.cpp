@@ -10,8 +10,8 @@
 // the two exchangers must produce bit-identical padded rings (halos and
 // corners included) over a short distributed stepping; a wrong exchanger is
 // never timed.  An overlap section reruns the plan path through the
-// comm/compute-overlapped driver with the phase timeline on and reports the
-// measured overlap efficiency (hidden comm / total comm).
+// comm/compute-overlapped driver and reports the measured overlap
+// efficiency (hidden comm / total comm) from a drain of its flight events.
 
 #include <algorithm>
 #include <chrono>
@@ -188,11 +188,10 @@ Measured measure(const Row& r) {
   for (int d = 0; d < ndim; ++d)
     if (dec.dims()[static_cast<std::size_t>(d)] > 1 || dec.periodic(d)) m.seq_messages += 2;
 
-  // Overlap section: the overlapped driver with the phase timeline on; the
+  // Overlap section: the overlapped driver's rank-phase flight events; the
   // efficiency is how much of the comm-span union hides under compute.
-  auto& tl = prof::global_timeline();
-  tl.clear();
-  tl.set_enabled(true);
+  auto& flight = prof::global_flight();
+  flight.clear();
   {
     const auto& st = w.prog->stencil();
     comm::SimWorld world(dec.size());
@@ -208,9 +207,8 @@ Measured measure(const Row& r) {
       comm::run_distributed_overlapped(ctx, dec, st, local, 1, 3);
     });
   }
-  tl.set_enabled(false);
-  m.overlap_efficiency = prof::critical_path(tl.spans()).overlap_efficiency;
-  tl.clear();
+  m.overlap_efficiency =
+      prof::critical_path(prof::phase_spans(flight.drain())).overlap_efficiency;
   return m;
 }
 

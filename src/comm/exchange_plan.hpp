@@ -38,7 +38,6 @@
 #include "exec/grid.hpp"
 #include "prof/counters.hpp"
 #include "prof/timeline.hpp"
-#include "prof/trace.hpp"
 #include "support/error.hpp"
 
 namespace msc::comm {
@@ -200,14 +199,14 @@ ExchangeStats begin_exchange_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWo
   {
     // Receives first: with real MPI these would be persistent preposted
     // requests; here the registration order still documents the protocol.
-    prof::TimelineScope post_span(rank, prof::Phase::Post);
+    prof::RankPhaseScope post_span(rank, prof::Phase::Post);
     for (const PlanDirection& dir : plan.directions())
       ws.requests.push_back(ctx.irecv(dir.neighbor, dir.recv_tag,
                                       ws.recv_arena.data() + dir.arena_offset,
                                       dir.elems * static_cast<std::int64_t>(sizeof(T))));
   }
   {
-    prof::TimelineScope pack_span(rank, prof::Phase::Pack);
+    prof::RankPhaseScope pack_span(rank, prof::Phase::Pack);
     std::int64_t diag_msgs = 0;
     for (const PlanDirection& dir : plan.directions()) {
       T* buf = ws.send_arena.data() + dir.arena_offset;
@@ -231,7 +230,7 @@ template <typename T>
 void finish_exchange_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<T>& ws,
                           exec::GridStorage<T>& g, int slot) {
   ctx.wait_all(ws.requests);  // blocked time lands as "wait" spans (simmpi)
-  prof::TimelineScope unpack_span(ctx.rank(), prof::Phase::Unpack);
+  prof::RankPhaseScope unpack_span(ctx.rank(), prof::Phase::Unpack);
   for (const PlanDirection& dir : plan.directions())
     detail::unpack_block(g, slot, dir.recv_lo, dir.recv_hi,
                          ws.recv_arena.data() + dir.arena_offset);
@@ -244,10 +243,8 @@ void finish_exchange_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<
 template <typename T>
 ExchangeStats exchange_halo_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<T>& ws,
                                  exec::GridStorage<T>& g, int slot) {
-  prof::TraceScope scope("halo_exchange_plan", "comm");
   const ExchangeStats stats = begin_exchange_plan(ctx, plan, ws, g, slot);
   finish_exchange_plan(ctx, plan, ws, g, slot);
-  scope.arg("bytes_sent", static_cast<double>(stats.bytes_sent));
   return stats;
 }
 

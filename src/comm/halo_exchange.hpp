@@ -33,7 +33,6 @@
 #include "exec/grid.hpp"
 #include "prof/counters.hpp"
 #include "prof/timeline.hpp"
-#include "prof/trace.hpp"
 #include "support/error.hpp"
 
 namespace msc::comm {
@@ -134,14 +133,13 @@ ExchangeStats exchange_halo(RankCtx& ctx, const CartDecomp& dec, exec::GridStora
                             int slot, ExchangeWorkspace<T>& ws) {
   ExchangeStats stats;
   const int rank = ctx.rank();
-  prof::TraceScope scope("halo_exchange", "comm");
   for (int dim = 0; dim < dec.ndim(); ++dim) {
     ws.requests.clear();
     int recv_sides[2] = {0, 0};
     int nrecv = 0;
 
     {
-      prof::TimelineScope pack_span(rank, prof::Phase::Pack);
+      prof::RankPhaseScope pack_span(rank, prof::Phase::Pack);
       for (int side = 0; side < 2; ++side) {
         const int nb = dec.neighbor(rank, dim, side == 0 ? -1 : +1);
         if (nb < 0) continue;
@@ -164,14 +162,13 @@ ExchangeStats exchange_halo(RankCtx& ctx, const CartDecomp& dec, exec::GridStora
     }
     ctx.wait_all(ws.requests);  // blocked time lands as "wait" spans (simmpi)
     {
-      prof::TimelineScope unpack_span(rank, prof::Phase::Unpack);
+      prof::RankPhaseScope unpack_span(rank, prof::Phase::Unpack);
       for (int n = 0; n < nrecv; ++n)
         detail::unpack_face(local, slot, dim, recv_sides[n],
                             ws.recv[static_cast<std::size_t>(dim * 2 + recv_sides[n])]);
     }
     ctx.barrier();  // next dimension packs halos this dimension just filled
   }
-  scope.arg("bytes_sent", static_cast<double>(stats.bytes_sent));
   prof::counter("comm.halo.bytes_sent").add(stats.bytes_sent);
   prof::counter("comm.halo.messages").add(stats.messages_sent);
   prof::counter("comm.halo.exchanges").add(1);
@@ -205,7 +202,7 @@ PendingExchange<T> begin_exchange_async(RankCtx& ctx, const CartDecomp& dec,
                                         const exec::GridStorage<T>& local, int slot) {
   PendingExchange<T> pending;
   const int rank = ctx.rank();
-  prof::TimelineScope pack_span(rank, prof::Phase::Pack);
+  prof::RankPhaseScope pack_span(rank, prof::Phase::Pack);
   for (int dim = 0; dim < dec.ndim(); ++dim) {
     for (int side = 0; side < 2; ++side) {
       const int nb = dec.neighbor(rank, dim, side == 0 ? -1 : +1);
@@ -230,8 +227,6 @@ PendingExchange<T> begin_exchange_async(RankCtx& ctx, const CartDecomp& dec,
   prof::counter("comm.halo.bytes_sent").add(pending.stats.bytes_sent);
   prof::counter("comm.halo.messages").add(pending.stats.messages_sent);
   prof::counter("comm.halo.exchanges").add(1);
-  prof::global_trace().instant("halo_exchange.begin", "comm",
-                               {{"bytes_sent", static_cast<double>(pending.stats.bytes_sent)}});
   return pending;
 }
 
@@ -239,7 +234,7 @@ template <typename T>
 void finish_exchange_async(RankCtx& ctx, PendingExchange<T>& pending,
                            exec::GridStorage<T>& local, int slot) {
   ctx.wait_all(pending.requests);  // blocked time lands as "wait" spans (simmpi)
-  prof::TimelineScope unpack_span(ctx.rank(), prof::Phase::Unpack);
+  prof::RankPhaseScope unpack_span(ctx.rank(), prof::Phase::Unpack);
   for (std::size_t n = 0; n < pending.recv_bufs.size(); ++n)
     detail::unpack_face(local, slot, pending.recv_faces[n].first, pending.recv_faces[n].second,
                         pending.recv_bufs[n], /*padded_cross=*/false);
@@ -283,7 +278,7 @@ DistRunStats run_distributed(RankCtx& ctx, const CartDecomp& dec, const ir::Sten
 
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
     {
-      prof::TimelineScope compute_span(ctx.rank(), prof::Phase::Compute);
+      prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
       exec::run_reference(st, local, t, t, exec::Boundary::External, bindings);
     }
     const auto ex = exchange(local.slot_for_time(t));
@@ -406,42 +401,33 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
     }
   }
 
-  auto& timeline = prof::global_timeline();
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
     T* out = local.slot_data(local.slot_for_time(t));
     const auto terms = exec::resolve_terms(*lin, local, t);
     const int newest = local.slot_for_time(t - 1);
     const auto pending_stats = begin_exchange_plan(ctx, plan, pws, local, newest);
-    // Messages are in flight from here until the finish wait; the "send"
-    // span is the window the async exchange offers for hiding comm, and
-    // its intersection with compute spans is the overlap-efficiency
-    // numerator (critical_path()).
-    const bool tl_on = timeline.enabled();
-    const double flight0 = tl_on ? timeline.now() : 0.0;
-
-    // Interior: needs no halo of the in-flight slot.
-    if (has_interior) {
-      // The overlap window: interior cells compute while halo messages fly.
-      prof::TraceScope overlap("overlap.interior_compute", "comm");
-      prof::TimelineScope compute_span(ctx.rank(), prof::Phase::Compute);
-      const std::int64_t pts = detail::sweep_box(local, out, terms, interior);
-      overlap.arg("points", static_cast<double>(pts));
-      stats.interior_points_overlapped += pts;
-      prof::counter("comm.overlap.interior_points").add(pts);
-    }
-    if (tl_on) timeline.record(ctx.rank(), prof::Phase::Send, flight0, timeline.now());
-
     {
-      prof::TraceScope finish("halo_exchange.finish", "comm");
-      finish_exchange_plan(ctx, plan, pws, local, newest);
+      // Messages are in flight from here until the finish wait; the "send"
+      // span is the window the async exchange offers for hiding comm, and
+      // its intersection with compute spans is the overlap-efficiency
+      // numerator (critical_path()).
+      prof::RankPhaseScope send_window(ctx.rank(), prof::Phase::Send);
+      // Interior: needs no halo of the in-flight slot.
+      if (has_interior) {
+        prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
+        const std::int64_t pts = detail::sweep_box(local, out, terms, interior);
+        stats.interior_points_overlapped += pts;
+        prof::counter("comm.overlap.interior_points").add(pts);
+      }
     }
+    finish_exchange_plan(ctx, plan, pws, local, newest);
     stats.exchange.messages_sent += pending_stats.messages_sent;
     stats.exchange.bytes_sent += pending_stats.bytes_sent;
 
     {
       // The shell reads the halos just received; it runs after the wait,
       // so its compute is exposed (never overlapped) time.
-      prof::TimelineScope compute_span(ctx.rank(), prof::Phase::Compute);
+      prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
       for (const auto& box : shell) detail::sweep_box(local, out, terms, box);
     }
 

@@ -111,7 +111,7 @@ void RankCtx::wait(Request& req) {
   MSC_CHECK(req.kind == Request::Kind::Recv) << "only receives can be pending";
   // Blocked-receive time is the "wait" phase of this rank's timeline; the
   // span covers match scanning plus any sleep on the mailbox condvar.
-  prof::TimelineScope wait_span(rank_, prof::Phase::Wait);
+  prof::RankPhaseScope wait_span(rank_, prof::Phase::Wait);
   auto& box = world_->mailbox(req.peer, rank_);
   const CommConfig& cfg = world_->comm_config();
   const bool resilient = world_->resilient();
@@ -233,7 +233,7 @@ void RankCtx::wait(Request& req) {
     bool timed_out;
     if (attempt > 0) {
       // Backoff sleep of a retry rung: attributed as recovery time.
-      prof::TimelineScope retry_span(rank_, prof::Phase::Retry);
+      prof::RankPhaseScope retry_span(rank_, prof::Phase::Retry);
       timed_out = box.cv.wait_until(lock, wake) == std::cv_status::timeout;
     } else {
       timed_out = box.cv.wait_until(lock, wake) == std::cv_status::timeout;
@@ -276,7 +276,7 @@ void RankCtx::wait_all(std::vector<Request>& reqs) {
 }
 
 void RankCtx::barrier() {
-  prof::TimelineScope barrier_span(rank_, prof::Phase::Barrier);
+  prof::RankPhaseScope barrier_span(rank_, prof::Phase::Barrier);
   std::unique_lock lock(world_->barrier_mutex_);
   const auto throw_if_failed = [this] {
     const int f = world_->first_failed_rank();

@@ -15,7 +15,6 @@
 #include "prof/counters.hpp"
 #include "prof/flight.hpp"
 #include "prof/log.hpp"
-#include "prof/trace.hpp"
 #include "support/env.hpp"
 #include "support/shell.hpp"
 #include "support/strings.hpp"
@@ -232,7 +231,6 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     // bench loops and parallel oracles), then the on-disk object.  A stale
     // or corrupt .so (failed dlopen / ABI check) is deleted and rebuilt
     // below instead of erroring.
-    prof::TraceScope probe_scope("aot.cache_probe", "aot");
     prof::FlightScope probe_flight(prof::FlightKind::AotCacheProbe);
     if (!opts.force_recompile) {
       std::lock_guard<std::mutex> lock(g_registry_mutex);
@@ -277,7 +275,6 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
 
   const fs::path tmp = so.string() + strprintf(".tmp.%d", static_cast<int>(::getpid()));
   const auto r = [&] {
-    prof::TraceScope compile_scope("aot.compile", "aot");
     prof::FlightScope compile_flight(prof::FlightKind::AotCompile,
                                      static_cast<std::int64_t>(source.size()));
     return run_shell(shell_quote(opts.cc) + " " + flags + " -o " +
@@ -309,7 +306,6 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
 
   if (cancel != nullptr) cancel->checkpoint_now("aot.dlopen");
   auto mod = [&] {
-    prof::TraceScope dlopen_scope("aot.dlopen", "aot");
     prof::FlightScope dlopen_flight(prof::FlightKind::AotDlopen);
     return open_module(so.string(), why);
   }();

@@ -9,7 +9,6 @@
 #include "prof/counters.hpp"
 #include "prof/flight.hpp"
 #include "prof/log.hpp"
-#include "prof/trace.hpp"
 #include "support/shell.hpp"
 
 namespace msc::exec {
@@ -115,8 +114,6 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
 
   std::int64_t points = 0;
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    prof::TraceScope step_scope("run_scheduled.step", "exec");
-    step_scope.arg("t", static_cast<double>(t));
     prof::FlightScope flight_step(prof::FlightKind::Step, 0,
                                   static_cast<std::int64_t>(lin.terms.size()));
     const int out_slot = state.slot_for_time(t);
@@ -146,9 +143,6 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
   info.dep_span = tplan.dep_span;
 
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
-  prof::TraceScope scope("run_scheduled.temporal", "exec");
-  scope.arg("t_begin", static_cast<double>(t_begin));
-  scope.arg("t_end", static_cast<double>(t_end));
   const prof::FlightPlanScope flight_plan(
       fingerprint(plan, lin.terms.size(), static_cast<std::uint64_t>(tplan.wedge_depth)));
   return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel).points;
@@ -181,9 +175,6 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
   if (!parallel) bands.assign(1, {0, plan.extent[0]});
   const std::int64_t points_per_row = state.tensor()->interior_points() / plan.extent[0];
 
-  prof::TraceScope scope("run_scheduled.aot", "exec");
-  scope.arg("t_begin", static_cast<double>(t_begin));
-  scope.arg("t_end", static_cast<double>(t_end));
   const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0xA07));
   prof::FlightScope flight_run(prof::FlightKind::AotRun, t_end - t_begin + 1);
   std::int64_t t = t_begin;

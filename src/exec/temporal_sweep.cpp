@@ -8,7 +8,6 @@
 
 #include "prof/counters.hpp"
 #include "prof/flight.hpp"
-#include "prof/trace.hpp"
 
 namespace msc::exec {
 
@@ -68,9 +67,6 @@ template <typename T>
 void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel& lin,
                GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, SweepStats& total,
                const CancelToken* cancel) {
-  prof::TraceScope block_scope("temporal.block", "exec");
-  block_scope.arg("t0", static_cast<double>(t0));
-  block_scope.arg("depth", static_cast<double>(set.depth));
   prof::FlightScope block_flight(prof::FlightKind::WedgeBlock, t0, set.depth);
   prof::counter("sweep.temporal.blocks").add(1);
 
@@ -97,8 +93,6 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
       // Wedge-boundary cancellation: a wedge is the natural unit after
       // which the in-place ring rotation is self-consistent again.
       if (cancel != nullptr) cancel->checkpoint("temporal.wedge");
-      prof::TraceScope wedge_scope("temporal.wedge", "exec");
-      wedge_scope.arg("w", static_cast<double>(wedge.index));
       prof::FlightScope wedge_flight(prof::FlightKind::Wedge, wedge.index,
                                      static_cast<std::int64_t>(wedge.steps.size()));
       for (const auto& ws : wedge.steps)
@@ -172,9 +166,6 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
             prof::global_flight().record(prof::FlightKind::WedgeWait, wait_start,
                                          prof::flight_now_ns(), c, s);
           if (failed.load(std::memory_order_relaxed)) break;
-          prof::TraceScope level_scope("temporal.chunk", "exec");
-          level_scope.arg("chunk", static_cast<double>(c));
-          level_scope.arg("level", static_cast<double>(s));
           prof::FlightScope level_flight(prof::FlightKind::Wedge, c, 0);
           std::int64_t level_steps = 0;
           for (std::int64_t w = lo[static_cast<std::size_t>(c)];

@@ -1,7 +1,7 @@
 #pragma once
 
 // Process-wide counter registry (the profiling layer's "what happened"
-// half; trace.hpp is the "when").  Named counters come in two kinds:
+// half; flight.hpp is the "when").  Named counters come in two kinds:
 //
 //  * monotonic — add-only totals (DMA bytes, halo messages, flops),
 //  * gauge     — level samples folded with max() (SPM high-water mark).

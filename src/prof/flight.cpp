@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <unordered_map>
 
 namespace msc::prof {
 
@@ -14,6 +15,20 @@ std::chrono::steady_clock::time_point flight_epoch() {
 }
 
 std::atomic<std::uint64_t> g_current_plan{0};
+
+/// Recorders alive right now, by id: an exiting thread hands its rings back
+/// only to recorders still in here.  Never destroyed, so threads exiting
+/// during static destruction find it intact.
+struct LiveRecorders {
+  std::mutex mutex;
+  std::unordered_map<std::uint64_t, FlightRecorder*> by_id;
+  std::uint64_t next_id = 1;
+};
+
+LiveRecorders& live_recorders() {
+  static auto* live = new LiveRecorders;
+  return *live;
+}
 
 }  // namespace
 
@@ -30,6 +45,7 @@ const char* flight_kind_name(FlightKind kind) {
     case FlightKind::AotDlopen: return "aot_dlopen";
     case FlightKind::AotRun: return "aot_run";
     case FlightKind::Crash: return "crash";
+    case FlightKind::RankPhase: return "rank_phase";
   }
   return "unknown";
 }
@@ -40,26 +56,65 @@ std::uint64_t flight_now_ns() {
                                         .count());
 }
 
-std::uint64_t FlightRecorder::next_recorder_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+FlightRecorder::FlightRecorder()
+    : id_([this] {
+        auto& live = live_recorders();
+        std::lock_guard<std::mutex> lock(live.mutex);
+        const std::uint64_t id = live.next_id++;
+        live.by_id.emplace(id, this);
+        return id;
+      }()) {}
+
+FlightRecorder::~FlightRecorder() {
+  auto& live = live_recorders();
+  std::lock_guard<std::mutex> lock(live.mutex);
+  live.by_id.erase(id_);
 }
 
 FlightRecorder::ThreadRing& FlightRecorder::ring_for_current_thread() {
-  // One registration per (thread, recorder); the cached pairs make the
-  // steady-state record() path a thread-local scan of (almost always) one
-  // entry.  Keyed by a process-unique recorder id, not the address — tests
-  // instantiate short-lived local recorders and a reused address must not
-  // resolve to a freed ring.
-  thread_local std::vector<std::pair<std::uint64_t, ThreadRing*>> cached;
-  for (const auto& [owner, ring] : cached)
+  // One ring per (thread, recorder); the cached pairs make the steady-state
+  // record() path a thread-local scan of (almost always) one entry.  Keyed
+  // by a process-unique recorder id, not the address — tests instantiate
+  // short-lived local recorders and a reused address must not resolve to a
+  // freed ring.  At thread exit every ring goes back to its recorder, if
+  // that recorder is still alive.
+  struct OwnedRings {
+    std::vector<std::pair<std::uint64_t, ThreadRing*>> rings;
+    OwnedRings() = default;
+    OwnedRings(const OwnedRings&) = delete;
+    OwnedRings& operator=(const OwnedRings&) = delete;
+    ~OwnedRings() {
+      auto& live = live_recorders();
+      std::lock_guard<std::mutex> lock(live.mutex);
+      for (const auto& [owner, ring] : rings)
+        if (const auto it = live.by_id.find(owner); it != live.by_id.end())
+          it->second->release(ring);
+    }
+  };
+  thread_local OwnedRings owned;
+  for (const auto& [owner, ring] : owned.rings)
     if (owner == id_) return *ring;
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto ring = std::make_unique<ThreadRing>();
-  ring->tid = static_cast<int>(rings_.size());
-  rings_.push_back(std::move(ring));
-  cached.emplace_back(id_, rings_.back().get());
-  return *rings_.back();
+  ThreadRing* ring = nullptr;
+  if (!free_.empty()) {
+    // Adopt as is: the count carries on, so total_recorded() stays
+    // monotonic and sequence numbers stay consecutive within the ring.
+    ring = free_.back();
+    free_.pop_back();
+  } else {
+    rings_.push_back(std::make_unique<ThreadRing>());
+    ring = rings_.back().get();
+    ring->tid = static_cast<int>(rings_.size()) - 1;
+  }
+  ring->live = true;
+  owned.rings.emplace_back(id_, ring);
+  return *ring;
+}
+
+void FlightRecorder::release(ThreadRing* ring) {
+  std::lock_guard<std::mutex> lock(registry_mutex_);
+  ring->live = false;
+  free_.push_back(ring);
 }
 
 void FlightRecorder::record(FlightKind kind, std::uint64_t start_ns, std::uint64_t end_ns,
@@ -86,6 +141,7 @@ std::vector<FlightThreadDump> FlightRecorder::drain(std::size_t last_n) const {
   for (const auto& ring : rings_) {
     FlightThreadDump dump;
     dump.tid = ring->tid;
+    dump.live = ring->live;
     const std::uint64_t n1 = ring->count.load(std::memory_order_acquire);
     dump.recorded = n1;
     if (n1 == 0) {
@@ -128,9 +184,15 @@ std::uint64_t FlightRecorder::total_recorded() const {
   return total;
 }
 
+std::uint64_t dropped_events(const std::vector<FlightThreadDump>& dumps) {
+  std::uint64_t total = 0;
+  for (const auto& dump : dumps) total += dump.dropped();
+  return total;
+}
+
 FlightRecorder& global_flight() {
-  static FlightRecorder recorder;
-  return recorder;
+  static auto* recorder = new FlightRecorder;
+  return *recorder;
 }
 
 std::uint64_t current_flight_plan() { return g_current_plan.load(std::memory_order_relaxed); }
@@ -165,6 +227,8 @@ workload::Json flight_dump_json(std::size_t last_n) {
     workload::Json th = workload::Json::object();
     th["tid"] = workload::Json::integer(dump.tid);
     th["recorded"] = workload::Json::integer(static_cast<long long>(dump.recorded));
+    th["dropped"] = workload::Json::integer(static_cast<long long>(dump.dropped()));
+    th["live"] = workload::Json::boolean(dump.live);
     workload::Json events = workload::Json::array();
     for (const auto& ev : dump.events) {
       workload::Json e = workload::Json::object();

@@ -1,20 +1,24 @@
 #pragma once
 
-// Execution flight recorder: always-on, low-overhead span capture for the
-// host engines (the profiling layer's "black box" half — what the process
-// was doing in the instants before you asked, or before it died).
+// Execution flight recorder: the one event recorder.  Always-on,
+// low-overhead span capture for the host engines, the halo exchangers and
+// the simmpi transport (the profiling layer's "black box" half — what the
+// process was doing in the instants before you asked, or before it died).
 //
-// Unlike the TraceRecorder (opt-in, mutex-guarded, unbounded), the flight
-// recorder is armed by default and bounded by construction: every thread
-// owns a fixed-size ring of POD events and records into it with plain
-// stores plus one release counter bump — no locks, no allocation, no
+// The recorder is armed by default and bounded by construction: every
+// thread owns a fixed-size ring of POD events and records into it with
+// plain stores plus one release counter bump — no locks, no allocation, no
 // cross-thread contention on the hot path.  A disabled recorder costs one
-// relaxed atomic load per record call.
+// relaxed atomic load per record call.  When a thread exits its ring goes
+// back to the recorder and the next new thread adopts it (count, tid and
+// the surviving events included), so short-lived threads — simmpi spawns
+// one per rank per SimWorld::run — never grow the ring set past the peak
+// number of live recording threads.
 //
 // Events are fixed-size spans (48 bytes): start/duration in nanoseconds
-// against a process-wide steady-clock epoch, the owning thread's stable
-// tid, the fingerprint of the plan being executed (FlightPlanScope), a
-// kind tag, and two kind-specific payload lanes:
+// against a process-wide steady-clock epoch, the owning ring's stable tid,
+// the fingerprint of the plan being executed (FlightPlanScope), a kind
+// tag, and two kind-specific payload lanes:
 //
 //   kind          a                  b
 //   Step          points swept       terms
@@ -27,13 +31,17 @@
 //   AotDlopen     0                  0
 //   AotRun        timesteps          0
 //   Crash         rank               step
+//   RankPhase     rank               prof::Phase (prof/timeline.hpp)
 //
 // Draining is wait-free for writers: the reader snapshots each ring and
 // keeps only events whose stored per-thread sequence number is provably
 // not overwritten mid-copy (a seqlock-lite validity window), so a drain
-// concurrent with writers yields a consistent suffix per thread.  The
-// resilience layer calls flight_dump_json() when a rank crashes so chaos
-// reports carry the last-N events per thread (schema "msc-flight-v1").
+// concurrent with writers yields a consistent suffix per thread.  A ring
+// that wrapped shows as dropped() > 0 on its dump.  Everything else is
+// derived from a drain: the chrome://tracing and msc-timeline-v1 documents
+// and critical_path() (prof/timeline.hpp), the attribution buckets
+// (prof/attribution.hpp), and the crash dump flight_dump_json() that the
+// resilience layer writes when a rank crashes (schema "msc-flight-v1").
 
 #include <array>
 #include <atomic>
@@ -58,6 +66,7 @@ enum class FlightKind : std::uint8_t {
   AotDlopen,      ///< dlopen + symbol/ABI validation
   AotRun,         ///< the AOT route's whole time loop (parent of RowChunk)
   Crash,          ///< a fault-plan crash fired (instant, dur 0)
+  RankPhase,      ///< one simmpi rank's comm/compute phase (RankPhaseScope)
 };
 
 const char* flight_kind_name(FlightKind kind);
@@ -79,10 +88,19 @@ std::uint64_t flight_now_ns();
 
 /// One thread's drained suffix, oldest first.
 struct FlightThreadDump {
-  int tid = 0;                      ///< stable small id, first-seen order
-  std::uint64_t recorded = 0;       ///< events ever recorded by this thread
+  int tid = 0;                      ///< stable small ring id, first-seen order
+  std::uint64_t recorded = 0;       ///< events ever recorded into this ring
+  bool live = true;                 ///< a live thread owns the ring
   std::vector<FlightEvent> events;  ///< surviving suffix (<= ring capacity)
+
+  /// Recorded events this dump does not hold: overwritten by a wrap (or
+  /// cut by drain's last_n).
+  std::uint64_t dropped() const { return recorded - events.size(); }
 };
+
+/// Sum of dropped() over a drain: nonzero means a ring wrapped and any
+/// analysis of the drain undercounts.
+std::uint64_t dropped_events(const std::vector<FlightThreadDump>& dumps);
 
 class FlightRecorder {
  public:
@@ -90,11 +108,17 @@ class FlightRecorder {
   /// per thread, enough to hold several full timesteps of chunk spans.
   static constexpr std::size_t kRingCapacity = 1024;
 
+  FlightRecorder();
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
+
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Records one event from the calling thread (wait-free: ring slot store
-  /// + release counter bump; first call per thread registers its ring).
+  /// + release counter bump; a thread's first call adopts a ring an exited
+  /// thread released, or registers a new one).
   void record(FlightKind kind, std::uint64_t start_ns, std::uint64_t end_ns,
               std::int64_t a = 0, std::int64_t b = 0);
 
@@ -104,15 +128,17 @@ class FlightRecorder {
   std::vector<FlightThreadDump> drain(std::size_t last_n = kRingCapacity) const;
 
   /// Resets every ring's count (events recorded so far become invisible).
-  /// Thread ids and the time epoch are preserved.
+  /// Thread ids, ring ownership and the time epoch are preserved.
   void clear();
 
-  /// Total events ever recorded across threads (monotonic until clear).
+  /// Total events ever recorded across threads (monotonic until clear, and
+  /// across thread exits: an adopted ring keeps counting from its count).
   std::uint64_t total_recorded() const;
 
  private:
   struct ThreadRing {
     int tid = 0;
+    bool live = true;  // guarded by registry_mutex_
     // Written only by the owning thread; count published with release so a
     // drain's acquire load sees fully-stored events below it.
     std::atomic<std::uint64_t> count{0};
@@ -120,15 +146,18 @@ class FlightRecorder {
   };
 
   ThreadRing& ring_for_current_thread();
+  /// Hands an exiting thread's ring back for adoption.
+  void release(ThreadRing* ring);
 
-  const std::uint64_t id_ = next_recorder_id();
-  static std::uint64_t next_recorder_id();
+  const std::uint64_t id_;
   std::atomic<bool> enabled_{true};
-  mutable std::mutex registry_mutex_;  // ring registration + drain snapshot
+  mutable std::mutex registry_mutex_;  // ring registration/adoption + drain
   std::vector<std::unique_ptr<ThreadRing>> rings_;
+  std::vector<ThreadRing*> free_;      // released rings awaiting a new thread
 };
 
-/// The process-wide recorder the host engines report into.
+/// The process-wide recorder every engine and comm layer reports into
+/// (never destroyed, so threads outliving static destruction stay safe).
 FlightRecorder& global_flight();
 
 /// RAII span against the global recorder.  Payload lanes may be filled any

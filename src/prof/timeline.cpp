@@ -27,59 +27,20 @@ const char* phase_name(Phase phase) {
 
 bool phase_is_comm(Phase phase) { return phase != Phase::Compute; }
 
-double TimelineRecorder::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - origin_).count();
-}
-
-void TimelineRecorder::record(int rank, Phase phase, double t0, double t1) {
-  if (!enabled()) return;
-  if (t1 < t0) t1 = t0;
-  std::lock_guard lock(mutex_);
-  spans_.push_back({rank, phase, t0, t1});
-}
-
-void TimelineRecorder::clear() {
-  std::lock_guard lock(mutex_);
-  spans_.clear();
-  origin_ = std::chrono::steady_clock::now();
-}
-
-std::size_t TimelineRecorder::size() const {
-  std::lock_guard lock(mutex_);
-  return spans_.size();
-}
-
-std::vector<PhaseSpan> TimelineRecorder::spans() const {
-  std::lock_guard lock(mutex_);
-  return spans_;
-}
-
-workload::Json TimelineRecorder::to_json() const {
-  using workload::Json;
-  const auto all = spans();
-  Json root = Json::object();
-  root["schema"] = Json::string("msc-timeline-v1");
-  Json& list = root["spans"];
-  list = Json::array();
-  for (const PhaseSpan& s : all) {
-    Json e = Json::object();
-    e["rank"] = Json::integer(s.rank);
-    e["phase"] = Json::string(phase_name(s.phase));
-    e["t0"] = Json::number(s.t0);
-    e["t1"] = Json::number(s.t1);
-    list.push_back(std::move(e));
-  }
-  root["critical_path"] = critical_path_json(critical_path(all));
-  return root;
-}
-
-void TimelineRecorder::write_json(const std::string& path) const {
-  workload::write_file(path, to_json().dump() + "\n");
-}
-
-TimelineRecorder& global_timeline() {
-  static TimelineRecorder recorder;
-  return recorder;
+std::vector<PhaseSpan> phase_spans(const std::vector<FlightThreadDump>& dumps) {
+  std::vector<PhaseSpan> spans;
+  std::uint64_t origin = UINT64_MAX;
+  for (const auto& dump : dumps)
+    for (const FlightEvent& ev : dump.events)
+      if (ev.kind == FlightKind::RankPhase) origin = std::min(origin, ev.start_ns);
+  for (const auto& dump : dumps)
+    for (const FlightEvent& ev : dump.events) {
+      if (ev.kind != FlightKind::RankPhase) continue;
+      const double t0 = static_cast<double>(ev.start_ns - origin) * 1e-9;
+      spans.push_back({static_cast<int>(ev.a), static_cast<Phase>(ev.b), t0,
+                       t0 + static_cast<double>(ev.dur_ns) * 1e-9});
+    }
+  return spans;
 }
 
 namespace {
@@ -221,6 +182,95 @@ std::string critical_path_summary(const CriticalPathReport& report) {
         report.overlap_efficiency * 100.0, report.hidden_comm_seconds,
         report.total_comm_seconds);
   return out.str();
+}
+
+workload::Json timeline_json(const std::vector<PhaseSpan>& spans, std::uint64_t dropped_events) {
+  using workload::Json;
+  Json root = Json::object();
+  root["schema"] = Json::string("msc-timeline-v1");
+  Json& list = root["spans"];
+  list = Json::array();
+  for (const PhaseSpan& s : spans) {
+    Json e = Json::object();
+    e["rank"] = Json::integer(s.rank);
+    e["phase"] = Json::string(phase_name(s.phase));
+    e["t0"] = Json::number(s.t0);
+    e["t1"] = Json::number(s.t1);
+    list.push_back(std::move(e));
+  }
+  root["critical_path"] = critical_path_json(critical_path(spans));
+  root["dropped_events"] = Json::integer(static_cast<long long>(dropped_events));
+  return root;
+}
+
+workload::Json chrome_trace_json(const std::vector<FlightThreadDump>& dumps,
+                                 const std::vector<PhaseSpan>& simulated) {
+  using workload::Json;
+  // Metadata events ("M") name a process or thread; complete events ("X")
+  // are spans with microsecond ts/dur.
+  const auto event = [](std::string name, const char* ph, int pid, int tid, Json args) {
+    Json e = Json::object();
+    e["name"] = Json::string(std::move(name));
+    e["ph"] = Json::string(ph);
+    e["pid"] = Json::integer(pid);
+    e["tid"] = Json::integer(tid);
+    e["args"] = std::move(args);
+    return e;
+  };
+  const auto span = [&](std::string name, const char* cat, double ts_us, double dur_us,
+                        int pid, int tid, Json args) {
+    Json e = event(std::move(name), "X", pid, tid, std::move(args));
+    e["cat"] = Json::string(cat);
+    e["ts"] = Json::number(ts_us);
+    e["dur"] = Json::number(dur_us);
+    return e;
+  };
+  const auto named = [](const std::string& name) {
+    Json args = Json::object();
+    args["name"] = Json::string(name);
+    return args;
+  };
+
+  std::uint64_t origin = UINT64_MAX;
+  for (const auto& dump : dumps)
+    for (const FlightEvent& ev : dump.events) origin = std::min(origin, ev.start_ns);
+
+  Json root = Json::object();
+  Json& list = root["traceEvents"];
+  list = Json::array();
+  list.push_back(event("process_name", "M", 0, 0, named("host (wall time)")));
+  for (const auto& dump : dumps) {
+    if (dump.recorded == 0) continue;  // registered but idle rings add noise
+    Json ring = named(strprintf("flight ring %d", dump.tid));
+    ring["recorded"] = Json::integer(static_cast<long long>(dump.recorded));
+    ring["dropped"] = Json::integer(static_cast<long long>(dump.dropped()));
+    list.push_back(event("thread_name", "M", 0, dump.tid, std::move(ring)));
+    for (const FlightEvent& ev : dump.events) {
+      const bool phase = ev.kind == FlightKind::RankPhase;
+      Json args = Json::object();
+      if (phase) {
+        args["rank"] = Json::integer(static_cast<long long>(ev.a));
+      } else {
+        args["a"] = Json::integer(static_cast<long long>(ev.a));
+        args["b"] = Json::integer(static_cast<long long>(ev.b));
+      }
+      list.push_back(span(phase ? phase_name(static_cast<Phase>(ev.b)) : flight_kind_name(ev.kind),
+                          phase ? "comm" : "exec",
+                          static_cast<double>(ev.start_ns - origin) * 1e-3,
+                          static_cast<double>(ev.dur_ns) * 1e-3, 0, dump.tid, std::move(args)));
+    }
+  }
+  if (!simulated.empty()) {
+    list.push_back(event("process_name", "M", 1, 0, named("Sunway CG (simulated time)")));
+    for (const PhaseSpan& s : simulated)
+      list.push_back(span(phase_name(s.phase), "sunway", s.t0 * 1e6, s.seconds() * 1e6, 1,
+                          s.rank, Json::object()));
+  }
+  root["displayTimeUnit"] = Json::string("ms");
+  Json other = Json::object();
+  other["dropped_events"] = Json::integer(static_cast<long long>(dropped_events(dumps)));
+  root["otherData"] = std::move(other);
+  return root;
 }
 
 }  // namespace msc::prof

@@ -1,15 +1,17 @@
 #pragma once
 
 // Per-rank phase timeline: the attribution layer between the flat counters
-// (counters.hpp) and the free-form trace (trace.hpp).
+// (counters.hpp) and the raw flight rings (flight.hpp).
 //
 // Every span is (rank, phase, [t0, t1)) in seconds.  The comm layers record
 // wall-clock spans (pack/post/send/wait/unpack/compute per simmpi rank
-// thread); the Sunway CG simulator records *simulated*-time spans
-// (compute/dma per step).  The two time bases must not be mixed in one
-// recording — msc-prof snapshots and clears between passes.
+// thread) as RankPhase flight events through RankPhaseScope; phase_spans()
+// turns a drain back into spans.  The Sunway CG simulator's spans are in
+// *simulated* time — model outputs, not measurements — so it returns them
+// in CgSimResult::spans and records nothing; the two time bases never
+// share a document.
 //
-// critical_path() turns a recording into the quantities behind the paper's
+// critical_path() turns spans into the quantities behind the paper's
 // Fig. 10 discussion:
 //   * per-rank, per-phase totals and the busy time (union measure of spans),
 //   * the critical rank (max busy) and its dominant phase — which rank and
@@ -18,17 +20,16 @@
 //     the part of the comm-span union that runs concurrently with compute
 //     spans on the same rank (the async halo exchange's whole point).
 //
-// Like the trace recorder, the timeline is process-global and disabled by
-// default; a disabled TimelineScope costs one relaxed atomic load.
+// The documents msc-prof and the benches write are derived here too:
+// timeline_json() ("msc-timeline-v1") and chrome_trace_json()
+// (chrome://tracing, loadable at https://ui.perfetto.dev).
 
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "prof/flight.hpp"
 #include "workload/report.hpp"
 
 namespace msc::prof {
@@ -54,57 +55,17 @@ struct PhaseSpan {
   double seconds() const { return t1 - t0; }
 };
 
-class TimelineRecorder {
+/// RAII wall-clock span of one rank's phase: a RankPhase flight event with
+/// lane a = rank and lane b = phase.
+class RankPhaseScope : public FlightScope {
  public:
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-  /// Seconds since the recording origin (the wall-clock time base).
-  double now() const;
-
-  /// Records one span in an explicit time base (any thread).
-  void record(int rank, Phase phase, double t0, double t1);
-
-  /// Drops all spans and resets the wall-clock origin.
-  void clear();
-
-  std::size_t size() const;
-  std::vector<PhaseSpan> spans() const;
-
-  /// {"schema":"msc-timeline-v1","spans":[...],"critical_path":{...}}
-  workload::Json to_json() const;
-  void write_json(const std::string& path) const;
-
- private:
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mutex_;
-  std::chrono::steady_clock::time_point origin_ = std::chrono::steady_clock::now();
-  std::vector<PhaseSpan> spans_;
+  RankPhaseScope(int rank, Phase phase)
+      : FlightScope(FlightKind::RankPhase, rank, static_cast<std::int64_t>(phase)) {}
 };
 
-/// The process-wide timeline the comm layers and simulators report into.
-TimelineRecorder& global_timeline();
-
-/// RAII wall-clock span against the global timeline.  Armed at construction
-/// (like TraceScope: enabling mid-span records nothing).
-class TimelineScope {
- public:
-  TimelineScope(int rank, Phase phase)
-      : armed_(global_timeline().enabled()), rank_(rank), phase_(phase) {
-    if (armed_) t0_ = global_timeline().now();
-  }
-  ~TimelineScope() {
-    if (armed_) global_timeline().record(rank_, phase_, t0_, global_timeline().now());
-  }
-  TimelineScope(const TimelineScope&) = delete;
-  TimelineScope& operator=(const TimelineScope&) = delete;
-
- private:
-  bool armed_;
-  int rank_;
-  Phase phase_;
-  double t0_ = 0.0;
-};
+/// The RankPhase events of a drain as spans, in seconds since the earliest
+/// of them (other kinds are skipped).
+std::vector<PhaseSpan> phase_spans(const std::vector<FlightThreadDump>& dumps);
 
 /// Per-rank attribution.
 struct RankBreakdown {
@@ -131,5 +92,20 @@ workload::Json critical_path_json(const CriticalPathReport& report);
 
 /// Human-readable per-rank table + verdict line (what msc-prof prints).
 std::string critical_path_summary(const CriticalPathReport& report);
+
+/// {"schema":"msc-timeline-v1","spans":[...],"critical_path":{...},
+///  "dropped_events":n} — n is dropped_events() of the drain the spans came
+/// from (0 for simulated spans).
+workload::Json timeline_json(const std::vector<PhaseSpan>& spans,
+                             std::uint64_t dropped_events = 0);
+
+/// chrome://tracing "JSON object format" ({"traceEvents": [...]}) of a
+/// drain: one complete event per flight event (RankPhase events named by
+/// phase) on pid 0, tid = ring id, timestamps in microseconds since the
+/// earliest event; a thread_name metadata event per ring carries its
+/// recorded and dropped counts.  `simulated` spans (the CG simulator's)
+/// go on pid 1, one tid per rank, in their own time base.
+workload::Json chrome_trace_json(const std::vector<FlightThreadDump>& dumps,
+                                 const std::vector<PhaseSpan>& simulated = {});
 
 }  // namespace msc::prof

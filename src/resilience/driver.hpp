@@ -92,7 +92,7 @@ CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDe
 
   std::int64_t t_start = t_begin;
   if (cut >= 0) {
-    prof::TimelineScope restore_span(rank, prof::Phase::Restore);
+    prof::RankPhaseScope restore_span(rank, prof::Phase::Restore);
     const auto ck = store.load(rank, cut);
     MSC_CHECK(ck.has_value()) << "consistent cut " << cut << " missing rank " << rank;
     restore_grid(*ck, local);
@@ -117,7 +117,7 @@ CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDe
   for (std::int64_t t = t_start; t <= t_end; ++t) {
     ctx.fault_hook(t);
     {
-      prof::TimelineScope compute_span(rank, prof::Phase::Compute);
+      prof::RankPhaseScope compute_span(rank, prof::Phase::Compute);
       exec::run_reference(st, local, t, t, exec::Boundary::External, bindings);
     }
     const auto ex = comm::exchange_halo_plan(ctx, plan, pws, local, local.slot_for_time(t));
@@ -126,7 +126,7 @@ CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDe
     ++stats.dist.timesteps;
 
     if (ckpt_every > 0 && (t - t_begin + 1) % ckpt_every == 0) {
-      prof::TimelineScope ckpt_span(rank, prof::Phase::Checkpoint);
+      prof::RankPhaseScope ckpt_span(rank, prof::Phase::Checkpoint);
       store.save(snapshot_grid(rank, t, local));
       ++stats.checkpoints_taken;
     }

@@ -20,12 +20,15 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// "tid 0: row_chunk 512 ms ago, tid 3: wedge_wait 498 ms ago" — the
-/// threads whose newest flight span is oldest are the stall suspects.
-std::string suspect_threads() {
+}  // namespace
+
+std::string watchdog_suspects() {
   const std::uint64_t now_ns = prof::flight_now_ns();
   std::string out;
   for (const auto& t : prof::global_flight().drain(1)) {
+    // A ring no live thread owns holds an exited thread's last event: that
+    // thread cannot be what the run is stuck on.
+    if (!t.live) continue;
     if (!out.empty()) out += ", ";
     if (t.events.empty()) {
       out += strprintf("tid %d: no spans", t.tid);
@@ -39,8 +42,6 @@ std::string suspect_threads() {
   }
   return out.empty() ? "no threads registered" : out;
 }
-
-}  // namespace
 
 WatchdogConfig watchdog_config_from_env() {
   WatchdogConfig cfg;
@@ -127,7 +128,7 @@ void Watchdog::escalate(WatchdogStage to, double gap_ms) {
       prof::counter("watchdog.stalls").add(1);
       prof::LogEvent(prof::LogLevel::Warn, "watchdog", "run stalled")
           .num("gap_ms", gap_ms)
-          .str("suspects", suspect_threads());
+          .str("suspects", watchdog_suspects());
       break;
     case WatchdogStage::Cancelled:
       token_->cancel(ErrorCode::WatchdogStall);
@@ -135,7 +136,7 @@ void Watchdog::escalate(WatchdogStage to, double gap_ms) {
       prof::LogEvent(prof::LogLevel::Error, "watchdog", "cancelled stalled run")
           .num("gap_ms", gap_ms)
           .str("code", error_code_name(ErrorCode::WatchdogStall))
-          .str("suspects", suspect_threads());
+          .str("suspects", watchdog_suspects());
       break;
     case WatchdogStage::Dumped:
       workload::write_file(cfg_.dump_path, prof::flight_dump_json().dump() + "\n");

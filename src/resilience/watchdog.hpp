@@ -54,6 +54,11 @@ enum class WatchdogStage : int { Idle = 0, Stalled, Cancelled, Dumped };
 
 const char* watchdog_stage_name(WatchdogStage stage);
 
+/// "tid 0: row_chunk 512 ms ago, tid 3: wedge_wait 498 ms ago": the newest
+/// flight span of every ring a live thread owns — the threads whose span is
+/// oldest are the stall suspects.  What the Stalled/Cancelled lines carry.
+std::string watchdog_suspects();
+
 class Watchdog {
  public:
   /// Starts supervising immediately.  `token` is the run's cancel token

@@ -28,7 +28,6 @@
 #include "machine/machine.hpp"
 #include "prof/counters.hpp"
 #include "prof/timeline.hpp"
-#include "prof/trace.hpp"
 #include "schedule/schedule.hpp"
 #include "sunway/dma.hpp"
 #include "sunway/spm.hpp"
@@ -47,6 +46,11 @@ struct CgSimResult {
   double reuse_factor = 0.0;     ///< SPM-served access bytes per DMA byte
   std::int64_t tiles = 0;        ///< tiles executed per timestep
   std::int64_t timesteps = 0;
+  /// Per-step compute/DMA phase spans of "rank" 0 (the core group) in
+  /// simulated seconds — model outputs, not measurements.  Each step's
+  /// spans start where the previous step ended, so their union is
+  /// `seconds`.
+  std::vector<prof::PhaseSpan> spans;
 };
 
 /// SPM bytes run_cg_sim will allocate for `sched`/`st` (read box incl. halo
@@ -135,17 +139,7 @@ CgSimResult run_cg_sim(const ir::StencilDef& st, const schedule::Schedule& sched
     }
   }
 
-  // Simulated-time timeline: spans are laid on a cursor that advances by
-  // exactly the step time added to result.seconds, so the critical-path
-  // report's wall time equals the simulated wall time.  "Rank" 0 is the
-  // simulated core group.  (Callers mixing these simulated spans with
-  // wall-clock comm spans should snapshot+clear the timeline between runs.)
-  auto& timeline = prof::global_timeline();
-  double tl_cursor = 0.0;
-
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    prof::TraceScope step_scope("cg_sim.step", "sunway");
-    step_scope.arg("t", static_cast<double>(t));
     std::vector<double> cpe_compute(static_cast<std::size_t>(cpes), 0.0);
     std::vector<double> cpe_dma(static_cast<std::size_t>(cpes), 0.0);
     T* out_slot = state.slot_data(state.slot_for_time(t));
@@ -292,25 +286,21 @@ CgSimResult run_cg_sim(const ir::StencilDef& st, const schedule::Schedule& sched
     const double bus_floor = static_cast<double>(step_dma_bytes) / (m.mem_bw_gbs * 1e9);
     const double step_seconds = std::max(busiest, bus_floor);
     const double step_dma = std::max(busiest_d, bus_floor);
-    if (timeline.enabled()) {
-      if (double_buffer) {
-        // Overlapped pipeline: compute and DMA run concurrently, so the two
-        // spans share the step start; their union is the step time
-        // (step = max(busiest_c, busiest_d, bus_floor)).
-        if (busiest_c > 0.0)
-          timeline.record(0, prof::Phase::Compute, tl_cursor, tl_cursor + busiest_c);
-        if (step_dma > 0.0)
-          timeline.record(0, prof::Phase::Dma, tl_cursor, tl_cursor + step_dma);
-      } else {
-        // Blocking pipeline: compute then DMA, back to back; the two spans
-        // partition the step exactly (busiest_c <= busiest <= step).
-        if (busiest_c > 0.0)
-          timeline.record(0, prof::Phase::Compute, tl_cursor, tl_cursor + busiest_c);
-        if (step_seconds > busiest_c)
-          timeline.record(0, prof::Phase::Dma, tl_cursor + busiest_c, tl_cursor + step_seconds);
-      }
+    // Simulated-time spans start where the previous step ended, so the
+    // critical-path report's wall time equals the simulated wall time.
+    auto& spans = result.spans;
+    const double t0 = result.seconds;
+    if (busiest_c > 0.0) spans.push_back({0, prof::Phase::Compute, t0, t0 + busiest_c});
+    if (double_buffer) {
+      // Overlapped pipeline: compute and DMA run concurrently, so the two
+      // spans share the step start; their union is the step time
+      // (step = max(busiest_c, busiest_d, bus_floor)).
+      if (step_dma > 0.0) spans.push_back({0, prof::Phase::Dma, t0, t0 + step_dma});
+    } else if (step_seconds > busiest_c) {
+      // Blocking pipeline: compute then DMA, back to back; the two spans
+      // partition the step exactly (busiest_c <= busiest <= step).
+      spans.push_back({0, prof::Phase::Dma, t0 + busiest_c, t0 + step_seconds});
     }
-    tl_cursor += step_seconds;
     result.seconds += step_seconds;
     result.compute_seconds += busiest_c;
     result.dma_seconds += step_dma;

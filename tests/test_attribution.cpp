@@ -16,6 +16,7 @@
 #include "machine/machine.hpp"
 #include "prof/attribution.hpp"
 #include "prof/flight.hpp"
+#include "prof/timeline.hpp"
 #include "workload/report.hpp"
 #include "workload/stencils.hpp"
 
@@ -119,6 +120,21 @@ TEST(Attribution, BucketPhasesSplitsLeafKindsAndComputesDispatch) {
   // Busiest thread: tid 0 with 10+2 = 12 ms attributed; dispatch is the rest.
   EXPECT_DOUBLE_EQ(p.dispatch_s, 0.008);
   EXPECT_EQ(p.events, 4);  // the Step and AotRun parent spans are excluded
+}
+
+TEST(Attribution, BucketPhasesIgnoresRankPhaseSpans) {
+  // The comm layers' RankPhase spans share the rings with engine spans; a
+  // rank's compute phase wraps engine work, so bucketing it would double
+  // count.
+  std::vector<FlightThreadDump> dumps(1);
+  dumps[0].events = {ev(FlightKind::RowChunk, 10'000'000)};
+  const auto before = bucket_phases(dumps, 0.020);
+  dumps[0].events.push_back(ev(FlightKind::RankPhase, 15'000'000));
+  dumps[0].events.back().b = static_cast<std::int64_t>(Phase::Compute);
+  const auto after = bucket_phases(dumps, 0.020);
+  EXPECT_DOUBLE_EQ(after.compute_s, before.compute_s);
+  EXPECT_DOUBLE_EQ(after.dispatch_s, before.dispatch_s);
+  EXPECT_EQ(after.events, before.events);
 }
 
 TEST(Attribution, BucketPhasesClampsDispatchAtZero) {

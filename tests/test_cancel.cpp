@@ -569,6 +569,23 @@ TEST(Watchdog, StaysIdleWhileTheHeartbeatAdvances) {
   EXPECT_EQ(token.state(), ErrorCode::Ok);
 }
 
+TEST(Watchdog, SuspectsSkipRingsOfExitedThreads) {
+  // An exited thread's ring waits for adoption with its last event still
+  // in it; that stale span must not be named as the stall suspect.
+  int stale_tid = -1;
+  std::thread([] {
+    const std::uint64_t now = prof::flight_now_ns();
+    prof::global_flight().record(prof::FlightKind::WedgeWait, now, now, 7, 7);
+  }).join();
+  for (const auto& d : prof::global_flight().drain(1))
+    if (!d.live && !d.events.empty() && d.events.back().kind == prof::FlightKind::WedgeWait)
+      stale_tid = d.tid;
+  ASSERT_GE(stale_tid, 0) << "the exited thread's ring must be released, not live";
+  const std::string suspects = resilience::watchdog_suspects();
+  EXPECT_EQ(suspects.find("tid " + std::to_string(stale_tid) + ":"), std::string::npos)
+      << suspects;
+}
+
 TEST(Watchdog, StageNamesAreStable) {
   using resilience::WatchdogStage;
   EXPECT_STREQ(resilience::watchdog_stage_name(WatchdogStage::Idle), "idle");

@@ -1,16 +1,20 @@
 // Tests of the execution flight recorder (src/prof/flight): ring capacity
 // and wraparound ordering, seqlock-lite drain consistency under concurrent
-// writers, the msc-flight-v1 dump schema, plan-fingerprint scoping, and the
-// resilience-layer crash dump that msc-chaos attaches to its reports.
+// writers, ring adoption after thread exit, the msc-flight-v1 dump schema,
+// plan-fingerprint scoping, and the resilience-layer crash dump that
+// msc-chaos attaches to its reports.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "comm/simmpi.hpp"
 #include "exec/executor.hpp"
 #include "prof/flight.hpp"
+#include "prof/timeline.hpp"
 #include "resilience/chaos.hpp"
 #include "workload/report.hpp"
 #include "workload/stencils.hpp"
@@ -97,6 +101,7 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
   constexpr int kWriters = 4;
   constexpr std::int64_t kPerWriter = 20000;
   std::atomic<bool> go{false};
+  std::atomic<int> finished{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w)
     writers.emplace_back([&, w] {
@@ -105,6 +110,10 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
       for (std::int64_t i = 0; i < kPerWriter; ++i)
         rec.record(FlightKind::RowChunk, static_cast<std::uint64_t>(i),
                    static_cast<std::uint64_t>(i) + 1, i, w);
+      // Stay alive until every writer is done: an early exit would hand
+      // this ring to a writer that has not registered yet.
+      finished.fetch_add(1);
+      while (finished.load() < kWriters) std::this_thread::yield();
     });
 
   go.store(true);
@@ -130,6 +139,71 @@ TEST(Flight, ConcurrentWritersVsDrainYieldConsistentSuffixes) {
     EXPECT_EQ(d.events.size(), FlightRecorder::kRingCapacity);
     EXPECT_EQ(d.events.back().a, kPerWriter - 1);
   }
+}
+
+// ---- ring adoption after thread exit ------------------------------------
+
+TEST(Flight, ExitedThreadsRingIsAdoptedWithItsCount) {
+  FlightRecorder rec;
+  std::thread([&] {
+    for (int i = 0; i < 3; ++i) rec.record(FlightKind::Step, 0, 1, i);
+  }).join();
+  auto dumps = rec.drain();
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_FALSE(dumps[0].live);  // its thread exited
+  EXPECT_EQ(dumps[0].recorded, 3u);
+  const int tid = dumps[0].tid;
+
+  std::thread([&] {
+    for (int i = 3; i < 5; ++i) rec.record(FlightKind::Step, 0, 1, i);
+    const auto live = rec.drain();
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_TRUE(live[0].live);
+  }).join();
+  dumps = rec.drain();
+  ASSERT_EQ(dumps.size(), 1u);  // adopted, not a second ring
+  EXPECT_EQ(dumps[0].tid, tid);
+  EXPECT_EQ(dumps[0].recorded, 5u);  // the count carries on
+  EXPECT_EQ(rec.total_recorded(), 5u);
+  ASSERT_EQ(dumps[0].events.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(dumps[0].events[i].a, static_cast<std::int64_t>(i));
+    EXPECT_EQ(dumps[0].events[i].seq, static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(dumps[0].dropped(), 0u);
+}
+
+TEST(Flight, RepeatedSimWorldRunsReuseRings) {
+  // Every SimWorld::run spawns fresh rank threads.  Without adoption each
+  // would leave a 48 KB ring behind: 200 rings after 100 two-rank runs.
+  auto& flight = global_flight();
+  flight.clear();
+  const std::size_t rings_before = flight.drain().size();
+  constexpr int kRuns = 100, kRanks = 2, kPerRank = 3;
+  comm::SimWorld world(kRanks);
+  for (int run = 0; run < kRuns; ++run)
+    world.run([](comm::RankCtx& ctx) {
+      for (int e = 0; e < kPerRank; ++e) RankPhaseScope span(ctx.rank(), Phase::Compute);
+    });
+  const auto dumps = flight.drain();
+  EXPECT_LE(dumps.size(), rings_before + kRanks);  // peak live threads, not 200
+  EXPECT_EQ(flight.total_recorded(), static_cast<std::uint64_t>(kRuns * kRanks * kPerRank));
+  EXPECT_EQ(phase_spans(dumps).size(), static_cast<std::size_t>(kRuns * kRanks * kPerRank));
+  flight.clear();
+}
+
+TEST(Flight, RecorderDestroyedBeforeItsThreadsExitIsSafe) {
+  std::atomic<bool> recorded{false}, destroyed{false};
+  auto rec = std::make_unique<FlightRecorder>();
+  std::thread writer([&] {
+    rec->record(FlightKind::Step, 0, 1);
+    recorded = true;
+    while (!destroyed.load()) std::this_thread::yield();
+  });  // exits after its recorder is gone: nothing to hand the ring back to
+  while (!recorded.load()) std::this_thread::yield();
+  rec.reset();
+  destroyed = true;
+  writer.join();  // under ASan, a hand-back to the freed recorder would trip here
 }
 
 // ---- plan fingerprints --------------------------------------------------
@@ -203,6 +277,27 @@ TEST(Flight, DumpJsonSchema) {
     for (const auto& ev : th.find("events")->elements())
       if (ev.find("kind")->as_string() == "aot_compile" && ev.find("a")->as_integer() == 1234)
         found = true;
+  EXPECT_TRUE(found);
+  flight.clear();
+}
+
+TEST(Flight, DumpJsonCountsDroppedEventsPerThread) {
+  auto& flight = global_flight();
+  flight.clear();
+  const long long total = static_cast<long long>(FlightRecorder::kRingCapacity) + 9;
+  for (long long i = 0; i < total; ++i) flight.record(FlightKind::Step, 30, 40);
+  const auto doc = flight_dump_json(16);
+  bool found = false;
+  for (const auto& th : doc.find("threads")->elements()) {
+    const auto recorded = th.find("recorded")->as_integer();
+    const auto events = static_cast<long long>(th.find("events")->elements().size());
+    EXPECT_EQ(th.find("dropped")->as_integer(), recorded - events);
+    if (recorded == total) {
+      found = true;
+      EXPECT_TRUE(th.find("live")->as_bool());  // this very thread owns the ring
+      EXPECT_EQ(events, 16);
+    }
+  }
   EXPECT_TRUE(found);
   flight.clear();
 }

@@ -1,17 +1,20 @@
 // Tests of the profiling layer (src/prof): counter registry semantics and
-// thread-safety, the trace recorder's chrome://tracing serialization, the
-// BenchReport schema — and the workload::Json parser those last two lean on.
+// thread-safety, the chrome://tracing document derived from a flight drain,
+// the BenchReport schema — and the workload::Json parser those last two
+// lean on.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "prof/bench_report.hpp"
 #include "prof/counters.hpp"
+#include "prof/flight.hpp"
 #include "prof/log.hpp"
-#include "prof/trace.hpp"
+#include "prof/timeline.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/report.hpp"
@@ -116,82 +119,97 @@ TEST(Counters, GlobalShorthandsHitTheGlobalRegistry) {
   global_counters().reset();
 }
 
-// ---- trace recorder -----------------------------------------------------
+// ---- chrome://tracing from a flight drain --------------------------------
 
-TEST(Trace, DisabledScopeRecordsNothing) {
-  auto& tr = global_trace();
-  tr.clear();
-  tr.set_enabled(false);
-  { TraceScope scope("invisible", "test"); }
-  EXPECT_EQ(tr.size(), 0u);
+/// The thread_name metadata event of ring `tid`, or nullptr.
+const Json* ring_meta(const Json& doc, long long tid) {
+  for (const auto& e : doc.find("traceEvents")->elements())
+    if (e.find("ph")->as_string() == "M" && e.find("name")->as_string() == "thread_name" &&
+        e.find("tid")->as_integer() == tid)
+      return &e;
+  return nullptr;
 }
 
-TEST(Trace, ScopeRecordsCompleteEventWithArgs) {
-  auto& tr = global_trace();
-  tr.clear();
-  tr.set_enabled(true);
-  {
-    TraceScope scope("step", "test");
-    scope.arg("t", 3.0);
-  }
-  tr.instant("marker", "test", {{"n", 1.0}});
-  tr.set_enabled(false);
-
-  const auto events = tr.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "step");
-  EXPECT_EQ(events[0].cat, "test");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_GE(events[0].dur_us, 0);
-  ASSERT_EQ(events[0].args.size(), 1u);
-  EXPECT_EQ(events[0].args[0].first, "t");
-  EXPECT_EQ(events[1].phase, 'i');
-  tr.clear();
-}
-
-TEST(Trace, ChromeJsonIsWellFormed) {
-  auto& tr = global_trace();
-  tr.clear();
-  tr.set_enabled(true);
-  { TraceScope scope("outer \"quoted\"", "cat"); }
-  tr.instant("point", "cat");
-  tr.set_enabled(false);
+TEST(ChromeTrace, DrainIsWellFormedJson) {
+  FlightRecorder rec;
+  rec.record(FlightKind::AotCompile, 1'000, 3'000, 4096);
+  rec.record(FlightKind::RankPhase, 2'000, 2'500, 1, static_cast<std::int64_t>(Phase::Wait));
+  const std::vector<PhaseSpan> simulated = {{0, Phase::Dma, 0.0, 0.5}};
 
   // The dump must parse back: that is exactly what chrome://tracing does.
-  const Json doc = Json::parse(tr.chrome_json().dump());
+  const Json doc = Json::parse(chrome_trace_json(rec.drain(), simulated).dump());
   const Json* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->elements().size(), 2u);
+  std::vector<const Json*> complete;
+  for (const auto& e : events->elements()) {
+    ASSERT_NE(e.find("pid"), nullptr);
+    if (e.find("ph")->as_string() == "X") complete.push_back(&e);
+  }
+  ASSERT_EQ(complete.size(), 3u);
 
-  const Json& complete = events->elements()[0];
-  EXPECT_EQ(complete.find("name")->as_string(), "outer \"quoted\"");
-  EXPECT_EQ(complete.find("ph")->as_string(), "X");
-  EXPECT_GE(complete.find("ts")->as_integer(), 0);
-  EXPECT_GE(complete.find("dur")->as_integer(), 0);
-  EXPECT_EQ(complete.find("pid")->as_integer(), 0);
+  const Json& compile = *complete[0];
+  EXPECT_EQ(compile.find("name")->as_string(), "aot_compile");
+  EXPECT_DOUBLE_EQ(compile.find("ts")->as_number(), 0.0);  // earliest event is the origin
+  EXPECT_DOUBLE_EQ(compile.find("dur")->as_number(), 2.0);  // microseconds
+  EXPECT_EQ(compile.find("pid")->as_integer(), 0);
+  EXPECT_EQ(compile.find("args")->find("a")->as_integer(), 4096);
 
-  const Json& instant = events->elements()[1];
-  EXPECT_EQ(instant.find("ph")->as_string(), "i");
-  ASSERT_NE(instant.find("s"), nullptr);  // instant scope marker
+  const Json& wait = *complete[1];
+  EXPECT_EQ(wait.find("name")->as_string(), "wait");  // rank phases are named by phase
+  EXPECT_EQ(wait.find("cat")->as_string(), "comm");
+  EXPECT_DOUBLE_EQ(wait.find("ts")->as_number(), 1.0);
+  EXPECT_EQ(wait.find("args")->find("rank")->as_integer(), 1);
+
+  const Json& dma = *complete[2];  // simulated spans live on their own pid
+  EXPECT_EQ(dma.find("name")->as_string(), "dma");
+  EXPECT_EQ(dma.find("pid")->as_integer(), 1);
+  EXPECT_DOUBLE_EQ(dma.find("dur")->as_number(), 0.5e6);
+
   EXPECT_EQ(doc.find("displayTimeUnit")->as_string(), "ms");
-  tr.clear();
+  EXPECT_EQ(doc.find("otherData")->find("dropped_events")->as_integer(), 0);
 }
 
-TEST(Trace, ThreadIdsAreSmallAndStable) {
-  auto& tr = global_trace();
-  tr.clear();
-  tr.set_enabled(true);
-  ThreadPool pool(3);
-  pool.parallel_tasks(12, [&](std::int64_t) { TraceScope scope("work", "test"); });
-  tr.set_enabled(false);
-  const auto events = tr.events();
-  ASSERT_EQ(events.size(), 12u);
-  for (const auto& e : events) {
-    EXPECT_GE(e.tid, 0);
-    EXPECT_LT(e.tid, 3);  // first-seen small integers, one per worker
+TEST(ChromeTrace, WrappedRingReportsItsDroppedEvents) {
+  FlightRecorder rec;
+  const std::uint64_t total = FlightRecorder::kRingCapacity + 5;
+  for (std::uint64_t i = 0; i < total; ++i) rec.record(FlightKind::Step, i, i + 1);
+  const auto dumps = rec.drain();
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_EQ(dumps[0].dropped(), 5u);
+  EXPECT_EQ(dropped_events(dumps), 5u);
+
+  const Json doc = Json::parse(chrome_trace_json(dumps).dump());
+  EXPECT_EQ(doc.find("otherData")->find("dropped_events")->as_integer(), 5);
+  const Json* meta = ring_meta(doc, dumps[0].tid);
+  ASSERT_NE(meta, nullptr);
+  EXPECT_EQ(meta->find("args")->find("recorded")->as_integer(), static_cast<long long>(total));
+  EXPECT_EQ(meta->find("args")->find("dropped")->as_integer(), 5);
+}
+
+TEST(ChromeTrace, ThreadIdsAreSmallAndStable) {
+  FlightRecorder rec;
+  const auto tids_of_a_fresh_pool = [&] {
+    ThreadPool pool(3);
+    pool.parallel_tasks(12, [&](std::int64_t) { rec.record(FlightKind::RowChunk, 0, 1); });
+    std::set<long long> tids;
+    const Json doc = Json::parse(chrome_trace_json(rec.drain()).dump());
+    for (const auto& e : doc.find("traceEvents")->elements())
+      if (e.find("ph")->as_string() == "X") tids.insert(e.find("tid")->as_integer());
+    return tids;
+  };
+  const auto first = tids_of_a_fresh_pool();
+  ASSERT_FALSE(first.empty());
+  for (const long long tid : first) {
+    EXPECT_GE(tid, 0);
+    EXPECT_LT(tid, 3);  // first-seen small integers, one per worker
   }
-  tr.clear();
+  // A second pool's threads adopt the rings the first pool's threads
+  // released: no new tids, no new rings.
+  const auto second = tids_of_a_fresh_pool();
+  for (const long long tid : second) EXPECT_LT(tid, 3);
+  EXPECT_LE(rec.drain().size(), 3u);
+  EXPECT_EQ(rec.total_recorded(), 24u);
 }
 
 // ---- bench report -------------------------------------------------------

@@ -1,8 +1,8 @@
 // Per-rank phase timeline tests: interval arithmetic in critical_path(),
-// the simulated-time spans of the Sunway CG simulator (they must sum to the
-// simulated wall time), overlap attribution of the async halo exchange, and
-// JSON validity of trace + timeline output under concurrent SimWorld rank
-// threads.
+// the simulated-time spans the Sunway CG simulator returns (they must sum
+// to the simulated wall time), overlap attribution of the async halo
+// exchange from a flight drain, and JSON validity of the drain-derived
+// chrome + msc-timeline-v1 documents under concurrent SimWorld rank threads.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include "comm/halo_exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "exec/grid.hpp"
+#include "prof/flight.hpp"
 #include "prof/timeline.hpp"
-#include "prof/trace.hpp"
 #include "sunway/cg_sim.hpp"
 #include "workload/report.hpp"
 #include "workload/stencils.hpp"
@@ -23,18 +23,6 @@ namespace msc::prof {
 namespace {
 
 using workload::Json;
-
-/// Arms the global timeline for one test and restores it afterwards.
-struct TimelineArmed {
-  TimelineArmed() {
-    global_timeline().clear();
-    global_timeline().set_enabled(true);
-  }
-  ~TimelineArmed() {
-    global_timeline().set_enabled(false);
-    global_timeline().clear();
-  }
-};
 
 TEST(Timeline, PhaseNamesAndCommClassification) {
   EXPECT_STREQ(phase_name(Phase::Pack), "pack");
@@ -46,22 +34,43 @@ TEST(Timeline, PhaseNamesAndCommClassification) {
   }
 }
 
-TEST(Timeline, DisabledScopeRecordsNothing) {
-  global_timeline().clear();
-  global_timeline().set_enabled(false);
-  { TimelineScope scope(0, Phase::Compute); }
-  global_timeline().record(0, Phase::Pack, 0.0, 1.0);
-  EXPECT_EQ(global_timeline().size(), 0u);
-}
-
-TEST(Timeline, ScopeRecordsWhenEnabled) {
-  TimelineArmed armed;
-  { TimelineScope scope(3, Phase::Unpack); }
-  const auto spans = global_timeline().spans();
+TEST(Timeline, RankPhaseScopeRecordsIntoTheFlightRings) {
+  global_flight().clear();
+  { RankPhaseScope scope(3, Phase::Unpack); }
+  const auto spans = phase_spans(global_flight().drain());
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].rank, 3);
   EXPECT_EQ(spans[0].phase, Phase::Unpack);
+  EXPECT_DOUBLE_EQ(spans[0].t0, 0.0);  // seconds since the earliest span
   EXPECT_GE(spans[0].seconds(), 0.0);
+  global_flight().clear();
+}
+
+TEST(Timeline, PhaseSpansSkipOtherKindsAndShareOneOrigin) {
+  std::vector<FlightThreadDump> dumps(2);
+  FlightEvent ev;
+  ev.kind = FlightKind::RankPhase;
+  ev.start_ns = 5'000'000'000;
+  ev.dur_ns = 2'000'000;
+  ev.a = 1;
+  ev.b = static_cast<std::int64_t>(Phase::Wait);
+  dumps[0].events.push_back(ev);
+  ev.start_ns = 5'001'000'000;  // another ring, 1 ms later
+  ev.a = 0;
+  ev.b = static_cast<std::int64_t>(Phase::Compute);
+  dumps[1].events.push_back(ev);
+  ev.kind = FlightKind::RowChunk;  // an engine span: not a rank phase
+  ev.start_ns = 0;
+  dumps[1].events.push_back(ev);
+
+  const auto spans = phase_spans(dumps);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].rank, 1);
+  EXPECT_EQ(spans[0].phase, Phase::Wait);
+  EXPECT_DOUBLE_EQ(spans[0].t0, 0.0);
+  EXPECT_NEAR(spans[0].t1, 0.002, 1e-15);
+  EXPECT_EQ(spans[1].phase, Phase::Compute);
+  EXPECT_NEAR(spans[1].t0, 0.001, 1e-15);
 }
 
 TEST(CriticalPath, SyntheticSpansAttributeExactly) {
@@ -113,23 +122,19 @@ TEST(CriticalPath, EmptyRecordingIsSafe) {
 // ---- Sunway CG simulator spans (simulated time base) --------------------
 
 template <bool DoubleBuffer>
-sunway::CgSimResult run_sim_with_timeline(std::vector<PhaseSpan>& spans) {
+sunway::CgSimResult run_sim() {
   const auto& info = workload::benchmark("3d7pt_star");
   auto prog = workload::make_program(info, ir::DataType::f64, {16, 16, 16});
   workload::apply_msc_schedule(*prog, info, "sunway", {2, 8, 16});
   exec::GridStorage<double> g(prog->stencil().state());
   for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 7);
-  TimelineArmed armed;
-  const auto result =
-      sunway::run_cg_sim(prog->stencil(), prog->primary_schedule(), g, 1, 3,
-                         exec::Boundary::ZeroHalo, {}, machine::sunway_cg(), DoubleBuffer);
-  spans = global_timeline().spans();
-  return result;
+  return sunway::run_cg_sim(prog->stencil(), prog->primary_schedule(), g, 1, 3,
+                            exec::Boundary::ZeroHalo, {}, machine::sunway_cg(), DoubleBuffer);
 }
 
 TEST(CgSimTimeline, BlockingSpansSumToSimulatedWall) {
-  std::vector<PhaseSpan> spans;
-  const auto result = run_sim_with_timeline<false>(spans);
+  const auto result = run_sim<false>();
+  const auto& spans = result.spans;
   ASSERT_FALSE(spans.empty());
   // A blocking pipeline serializes compute and DMA, so the phase spans
   // partition each step: their durations sum to the simulated wall time.
@@ -149,8 +154,8 @@ TEST(CgSimTimeline, BlockingSpansSumToSimulatedWall) {
 }
 
 TEST(CgSimTimeline, DoubleBufferedUnionEqualsSimulatedWall) {
-  std::vector<PhaseSpan> spans;
-  const auto result = run_sim_with_timeline<true>(spans);
+  const auto result = run_sim<true>();
+  const auto& spans = result.spans;
   ASSERT_FALSE(spans.empty());
   // With double buffering compute hides under DMA (or vice versa): the span
   // *union* is the wall time while the plain sum exceeds it by the overlap.
@@ -174,7 +179,7 @@ TEST(CommTimeline, OverlappedRunHidesCommUnderCompute) {
   comm::CartDecomp dec({2, 2}, {32, 32});
   comm::SimWorld world(4);
 
-  TimelineArmed armed;
+  global_flight().clear();
   world.run([&](comm::RankCtx& ctx) {
     const int r = ctx.rank();
     auto local_tensor = ir::make_sp_tensor("B", ir::DataType::f64,
@@ -184,7 +189,9 @@ TEST(CommTimeline, OverlappedRunHidesCommUnderCompute) {
     for (int s = 0; s < local.slots(); ++s) local.fill_random(s, 7 + r);
     comm::run_distributed_overlapped(ctx, dec, st, local, 1, 5);
   });
-  const auto spans = global_timeline().spans();
+  const auto dumps = global_flight().drain();
+  EXPECT_EQ(dropped_events(dumps), 0u);
+  const auto spans = phase_spans(dumps);
   const auto report = critical_path(spans);
 
   ASSERT_EQ(report.ranks.size(), 4u);  // every rank recorded spans
@@ -216,19 +223,16 @@ TEST(CommTimeline, OverlappedRunHidesCommUnderCompute) {
 }
 
 TEST(CommTimeline, ConcurrentRankThreadsProduceParseableJson) {
-  // Rank threads record trace events and timeline spans concurrently; both
-  // serializations must still parse with workload::Json (the stress behind
-  // "trace JSON stays valid under concurrency").
+  // Rank threads record their phase spans concurrently; both documents
+  // derived from the drain must still parse with workload::Json (the
+  // stress behind "trace JSON stays valid under concurrency").
   const auto& info = workload::benchmark("2d9pt_star");
   auto prog = workload::make_program(info, ir::DataType::f64, {24, 24, 0});
   const auto& st = prog->stencil();
   comm::CartDecomp dec({2, 2}, {24, 24});
   comm::SimWorld world(4);
 
-  auto& tr = global_trace();
-  tr.clear();
-  tr.set_enabled(true);
-  TimelineArmed armed;
+  global_flight().clear();
   world.run([&](comm::RankCtx& ctx) {
     const int r = ctx.rank();
     auto local_tensor = ir::make_sp_tensor("B", ir::DataType::f64,
@@ -238,17 +242,23 @@ TEST(CommTimeline, ConcurrentRankThreadsProduceParseableJson) {
     for (int s = 0; s < local.slots(); ++s) local.fill_random(s, 3 + r);
     comm::run_distributed(ctx, dec, st, local, 1, 4);
   });
-  tr.set_enabled(false);
+  const auto dumps = global_flight().drain();
+  const auto spans = phase_spans(dumps);
+  global_flight().clear();
 
-  const Json trace_doc = Json::parse(tr.chrome_json().dump());
-  EXPECT_GT(trace_doc.find("traceEvents")->elements().size(), 0u);
-  tr.clear();
+  const Json trace_doc = Json::parse(chrome_trace_json(dumps).dump());
+  std::size_t comm_events = 0;
+  for (const auto& e : trace_doc.find("traceEvents")->elements())
+    if (e.find("ph")->as_string() == "X") comm_events += e.find("cat")->as_string() == "comm";
+  EXPECT_GT(comm_events, 0u);
+  EXPECT_EQ(comm_events, spans.size());  // every rank phase, once
 
-  const Json tl_doc = Json::parse(global_timeline().to_json().dump());
+  const Json tl_doc = Json::parse(timeline_json(spans, dropped_events(dumps)).dump());
   EXPECT_EQ(tl_doc.find("schema")->as_string(), "msc-timeline-v1");
+  EXPECT_EQ(tl_doc.find("dropped_events")->as_integer(), 0);
   const Json* tl_spans = tl_doc.find("spans");
   ASSERT_NE(tl_spans, nullptr);
-  EXPECT_EQ(tl_spans->elements().size(), global_timeline().size());
+  EXPECT_EQ(tl_spans->elements().size(), spans.size());
   for (const auto& s : tl_spans->elements()) {
     EXPECT_GE(s.find("rank")->as_integer(), 0);
     EXPECT_LT(s.find("rank")->as_integer(), 4);

@@ -1,10 +1,11 @@
 // msc-prof — workload profiler over the functional simulators.
 //
 // Runs a named Table-4 benchmark through the Sunway core-group simulator
-// (and optionally a simulated-MPI distributed pass), with the global
-// counter registry and trace recorder armed, then prints a roofline-style
-// counter summary and dumps a chrome://tracing JSON file loadable at
-// chrome://tracing or https://ui.perfetto.dev.
+// (and optionally a simulated-MPI distributed pass), then prints a
+// roofline-style counter summary and dumps a chrome://tracing JSON file
+// loadable at chrome://tracing or https://ui.perfetto.dev.  The trace and
+// the per-rank timeline are derived from one drain of the always-on flight
+// recorder plus the CG simulator's simulated-time spans.
 //
 //   $ msc-prof 3d7pt_star
 //   $ msc-prof 2d9pt_box --grid 64x64 --steps 8 --ranks 2x2
@@ -40,7 +41,6 @@
 #include "prof/counters.hpp"
 #include "prof/flight.hpp"
 #include "prof/timeline.hpp"
-#include "prof/trace.hpp"
 #include "sunway/cg_sim.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -87,6 +87,16 @@ double now_seconds() {
       .count();
 }
 
+/// A wrapped flight ring means every analysis of the drain undercounts.
+void warn_if_dropped(const std::vector<msc::prof::FlightThreadDump>& dumps,
+                     const std::string& what) {
+  if (const auto dropped = msc::prof::dropped_events(dumps))
+    std::fprintf(stderr,
+                 "msc-prof: warning: %s: %llu flight events dropped (a ring wrapped); "
+                 "phase totals and the critical path undercount\n",
+                 what.c_str(), static_cast<unsigned long long>(dropped));
+}
+
 /// One attributed run of `name` on one host engine: warm up (pool spin-up,
 /// AOT compile), clear the flight recorder, run for real, drain, join.
 msc::prof::AttributionRow attribute_one(const std::string& name, msc::exec::Route route,
@@ -119,7 +129,9 @@ msc::prof::AttributionRow attribute_one(const std::string& name, msc::exec::Rout
   run(1, steps);
   const double wall = now_seconds() - t0;
 
-  const auto phases = prof::bucket_phases(flight.drain(), wall);
+  const auto dumps = flight.drain();
+  warn_if_dropped(dumps, name + " (" + exec::route_name(route) + ")");
+  const auto phases = prof::bucket_phases(dumps, wall);
   const auto cost = prof::attribute_plan(st, sched, route, sizeof(double), 1, steps);
   auto row = prof::attribute_run(name, route, cost, phases, host);
   row.ran = taken.route == route;
@@ -311,10 +323,7 @@ int main(int argc, char** argv) {
     }
 
     prof::global_counters().reset();
-    prof::global_trace().clear();
-    prof::global_trace().set_enabled(true);
-    prof::global_timeline().clear();
-    prof::global_timeline().set_enabled(true);
+    prof::global_flight().clear();
     const auto wall0 = std::chrono::steady_clock::now();
 
     // ---- Sunway CG simulation pass ------------------------------------
@@ -334,12 +343,6 @@ int main(int argc, char** argv) {
                                 exec::Boundary::ZeroHalo, {}, m);
     };
     const sunway::CgSimResult sim = fp32 ? run_sim(float{}) : run_sim(double{});
-
-    // The CG pass recorded *simulated*-time spans; snapshot them before the
-    // distributed pass overwrites the recorder with wall-clock spans (the
-    // two time bases must never share a recording).
-    const auto sim_cp = prof::critical_path(prof::global_timeline().spans());
-    if (!ranks_arg.empty()) prof::global_timeline().clear();
 
     // ---- optional simmpi distributed pass (halo traffic) --------------
     if (!ranks_arg.empty()) {
@@ -367,9 +370,9 @@ int main(int argc, char** argv) {
         comm::run_distributed(ctx, dec, st, local, 1, steps);
       });
     }
-
-    prof::global_trace().set_enabled(false);
-    prof::global_timeline().set_enabled(false);
+    const auto dumps = prof::global_flight().drain();
+    warn_if_dropped(dumps, bench_name);
+    const auto rank_spans = prof::phase_spans(dumps);
     const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
                             .count();
 
@@ -411,24 +414,26 @@ int main(int argc, char** argv) {
 
     // ---- per-rank phase attribution -----------------------------------
     std::printf("\ntimeline (Sunway CG, simulated time):\n%s",
-                prof::critical_path_summary(sim_cp).c_str());
+                prof::critical_path_summary(prof::critical_path(sim.spans)).c_str());
     if (!ranks_arg.empty()) {
-      const auto comm_cp = prof::critical_path(prof::global_timeline().spans());
       std::printf("\ntimeline (simmpi ranks, wall time):\n%s",
-                  prof::critical_path_summary(comm_cp).c_str());
+                  prof::critical_path_summary(prof::critical_path(rank_spans)).c_str());
     }
     if (!timeline_path.empty()) {
-      // The recorder holds the most recent pass: the distributed ranks'
-      // wall-clock spans when --ranks was given, else the CG simulated
-      // spans.  Either way one consistent time base per file.
-      prof::global_timeline().write_json(timeline_path);
-      std::printf("\ntimeline file: %s (%zu spans)\n", timeline_path.c_str(),
-                  prof::global_timeline().size());
+      // One time base per file: the distributed ranks' wall-clock spans
+      // when --ranks was given, else the CG simulated spans.
+      const bool ranks = !ranks_arg.empty();
+      const auto& spans = ranks ? rank_spans : sim.spans;
+      workload::write_file(
+          timeline_path,
+          prof::timeline_json(spans, ranks ? prof::dropped_events(dumps) : 0).dump() + "\n");
+      std::printf("\ntimeline file: %s (%zu spans)\n", timeline_path.c_str(), spans.size());
     }
 
-    prof::global_trace().write_chrome_json(trace_path);
+    const auto trace = prof::chrome_trace_json(dumps, sim.spans);
+    workload::write_file(trace_path, trace.dump() + "\n");
     std::printf("\ntrace: %s (%zu events — load at chrome://tracing)\n", trace_path.c_str(),
-                prof::global_trace().size());
+                trace.find("traceEvents")->elements().size());
 
     if (want_json) {
       prof::BenchReport report("prof_" + bench_name, bench_name);
