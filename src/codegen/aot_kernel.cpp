@@ -1,24 +1,14 @@
 #include "codegen/aot_kernel.hpp"
 
-#include <set>
+#include <array>
 
-#include "codegen/emitter.hpp"
+#include "codegen/kernel_body.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace msc::codegen {
 
 namespace {
-
-/// Distinct time offsets read by the term list, most recent first
-/// (matches the in_m1/in_m2 naming of the portable backends).
-std::vector<int> read_offsets(const AotKernelSpec& spec) {
-  std::set<int> s;
-  for (const auto& term : spec.terms) s.insert(term.time_offset);
-  return {s.rbegin(), s.rend()};
-}
-
-std::string in_name(int toff) { return "in_m" + std::to_string(-toff); }
 
 /// "x - 4231" / "x + 17" / "x" — the term's constant linear delta applied
 /// to the row index variable.
@@ -64,49 +54,48 @@ void emit_vector_helpers(Emitter& e, const std::string& ty) {
 /// term list unrolled into straight-line accumulation statements — once
 /// per accumulator of the blocked loop, once more in the scalar remainder
 /// (each loop only where the row extent lets it run).
-void emit_step(Emitter& e, const AotKernelSpec& spec,
-               const std::array<std::int64_t, 3>& stride) {
-  const std::string& ty = spec.elem_c_type;
-  const auto offs = read_offsets(spec);
+void emit_step(Emitter& e, const GenContext& ctx, const std::array<std::int64_t, 3>& stride) {
+  const ir::Tensor& grid = ctx.stencil->state();
+  const int nd = grid->ndim();
+  const auto halo = static_cast<long long>(grid->halo());
+  const std::string ty = elem_type(ctx);
 
   std::string sig = strprintf("static void msc_aot_step(%s *restrict out", ty.c_str());
-  for (int toff : offs)
+  for (int toff : read_offsets(ctx))
     sig += strprintf(", const %s *restrict %s", ty.c_str(), in_name(toff).c_str());
   sig += ", long r0, long r1)";
   e.open(sig);
 
   // Outer loops over the non-contiguous dims; the row base index folds the
   // halo shift of every dim (including the unit-stride one) into `base`.
-  std::string base = std::to_string(static_cast<long long>(spec.halo));
+  std::string base = std::to_string(halo);
   static const char* kVar[3] = {"c0", "c1", "c2"};
-  for (int d = 0; d + 1 < spec.ndim; ++d) {
+  for (int d = 0; d + 1 < nd; ++d) {
     const std::string lo = d == 0 ? "r0" : "0L";
     const std::string hi =
-        d == 0 ? "r1"
-               : strprintf("%lldL", static_cast<long long>(
-                                        spec.extent[static_cast<std::size_t>(d)]));
+        d == 0 ? "r1" : strprintf("%lldL", static_cast<long long>(grid->extent(d)));
     e.open(strprintf("for (long %s = %s; %s < %s; ++%s)", kVar[d], lo.c_str(), kVar[d],
                      hi.c_str(), kVar[d]));
-    base += strprintf(" + (%s + %lldL) * %lldL", kVar[d], static_cast<long long>(spec.halo),
+    base += strprintf(" + (%s + %lldL) * %lldL", kVar[d], halo,
                       static_cast<long long>(stride[static_cast<std::size_t>(d)]));
   }
   e.line(strprintf("const long base = %s;", base.c_str()));
-  const std::int64_t row = spec.extent[static_cast<std::size_t>(spec.ndim - 1)];
+  const std::int64_t row = grid->extent(nd - 1);
   const std::string row_end =
-      spec.ndim == 1 ? std::string("r1") : strprintf("%lldL", static_cast<long long>(row));
-  e.line(spec.ndim == 1 ? "long i = r0;" : "long i = 0;");
+      nd == 1 ? std::string("r1") : strprintf("%lldL", static_cast<long long>(row));
+  e.line(nd == 1 ? "long i = r0;" : "long i = 0;");
   // A literal row extent fixes which loops can run; leaving out the dead
   // one saves the cc a third of the statements (1-D bands vary, so they
   // keep both).
-  const bool blocked = spec.ndim == 1 || row >= kBlock;
-  const bool remainder = spec.ndim == 1 || row % kBlock != 0;
+  const bool blocked = nd == 1 || row >= kBlock;
+  const bool remainder = nd == 1 || row % kBlock != 0;
 
   // Blocked row loop: lane j of a0/a1 is point i+j / i+4+j, and each lane
   // adds its terms in LinearKernel order starting from 0.0 — per point the
   // same operation sequence as the scalar loop below.
   const auto term_delta = [&](const exec::LinTerm& term) {
     std::int64_t delta = 0;
-    for (int d = 0; d < spec.ndim; ++d)
+    for (int d = 0; d < nd; ++d)
       delta += term.offset[static_cast<std::size_t>(d)] * stride[static_cast<std::size_t>(d)];
     return delta;
   };
@@ -114,12 +103,10 @@ void emit_step(Emitter& e, const AotKernelSpec& spec,
     e.open(strprintf("for (; i + %d <= %s; i += %d)", kBlock, row_end.c_str(), kBlock));
     e.line("const long x = base + i;");
     e.line("msc_vd a0 = {0.0, 0.0, 0.0, 0.0}, a1 = a0;");
-    for (const auto& term : spec.terms) {
-      const std::string in = in_name(term.time_offset);
+    for (const auto& term : ctx.linear.terms) {
       const std::int64_t delta = term_delta(term);
-      e.line(strprintf("a0 += %.17g * msc_ld(&%s[%s]); a1 += %.17g * msc_ld(&%s[%s]);",
-                       term.coeff, in.c_str(), index_expr(delta).c_str(), term.coeff,
-                       in.c_str(), index_expr(delta + kLanes).c_str()));
+      e.line("a0 += " + term_text(term, index_expr(delta), "msc_ld(&", ")") + "; a1 += " +
+             term_text(term, index_expr(delta + kLanes), "msc_ld(&", ")") + ";");
     }
     e.line("msc_st(&out[x], a0);");
     e.line(strprintf("msc_st(&out[x + %d], a1);", kLanes));
@@ -131,109 +118,88 @@ void emit_step(Emitter& e, const AotKernelSpec& spec,
     e.open(strprintf("for (; i < %s; ++i)", row_end.c_str()));
     e.line("const long x = base + i;");
     e.line("double acc = 0.0;");
-    for (const auto& term : spec.terms)
-      e.line(strprintf("acc += %.17g * (double)%s[%s];", term.coeff,
-                       in_name(term.time_offset).c_str(),
-                       index_expr(term_delta(term)).c_str()));
+    for (const auto& term : ctx.linear.terms)
+      e.line("acc += " + term_text(term, index_expr(term_delta(term)), "(double)") + ";");
     e.line(strprintf("out[x] = (%s)acc;", ty.c_str()));
     e.close();
   }
-  for (int d = 0; d + 1 < spec.ndim; ++d) e.close();
+  for (int d = 0; d + 1 < nd; ++d) e.close();
   e.close();  // function
   e.line();
 }
 
 /// One msc_aot_step call at timestep expression `t_expr` over dim-0 rows
 /// [`r0`, `r1`).
-std::string step_call(const AotKernelSpec& spec, const std::string& t_expr,
-                      const std::string& r0, const std::string& r1) {
-  std::string call = strprintf("msc_aot_step(slots[MSC_SLOT(%s)]", t_expr.c_str());
-  for (int toff : read_offsets(spec))
-    call += strprintf(", slots[MSC_SLOT((%s) + (%d))]", t_expr.c_str(), toff);
+std::string step_call(const GenContext& ctx, const std::string& t_expr, const std::string& r0,
+                      const std::string& r1) {
+  std::string call = strprintf("msc_aot_step(slots[SLOT(%s)]", t_expr.c_str());
+  for (int toff : read_offsets(ctx))
+    call += strprintf(", slots[SLOT((%s) + (%d))]", t_expr.c_str(), toff);
   return call + strprintf(", %s, %s);", r0.c_str(), r1.c_str());
 }
 
 }  // namespace
 
-AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& sched,
-                            const exec::LinearKernel& lin) {
-  AotKernelSpec spec;
-  spec.name = st.name();
-  spec.elem_c_type = ir::dtype_c_name(st.state()->dtype());
-  spec.ndim = st.state()->ndim();
-  for (int d = 0; d < spec.ndim; ++d)
-    spec.extent[static_cast<std::size_t>(d)] = st.state()->extent(d);
-  spec.halo = st.state()->halo();
-  spec.window = st.time_window();
-  spec.time_depth = std::max<std::int64_t>(1, sched.time_tile_depth());
-  spec.terms = lin.terms;
-  MSC_CHECK(!spec.terms.empty()) << "AOT kernel spec needs at least one linear term";
-  return spec;
-}
-
-std::string gen_aot_kernel(const AotKernelSpec& spec) {
-  MSC_CHECK(spec.ndim >= 1 && spec.ndim <= 3) << "AOT kernels are rank 1-3";
+std::string gen_aot_kernel(const GenContext& ctx) {
+  const ir::Tensor& grid = ctx.stencil->state();
+  const int nd = grid->ndim();
+  MSC_CHECK(nd >= 1 && nd <= 3) << "AOT kernels are rank 1-3";
+  MSC_CHECK(!ctx.linear.terms.empty()) << "AOT kernel needs at least one linear term";
+  const std::int64_t depth = std::max<std::int64_t>(1, ctx.sched->time_tile_depth());
+  const std::string ty = elem_type(ctx);
 
   // Compile-time padded row-major strides, identical to GridStorage's.
   std::array<std::int64_t, 3> stride{0, 0, 0};
   std::int64_t padded = 1;
-  for (int d = spec.ndim - 1; d >= 0; --d) {
+  std::vector<std::string> extents;
+  for (int d = nd - 1; d >= 0; --d) {
     stride[static_cast<std::size_t>(d)] = padded;
-    padded *= spec.extent[static_cast<std::size_t>(d)] + 2 * spec.halo;
+    padded *= grid->extent(d) + 2 * grid->halo();
+    extents.insert(extents.begin(), std::to_string(grid->extent(d)));
   }
 
   Emitter e;
-  e.line(strprintf("/* msc AOT-specialized kernel: %s — generated, do not edit.", spec.name.c_str()));
-  e.line(strprintf(" * %d-D interior %lld%s, halo %lld, window %d, %zu linear terms,",
-                   spec.ndim, static_cast<long long>(spec.extent[0]),
-                   spec.ndim > 1 ? strprintf("x%lld%s", static_cast<long long>(spec.extent[1]),
-                                             spec.ndim > 2
-                                                 ? strprintf("x%lld", static_cast<long long>(
-                                                                          spec.extent[2]))
-                                                       .c_str()
-                                                 : "")
-                                       .c_str()
-                                 : "",
-                   static_cast<long long>(spec.halo), spec.window, spec.terms.size()));
+  e.line(strprintf("/* msc AOT-specialized kernel: %s — generated, do not edit.",
+                   ctx.prog_name.c_str()));
+  e.line(strprintf(" * %d-D interior %s, halo %lld, window %d, %zu linear terms,", nd,
+                   join(extents, "x").c_str(), static_cast<long long>(grid->halo()),
+                   ctx.stencil->time_window(), ctx.linear.terms.size()));
   e.line(strprintf(" * time depth %lld. Numerics match exec sweep_point_linear bit for bit",
-                   static_cast<long long>(spec.time_depth)));
+                   static_cast<long long>(depth)));
   e.line(" * (per point: ordered sum from 0.0 of coeff * (double)load, in 4-wide vector");
   e.line(" * lanes or scalar; compile with -ffp-contract=off). */");
   e.line();
-  e.line(strprintf("#define MSC_WIN %d", spec.window));
-  e.line("#define MSC_SLOT(t) ((int)((((t) % MSC_WIN) + MSC_WIN) % MSC_WIN))");
+  e.line(win_macro(ctx));
+  e.line(kSlotMacro);
   e.line("#define MSC_EXPORT __attribute__((visibility(\"default\")))");
   e.line();
 
-  emit_vector_helpers(e, spec.elem_c_type);
-  emit_step(e, spec, stride);
+  emit_vector_helpers(e, ty);
+  emit_step(e, ctx, stride);
 
-  const std::string slots_cast = strprintf("%s *const *slots = (%s *const *)slots_v;",
-                                           spec.elem_c_type.c_str(),
-                                           spec.elem_c_type.c_str());
-  const std::string all_rows = strprintf("%lldL", static_cast<long long>(spec.extent[0]));
+  const std::string slots_cast =
+      strprintf("%s *const *slots = (%s *const *)slots_v;", ty.c_str(), ty.c_str());
+  const std::string all_rows = strprintf("%lldL", static_cast<long long>(grid->extent(0)));
   e.open("MSC_EXPORT void msc_aot_rows(void *const *slots_v, long t, long r0, long r1)");
   e.line(slots_cast);
-  e.line(step_call(spec, "t", "r0", "r1"));
+  e.line(step_call(ctx, "t", "r0", "r1"));
   e.close();
   e.line();
 
   e.open("MSC_EXPORT void msc_aot_run(void *const *slots_v, long t_begin, long t_end)");
   e.line(slots_cast);
   e.line("long t = t_begin;");
-  if (spec.time_depth > 1) {
+  if (depth > 1) {
     // time_tile fusion: the slot rotation of a full block is unrolled so the
     // cc sees a straight run of step calls per block.
-    e.open(strprintf("for (; t + %lldL <= t_end; t += %lldL)",
-                     static_cast<long long>(spec.time_depth - 1),
-                     static_cast<long long>(spec.time_depth)));
-    for (std::int64_t k = 0; k < spec.time_depth; ++k)
-      e.line(step_call(spec, strprintf("t + %lldL", static_cast<long long>(k)), "0L",
-                       all_rows));
+    e.open(strprintf("for (; t + %lldL <= t_end; t += %lldL)", static_cast<long long>(depth - 1),
+                     static_cast<long long>(depth)));
+    for (std::int64_t k = 0; k < depth; ++k)
+      e.line(step_call(ctx, strprintf("t + %lldL", static_cast<long long>(k)), "0L", all_rows));
     e.close();
   }
   e.open("for (; t <= t_end; ++t)");
-  e.line(step_call(spec, "t", "0L", all_rows));
+  e.line(step_call(ctx, "t", "0L", all_rows));
   e.close();
   e.close();
   e.line();
@@ -241,7 +207,7 @@ std::string gen_aot_kernel(const AotKernelSpec& spec) {
   e.line(strprintf("return %lldL;", static_cast<long long>(padded)));
   e.close();
   e.open("MSC_EXPORT int msc_aot_window(void)");
-  e.line(strprintf("return %d;", spec.window));
+  e.line(strprintf("return %d;", ctx.stencil->time_window()));
   e.close();
   e.open("MSC_EXPORT int msc_aot_abi(void)");
   e.line(strprintf("return %d;", kMscAotAbiVersion));

@@ -1,12 +1,10 @@
 #pragma once
 
-// AOT-specialized host kernel emission (the paper's core promise, closed
-// for the host path): per lowered plan we emit one C translation unit with
-// every geometric constant baked in — extents, halo, padded strides, ring
-// window — and the stencil's full linear term list unrolled as straight-
-// line accumulation statements.  Unlike the in-process sweep engine, whose
-// fixed-term kernels stop at kMaxFixedTerms and whose fused form stops at
-// kFusedTermLimit streams, the emitted kernel has no term cap: a 242-term
+// The AOT driver of the shared C emitter (kernel_body.hpp): per lowered
+// plan it emits one C translation unit for the dlopen host backend, with
+// every geometric constant baked in and the stencil's full linear term
+// list unrolled as straight-line accumulation statements.  Unlike the
+// in-process sweep engine, the emitted kernel has no term cap: a 242-term
 // 2d121pt_box becomes 242 constant-offset loads the host cc can schedule
 // with full knowledge of the deltas.
 //
@@ -23,40 +21,15 @@
 // one final cast — compiled with -ffp-contract=off so no FMA contraction
 // can change a value.
 
-#include <array>
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "exec/linearize.hpp"
-#include "ir/stencil.hpp"
-#include "schedule/schedule.hpp"
+#include "codegen/codegen.hpp"
 
 namespace msc::codegen {
 
-/// Everything the specialized emitter bakes into one kernel TU.  Plain
-/// data, so the backend can hash it (via the emitted source) for the
-/// compile cache.
-struct AotKernelSpec {
-  std::string name;                    ///< program name, for the banner
-  std::string elem_c_type;             ///< "double" / "float"
-  int ndim = 0;
-  std::array<std::int64_t, 3> extent{1, 1, 1};  ///< interior extents
-  std::int64_t halo = 0;
-  int window = 2;                      ///< ring slots (time_window)
-  std::int64_t time_depth = 1;         ///< time_tile(): steps fused per block
-  std::vector<exec::LinTerm> terms;    ///< full unrolled term list
-};
-
-/// Builds the spec for a stencil + schedule (time_depth comes from the
-/// schedule's time_tile; 1 when unscheduled).  `lin` must be the stencil's
-/// linearization — passed in so callers that already linearized don't pay
-/// it twice.
-AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& sched,
-                            const exec::LinearKernel& lin);
-
-/// Emits the complete C source of the specialized kernel module.  Exported
-/// ABI (all C, default visibility):
+/// Emits the complete C source of the specialized kernel module for a
+/// context built by make_aot_spec (time_tile blocks come from the
+/// schedule's time_tile_depth).  Exported ABI (all C, default visibility):
 ///
 ///   void msc_aot_rows(void *const *slots, long t, long r0, long r1);
 ///   void msc_aot_run(void *const *slots, long t_begin, long t_end);
@@ -68,11 +41,11 @@ AotKernelSpec make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& 
 /// 1-D grid, the points [r0, r1) of the row); calls over disjoint ranges
 /// of one step may run concurrently.  msc_aot_run is the serial whole-grid
 /// loop over steps [t_begin, t_end], with time_tile blocks unrolled.
-/// `slots[w]` is the base pointer of ring slot w (GridStorage::slot_data);
-/// slot selection inside uses the same ((t % WIN) + WIN) % WIN rotation as
-/// GridStorage::slot_for_time.  The kernel writes interior cells only, so
-/// pre-zeroed halos (Boundary::ZeroHalo) stay valid across every step.
-std::string gen_aot_kernel(const AotKernelSpec& spec);
+/// `slots[w]` is the base pointer of ring slot w (GridStorage::slot_data),
+/// selected by the shared SLOT rotation.  The kernel writes interior cells
+/// only, so pre-zeroed halos (Boundary::ZeroHalo) stay valid across every
+/// step.
+std::string gen_aot_kernel(const GenContext& ctx);
 
 /// Bumped whenever the emitted ABI or numerics contract changes; baked
 /// into the module and into the backend's cache key so stale shared

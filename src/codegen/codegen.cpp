@@ -8,17 +8,24 @@
 
 namespace msc::codegen {
 
-GenContext make_context(const dsl::Program& prog) {
+GenContext make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& sched,
+                         const exec::LinearKernel& lin) {
   GenContext ctx;
-  ctx.stencil = &prog.stencil();
-  ctx.sched = &prog.primary_schedule();
-  ctx.prog_name = prog.name();
-  ctx.mpi_dims = prog.mpi_shape().dims;
+  ctx.stencil = &st;
+  ctx.sched = &sched;
+  ctx.linear = lin;
+  ctx.prog_name = st.name();
+  return ctx;
+}
+
+GenContext make_context(const dsl::Program& prog) {
   const auto lin = exec::linearize_stencil(prog.stencil(), prog.bindings());
   MSC_CHECK(lin.has_value()) << "program '" << prog.name()
                              << "': code generation requires an affine stencil "
                              << "(sum of coefficient * neighbor terms)";
-  ctx.linear = *lin;
+  GenContext ctx = make_aot_spec(prog.stencil(), prog.primary_schedule(), *lin);
+  ctx.prog_name = prog.name();
+  ctx.mpi_dims = prog.mpi_shape().dims;
   return ctx;
 }
 

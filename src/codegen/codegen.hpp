@@ -57,8 +57,15 @@ struct GenResult {
   std::string main_file;  ///< key of the primary source file
 };
 
+/// The one (stencil, schedule, linear form) -> GenContext constructor.
+/// `lin` must be the stencil's linearization; it is passed in so callers
+/// that already linearized don't pay it twice.  The context points at
+/// `st` and `sched`, which must outlive it.
+GenContext make_aot_spec(const ir::StencilDef& st, const schedule::Schedule& sched,
+                         const exec::LinearKernel& lin);
+
 /// Builds a GenContext from a DSL program (linearizes the stencil; throws
-/// if the stencil leaves the affine fragment).
+/// if the stencil leaves the affine fragment) through make_aot_spec.
 GenContext make_context(const dsl::Program& prog);
 
 /// Generates all files for `target`; writes them under `out_dir` when

@@ -23,9 +23,4 @@ Emitter& Emitter::close(const std::string& trailer) {
   return *this;
 }
 
-Emitter& Emitter::raw(const std::string& text) {
-  out_ += text;
-  return *this;
-}
-
 }  // namespace msc::codegen

@@ -17,9 +17,6 @@ class Emitter {
   /// Dedents and appends `}` (optionally with a trailer, e.g. `} else {`).
   Emitter& close(const std::string& trailer = "}");
 
-  /// Raw append with no indentation or newline handling.
-  Emitter& raw(const std::string& text);
-
   const std::string& str() const { return out_; }
 
  private:

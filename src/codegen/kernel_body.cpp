@@ -1,6 +1,5 @@
 #include "codegen/kernel_body.hpp"
 
-#include <map>
 #include <set>
 
 #include "support/error.hpp"
@@ -30,7 +29,24 @@ std::string idx_call(const GenContext& ctx, const std::array<std::int64_t, 3>& o
   return "IDX(" + join(subs, ", ") + ")";
 }
 
-/// Distinct time offsets read by the combined stencil, most recent first.
+/// IDX's argument list at the current interior point ("k, j, i").
+std::string interior_index(const GenContext& ctx) {
+  std::vector<std::string> subs;
+  for (int d = 0; d < ndim(ctx); ++d) subs.push_back(dim_var(ctx, d));
+  return join(subs, ", ");
+}
+
+}  // namespace
+
+void emit_interior_loop(Emitter& e, const GenContext& ctx, const std::string& stmt) {
+  for (int d = 0; d < ndim(ctx); ++d) {
+    const std::string v = dim_var(ctx, d);
+    e.open(strprintf("for (long %s = 0; %s < N%d; ++%s)", v.c_str(), v.c_str(), d, v.c_str()));
+  }
+  e.line(stmt);
+  for (int d = 0; d < ndim(ctx); ++d) e.close();
+}
+
 std::vector<int> read_offsets(const GenContext& ctx) {
   std::set<int> s;
   for (const auto& term : ctx.linear.terms) s.insert(term.time_offset);
@@ -39,7 +55,15 @@ std::vector<int> read_offsets(const GenContext& ctx) {
 
 std::string in_name(int toff) { return "in_m" + std::to_string(-toff); }
 
-}  // namespace
+std::string win_macro(const GenContext& ctx) {
+  return strprintf("#define WIN %d", ctx.stencil->time_window());
+}
+
+std::string term_text(const exec::LinTerm& term, const std::string& index,
+                      const std::string& load, const std::string& load_end) {
+  return strprintf("%.17g * %s%s[%s]%s", term.coeff, load.c_str(),
+                   in_name(term.time_offset).c_str(), index.c_str(), load_end.c_str());
+}
 
 std::string elem_type(const GenContext& ctx) {
   return ir::dtype_c_name(ctx.stencil->state()->dtype());
@@ -52,7 +76,7 @@ void emit_geometry(Emitter& e, const GenContext& ctx) {
   for (int d = 0; d < nd; ++d)
     e.line(strprintf("#define N%d %ldL", d, static_cast<long>(grid->extent(d))));
   e.line(strprintf("#define HALO %ldL", static_cast<long>(grid->halo())));
-  e.line(strprintf("#define WIN %d", ctx.stencil->time_window()));
+  e.line(win_macro(ctx));
   for (int d = 0; d < nd; ++d) e.line(strprintf("#define P%d (N%d + 2*HALO)", d, d));
   // Row-major strides, last dim contiguous.
   if (nd == 3) {
@@ -76,13 +100,12 @@ void emit_geometry(Emitter& e, const GenContext& ctx) {
                      dim_var(ctx, 0).c_str()));
     e.line("#define PADDED (P0)");
   }
-  e.line("#define SLOT(t) ((int)((((t) % WIN) + WIN) % WIN))");
+  e.line(kSlotMacro);
   e.line();
 }
 
 void emit_alloc_and_seed(Emitter& e, const GenContext& ctx) {
   const std::string ty = elem_type(ctx);
-  const int nd = ndim(ctx);
   e.line("/* deterministic input seeding (replaces the paper's /data/rand.data);");
   e.line(" * interior cells only, in row-major order — bit-identical to the");
   e.line(" * values the MSC host executor seeds, so checksums are comparable. */");
@@ -95,18 +118,10 @@ void emit_alloc_and_seed(Emitter& e, const GenContext& ctx) {
   e.line();
   e.open(strprintf("static void seed_grid(%s *g, uint64_t seed)", ty.c_str()));
   e.line("uint64_t s = seed;");
-  {
-    std::vector<std::string> subs;
-    for (int d = 0; d < nd; ++d) {
-      const std::string v = dim_var(ctx, d);
-      e.open(strprintf("for (long %s = 0; %s < N%d; ++%s)", v.c_str(), v.c_str(), d, v.c_str()));
-      subs.push_back(v);
-    }
-    e.line(strprintf(
-        "g[IDX(%s)] = (%s)(-1.0 + 2.0 * ((double)(splitmix64(&s) >> 11) * 0x1.0p-53));",
-        join(subs, ", ").c_str(), ty.c_str()));
-    for (int d = 0; d < nd; ++d) e.close();
-  }
+  emit_interior_loop(
+      e, ctx,
+      strprintf("g[IDX(%s)] = (%s)(-1.0 + 2.0 * ((double)(splitmix64(&s) >> 11) * 0x1.0p-53));",
+                interior_index(ctx).c_str(), ty.c_str()));
   e.close();
   e.line();
 }
@@ -116,28 +131,27 @@ std::string point_update(const GenContext& ctx) {
   for (std::size_t n = 0; n < ctx.linear.terms.size(); ++n) {
     const auto& term = ctx.linear.terms[n];
     if (n != 0) rhs += "\n        + ";
-    rhs += strprintf("%.17g * %s[%s]", term.coeff, in_name(term.time_offset).c_str(),
-                     idx_call(ctx, term.offset).c_str());
+    rhs += term_text(term, idx_call(ctx, term.offset));
   }
-  std::vector<std::string> subs;
-  for (int d = 0; d < ndim(ctx); ++d) subs.push_back(dim_var(ctx, d));
-  return "out[IDX(" + join(subs, ", ") + ")] = " + rhs + ";";
+  return "out[IDX(" + interior_index(ctx) + ")] = " + rhs + ";";
+}
+
+void open_sweep(Emitter& e, const GenContext& ctx, const std::string& extra_params) {
+  const std::string ty = elem_type(ctx);
+  e.open(strprintf("static void sweep(%s *const *g, long t%s)", ty.c_str(),
+                   extra_params.c_str()));
+  e.line(strprintf("%s *restrict out = g[SLOT(t)];", ty.c_str()));
+  for (int toff : read_offsets(ctx))
+    e.line(strprintf("const %s *restrict %s = g[SLOT(t + (%d))];", ty.c_str(),
+                     in_name(toff).c_str(), toff));
 }
 
 void emit_sweep(Emitter& e, const GenContext& ctx, ParallelStyle style) {
   const std::string ty = elem_type(ctx);
   const auto& axes = ctx.sched->axes();
-  const int nd = ndim(ctx);
 
   e.line("/* one scheduled stencil sweep at timestep t */");
-  std::string sig = strprintf("static void sweep(%s *const *g, long t", ty.c_str());
-  if (style == ParallelStyle::Athread) sig += ", int my_id";
-  sig += ")";
-  e.open(sig);
-  e.line(strprintf("%s *restrict out = g[SLOT(t)];", ty.c_str()));
-  for (int toff : read_offsets(ctx))
-    e.line(strprintf("const %s *restrict %s = g[SLOT(t + (%d))];", ty.c_str(),
-                     in_name(toff).c_str(), toff));
+  open_sweep(e, ctx, style == ParallelStyle::Athread ? ", int my_id" : "");
   e.line();
 
   int opened = 0;
@@ -207,11 +221,9 @@ void emit_sweep(Emitter& e, const GenContext& ctx, ParallelStyle style) {
   }
 
   e.line(point_update(ctx));
-  // Unused-variable guard for dims that appear only via IDX.
   for (; opened > 0; --opened) e.close();
   e.close();
   e.line();
-  (void)nd;
 }
 
 void emit_mpi_exchange(Emitter& e, const GenContext& ctx) {
@@ -287,9 +299,11 @@ void emit_mpi_exchange(Emitter& e, const GenContext& ctx) {
   e.line();
 }
 
-void emit_main(Emitter& e, const GenContext& ctx, const std::string& sweep_call) {
+void emit_main(Emitter& e, const GenContext& ctx, const std::string& sweep_call,
+               const std::string& init) {
   const std::string ty = elem_type(ctx);
   e.open("int main(int argc, char **argv)");
+  if (!init.empty()) e.line(init);
   e.line(strprintf("long timesteps = argc > 1 ? atol(argv[1]) : %ld;",
                    static_cast<long>(ctx.timesteps)));
   if (!ctx.mpi_dims.empty()) {
@@ -326,30 +340,14 @@ void emit_main(Emitter& e, const GenContext& ctx, const std::string& sweep_call)
   e.line("/* interior checksum for cross-backend validation */");
   e.line("double checksum = 0.0;");
   e.line(strprintf("%s *final = g[SLOT(timesteps)];", ty.c_str()));
-  {
-    const int nd = ndim(ctx);
-    std::vector<std::string> subs;
-    for (int d = 0; d < nd; ++d) {
-      const std::string v = dim_var(ctx, d);
-      e.open(strprintf("for (long %s = 0; %s < N%d; ++%s)", v.c_str(), v.c_str(), d, v.c_str()));
-      subs.push_back(v);
-    }
-    e.line(strprintf("checksum += (double)final[IDX(%s)];", join(subs, ", ").c_str()));
-    for (int d = 0; d < nd; ++d) e.close();
-  }
+  const std::string at = interior_index(ctx);
+  emit_interior_loop(e, ctx, strprintf("checksum += (double)final[IDX(%s)];", at.c_str()));
   e.line("printf(\"checksum %.17g\\n\", checksum);");
   if (ctx.emit_grid_dump) {
-    const int nd = ndim(ctx);
     e.line("/* conformance hook: element-wise grid dump (msc-conform --dump) */");
     e.open("if (argc > 2)");
-    std::vector<std::string> subs;
-    for (int d = 0; d < nd; ++d) {
-      const std::string v = dim_var(ctx, d);
-      e.open(strprintf("for (long %s = 0; %s < N%d; ++%s)", v.c_str(), v.c_str(), d, v.c_str()));
-      subs.push_back(v);
-    }
-    e.line(strprintf("printf(\"%%.17g\\n\", (double)final[IDX(%s)]);", join(subs, ", ").c_str()));
-    for (int d = 0; d < nd; ++d) e.close();
+    emit_interior_loop(e, ctx,
+                       strprintf("printf(\"%%.17g\\n\", (double)final[IDX(%s)]);", at.c_str()));
     e.close();
   }
   e.line("for (int w = 0; w < WIN; ++w) free(g[w]);");

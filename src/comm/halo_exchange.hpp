@@ -44,15 +44,14 @@ enum class Exchanger { Plan, FaceSequential };
 
 namespace detail {
 
-/// Iterates the pack region of (dim, side): a slab `halo` thick just inside
-/// the interior face.  With `padded_cross` the slab spans the padded
-/// extents of every other dimension (corner-propagating dimension-
-/// sequential exchange); without it, interior cross-sections only (the
-/// single-phase exchange used when corners are not needed).
+/// Iterates the region of (dim, side): a slab `halo` thick just inside the
+/// interior face (`inside`, the data to send) or just outside it (the halo
+/// it fills).  The slab spans the padded extents of every other dimension,
+/// which is what propagates corners in the dimension-sequential exchange.
 /// fn receives interior-coordinate points (halo coords are negative/past-end).
 template <typename T, typename Fn>
 void for_each_face_point(const exec::GridStorage<T>& g, int dim, int side, bool inside,
-                         Fn&& fn, bool padded_cross = true) {
+                         Fn&& fn) {
   const std::int64_t h = g.halo();
   std::array<std::int64_t, 3> lo{0, 0, 0}, hi{1, 1, 1};
   for (int d = 0; d < g.ndim(); ++d) {
@@ -65,8 +64,8 @@ void for_each_face_point(const exec::GridStorage<T>& g, int dim, int side, bool 
         hi[static_cast<std::size_t>(d)] = side == 0 ? 0 : g.extent(d) + h;
       }
     } else {
-      lo[static_cast<std::size_t>(d)] = padded_cross ? -h : 0;
-      hi[static_cast<std::size_t>(d)] = g.extent(d) + (padded_cross ? h : 0);
+      lo[static_cast<std::size_t>(d)] = -h;
+      hi[static_cast<std::size_t>(d)] = g.extent(d) + h;
     }
   }
   std::array<std::int64_t, 3> c = lo;
@@ -86,32 +85,20 @@ void for_each_face_point(const exec::GridStorage<T>& g, int dim, int side, bool 
 /// buffer allocates nothing in steady state).
 template <typename T>
 void pack_face_into(const exec::GridStorage<T>& g, int slot, int dim, int side,
-                    std::vector<T>& buf, bool padded_cross = true) {
+                    std::vector<T>& buf) {
   buf.clear();
-  for_each_face_point(
-      g, dim, side, /*inside=*/true,
-      [&](std::array<std::int64_t, 3> c) { buf.push_back(g.at(slot, c)); }, padded_cross);
-}
-
-template <typename T>
-std::vector<T> pack_face(const exec::GridStorage<T>& g, int slot, int dim, int side,
-                         bool padded_cross = true) {
-  std::vector<T> buf;
-  pack_face_into(g, slot, dim, side, buf, padded_cross);
-  return buf;
+  for_each_face_point(g, dim, side, /*inside=*/true,
+                      [&](std::array<std::int64_t, 3> c) { buf.push_back(g.at(slot, c)); });
 }
 
 template <typename T>
 void unpack_face(exec::GridStorage<T>& g, int slot, int dim, int side,
-                 const std::vector<T>& buf, bool padded_cross = true) {
+                 const std::vector<T>& buf) {
   std::size_t n = 0;
-  for_each_face_point(
-      g, dim, side, /*inside=*/false,
-      [&](std::array<std::int64_t, 3> c) {
-        MSC_ASSERT(n < buf.size()) << "halo unpack overflow";
-        g.at(slot, c) = buf[n++];
-      },
-      padded_cross);
+  for_each_face_point(g, dim, side, /*inside=*/false, [&](std::array<std::int64_t, 3> c) {
+    MSC_ASSERT(n < buf.size()) << "halo unpack overflow";
+    g.at(slot, c) = buf[n++];
+  });
   MSC_CHECK(n == buf.size()) << "halo unpack size mismatch: " << n << " vs " << buf.size();
 }
 
@@ -181,63 +168,6 @@ ExchangeStats exchange_halo(RankCtx& ctx, const CartDecomp& dec, exec::GridStora
                             int slot) {
   ExchangeWorkspace<T> ws;
   return exchange_halo(ctx, dec, local, slot, ws);
-}
-
-/// In-flight single-phase exchange (all faces posted at once, no corner
-/// propagation — star stencils only).  Produced by begin_exchange_async,
-/// resolved by finish_exchange_async; the caller computes the sub-domain
-/// interior in between (§3: "the computation codes are interleaved with
-/// the communication codes").
-template <typename T>
-struct PendingExchange {
-  std::vector<Request> requests;
-  std::vector<std::vector<T>> send_bufs;  ///< kept alive until the sends land
-  std::vector<std::vector<T>> recv_bufs;
-  std::vector<std::pair<int, int>> recv_faces;  ///< (dim, side)
-  ExchangeStats stats;
-};
-
-template <typename T>
-PendingExchange<T> begin_exchange_async(RankCtx& ctx, const CartDecomp& dec,
-                                        const exec::GridStorage<T>& local, int slot) {
-  PendingExchange<T> pending;
-  const int rank = ctx.rank();
-  prof::RankPhaseScope pack_span(rank, prof::Phase::Pack);
-  for (int dim = 0; dim < dec.ndim(); ++dim) {
-    for (int side = 0; side < 2; ++side) {
-      const int nb = dec.neighbor(rank, dim, side == 0 ? -1 : +1);
-      if (nb < 0) continue;
-      pending.send_bufs.push_back(
-          detail::pack_face(local, slot, dim, side, /*padded_cross=*/false));
-      auto& sb = pending.send_bufs.back();
-      const int tag = dim * 2 + side;
-      const int peer_tag = dim * 2 + (1 - side);
-      pending.requests.push_back(
-          ctx.isend(nb, tag, sb.data(), static_cast<std::int64_t>(sb.size() * sizeof(T))));
-      pending.stats.messages_sent += 1;
-      pending.stats.bytes_sent += static_cast<std::int64_t>(sb.size() * sizeof(T));
-
-      pending.recv_bufs.emplace_back(sb.size());
-      auto& rb = pending.recv_bufs.back();
-      pending.requests.push_back(ctx.irecv(
-          nb, peer_tag, rb.data(), static_cast<std::int64_t>(rb.size() * sizeof(T))));
-      pending.recv_faces.push_back({dim, side});
-    }
-  }
-  prof::counter("comm.halo.bytes_sent").add(pending.stats.bytes_sent);
-  prof::counter("comm.halo.messages").add(pending.stats.messages_sent);
-  prof::counter("comm.halo.exchanges").add(1);
-  return pending;
-}
-
-template <typename T>
-void finish_exchange_async(RankCtx& ctx, PendingExchange<T>& pending,
-                           exec::GridStorage<T>& local, int slot) {
-  ctx.wait_all(pending.requests);  // blocked time lands as "wait" spans (simmpi)
-  prof::RankPhaseScope unpack_span(ctx.rank(), prof::Phase::Unpack);
-  for (std::size_t n = 0; n < pending.recv_bufs.size(); ++n)
-    detail::unpack_face(local, slot, pending.recv_faces[n].first, pending.recv_faces[n].second,
-                        pending.recv_bufs[n], /*padded_cross=*/false);
 }
 
 /// Result of a distributed run on one rank.

@@ -200,8 +200,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     *why = "stencil is not affine (no linear form to specialize)";
     return nullptr;
   }
-  const auto spec = codegen::make_aot_spec(st, sched, *lin);
-  const std::string source = codegen::gen_aot_kernel(spec);
+  const std::string source = codegen::gen_aot_kernel(codegen::make_aot_spec(st, sched, *lin));
   const std::string flags = compile_flags(opts.cc);
   const std::string hash = strprintf(
       "%016llx", static_cast<unsigned long long>(fnv1a(

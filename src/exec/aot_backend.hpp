@@ -1,9 +1,9 @@
 #pragma once
 
 // The AOT dlopen host backend: per lowered plan, emit a specialized C
-// kernel (codegen/aot_kernel.hpp), compile it with the host cc into a
-// shared object, dlopen it, and dispatch timesteps through the compiled
-// entry point.  The pipeline is
+// kernel (codegen/aot_kernel.hpp, a driver of the shared C emitter),
+// compile it with the host cc into a shared object, dlopen it, and
+// dispatch timesteps through the compiled entry point.  The pipeline is
 //
 //   linearize -> make_aot_spec -> gen_aot_kernel     (emit)
 //   -> <cache_dir>/<hash>.c -> cc -shared -> <hash>.so  (compile, cached)

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,10 +86,13 @@ class CancelGuard {
     if (cancel == nullptr) return;
     state_ = &state;
     const auto per_slot = static_cast<std::size_t>(state.padded_points());
-    backup_.resize(static_cast<std::size_t>(state.slots()) * per_slot);
+    // Uninitialized: the copy below overwrites every element, and zeroing
+    // first would double the guard's memory traffic.
+    backup_ = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(state.slots()) *
+                                                  per_slot);
     for (int s = 0; s < state.slots(); ++s)
       std::copy_n(state.slot_data(s), per_slot,
-                  backup_.data() + static_cast<std::size_t>(s) * per_slot);
+                  backup_.get() + static_cast<std::size_t>(s) * per_slot);
   }
 
   /// Restores every slot from the entry snapshot.  No-op when unarmed.
@@ -96,13 +100,13 @@ class CancelGuard {
     if (state_ == nullptr) return;
     const auto per_slot = static_cast<std::size_t>(state_->padded_points());
     for (int s = 0; s < state_->slots(); ++s)
-      std::copy_n(backup_.data() + static_cast<std::size_t>(s) * per_slot, per_slot,
+      std::copy_n(backup_.get() + static_cast<std::size_t>(s) * per_slot, per_slot,
                   state_->slot_data(s));
   }
 
  private:
   GridStorage<T>* state_ = nullptr;
-  std::vector<T> backup_;
+  std::unique_ptr<T[]> backup_;
 };
 
 /// build_loop_plan plus the check that the schedule was built for `state`.

@@ -30,6 +30,21 @@ LiveRecorders& live_recorders() {
   return *live;
 }
 
+// Ring slots are read by drains while their writer may be overwriting
+// them, so every field goes through an atomic access (plain moves on
+// x86-64): the slot protocol of record() and drain() decides which copies
+// are kept, and no access is a data race.  Release stores and acquire
+// loads order a slot's seq claim before its fields (see drain).
+template <typename T>
+void store_field(T& field, T value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_release);
+}
+
+template <typename T>
+T load_field(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field)).load(std::memory_order_acquire);
+}
+
 }  // namespace
 
 const char* flight_kind_name(FlightKind kind) {
@@ -123,13 +138,16 @@ void FlightRecorder::record(FlightKind kind, std::uint64_t start_ns, std::uint64
   ThreadRing& ring = ring_for_current_thread();
   const std::uint64_t n = ring.count.load(std::memory_order_relaxed);
   FlightEvent& ev = ring.events[n % kRingCapacity];
-  ev.start_ns = start_ns;
-  ev.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  ev.plan = g_current_plan.load(std::memory_order_relaxed);
-  ev.a = a;
-  ev.b = b;
-  ev.seq = static_cast<std::uint32_t>(n);
-  ev.kind = kind;
+  // Claim the slot first: every field store is a release after the new
+  // seq, so a drain that reads any new field also reads the new seq and
+  // drops the slot as overwritten.
+  store_field(ev.seq, static_cast<std::uint32_t>(n));
+  store_field(ev.start_ns, start_ns);
+  store_field(ev.dur_ns, end_ns >= start_ns ? end_ns - start_ns : std::uint64_t{0});
+  store_field(ev.plan, g_current_plan.load(std::memory_order_relaxed));
+  store_field(ev.a, a);
+  store_field(ev.b, b);
+  store_field(ev.kind, kind);
   // Release: a drain that acquires count >= n+1 sees this event's stores.
   ring.count.store(n + 1, std::memory_order_release);
 }
@@ -152,20 +170,32 @@ std::vector<FlightThreadDump> FlightRecorder::drain(std::size_t last_n) const {
         {n1, kRingCapacity, static_cast<std::uint64_t>(last_n)});
     std::vector<FlightEvent> copied;
     copied.reserve(static_cast<std::size_t>(window));
-    for (std::uint64_t i = n1 - window; i < n1; ++i)
-      copied.push_back(ring->events[i % kRingCapacity]);
-    // Seqlock-lite validity: slots with seq < n2 - capacity were (or may
-    // have been) rewritten by a concurrent writer while we copied — a torn
-    // read is possible exactly there, so those entries are dropped.  A
-    // quiescent ring keeps the full window.
-    const std::uint64_t n2 = ring->count.load(std::memory_order_acquire);
-    const std::uint64_t oldest_valid = n2 > kRingCapacity ? n2 - kRingCapacity : 0;
-    for (const auto& ev : copied) {
-      const std::uint64_t expected = (n1 - window) + (static_cast<std::uint64_t>(
-                                                          &ev - copied.data()));
-      if (ev.seq != static_cast<std::uint32_t>(expected)) continue;  // torn slot
-      if (expected < oldest_valid) continue;                         // overwritten
-      dump.events.push_back(ev);
+    for (std::uint64_t i = n1 - window; i < n1; ++i) {
+      const FlightEvent& slot = ring->events[i % kRingCapacity];
+      FlightEvent ev;
+      ev.start_ns = load_field(slot.start_ns);
+      ev.dur_ns = load_field(slot.dur_ns);
+      ev.plan = load_field(slot.plan);
+      ev.a = load_field(slot.a);
+      ev.b = load_field(slot.b);
+      ev.kind = load_field(slot.kind);
+      copied.push_back(ev);
+    }
+    // Seqlock validity: count >= n1 (acquired above) makes every event
+    // below n1 fully visible, so a slot is torn only if a writer claimed
+    // it for a newer event meanwhile, and a copy that read any new field
+    // now reads the newer seq.  Writers overwrite oldest first, so the
+    // kept events are those after the last overwritten slot: a consistent
+    // suffix.  A quiescent ring keeps the full window.
+    for (std::size_t k = 0; k < copied.size(); ++k) {
+      const std::uint64_t expected = n1 - window + k;
+      const std::uint32_t seq = load_field(ring->events[expected % kRingCapacity].seq);
+      if (seq != static_cast<std::uint32_t>(expected)) {
+        dump.events.clear();  // overwritten
+        continue;
+      }
+      copied[k].seq = seq;
+      dump.events.push_back(copied[k]);
     }
     out.push_back(std::move(dump));
   }

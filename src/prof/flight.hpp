@@ -7,13 +7,13 @@
 //
 // The recorder is armed by default and bounded by construction: every
 // thread owns a fixed-size ring of POD events and records into it with
-// plain stores plus one release counter bump — no locks, no allocation, no
-// cross-thread contention on the hot path.  A disabled recorder costs one
-// relaxed atomic load per record call.  When a thread exits its ring goes
-// back to the recorder and the next new thread adopts it (count, tid and
-// the surviving events included), so short-lived threads — simmpi spawns
-// one per rank per SimWorld::run — never grow the ring set past the peak
-// number of live recording threads.
+// release stores (plain moves on x86-64) plus one release counter bump —
+// no locks, no allocation, no cross-thread contention on the hot path.  A
+// disabled recorder costs one relaxed atomic load per record call.  When
+// a thread exits its ring goes back to the recorder and the next new
+// thread adopts it (count, tid and the surviving events included), so
+// short-lived threads — simmpi spawns one per rank per SimWorld::run —
+// never grow the ring set past the peak number of live recording threads.
 //
 // Events are fixed-size spans (48 bytes): start/duration in nanoseconds
 // against a process-wide steady-clock epoch, the owning ring's stable tid,
@@ -34,9 +34,9 @@
 //   RankPhase     rank               prof::Phase (prof/timeline.hpp)
 //
 // Draining is wait-free for writers: the reader snapshots each ring and
-// keeps only events whose stored per-thread sequence number is provably
-// not overwritten mid-copy (a seqlock-lite validity window), so a drain
-// concurrent with writers yields a consistent suffix per thread.  A ring
+// keeps only events whose per-thread sequence number, re-read after the
+// copy, shows they were not overwritten mid-copy (a per-slot seqlock), so
+// a drain concurrent with writers yields a consistent suffix per thread.  A ring
 // that wrapped shows as dropped() > 0 on its dump.  Everything else is
 // derived from a drain: the chrome://tracing and msc-timeline-v1 documents
 // and critical_path() (prof/timeline.hpp), the attribution buckets

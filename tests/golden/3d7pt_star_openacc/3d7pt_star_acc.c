@@ -44,7 +44,7 @@ static void sweep(double *const *g, long t) {
   double *restrict out = g[SLOT(t)];
   const double *restrict in_m1 = g[SLOT(t + (-1))];
   const double *restrict in_m2 = g[SLOT(t + (-2))];
-  #pragma acc data copyin(in_m1[0:PADDED]) copyout(out[0:PADDED])
+  #pragma acc data copyin(in_m1[0:PADDED], in_m2[0:PADDED]) copy(out[0:PADDED])
   #pragma acc parallel loop tile(*)
   for (long k = 0; k < N0; ++k) {
     for (long j = 0; j < N1; ++j) {

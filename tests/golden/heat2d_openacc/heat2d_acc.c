@@ -38,7 +38,7 @@ static void seed_grid(double *g, uint64_t seed) {
 static void sweep(double *const *g, long t) {
   double *restrict out = g[SLOT(t)];
   const double *restrict in_m1 = g[SLOT(t + (-1))];
-  #pragma acc data copyin(in_m1[0:PADDED]) copyout(out[0:PADDED])
+  #pragma acc data copyin(in_m1[0:PADDED]) copy(out[0:PADDED])
   #pragma acc parallel loop tile(*)
   for (long j = 0; j < N0; ++j) {
     for (long i = 0; i < N1; ++i) {

@@ -153,9 +153,15 @@ TEST(AotEmitter, SpecPicksUpTimeTileDepth) {
   prog->primary_kernel().time_tile(4);
   const auto lin = linearize_stencil(prog->stencil(), prog->bindings());
   ASSERT_TRUE(lin.has_value());
-  const auto spec =
-      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin);
-  EXPECT_EQ(spec.time_depth, 4);
+  const std::string src = codegen::gen_aot_kernel(
+      codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin));
+  // msc_aot_run unrolls one time_tile block into 4 straight step calls.
+  EXPECT_NE(src.find("for (; t + 3L <= t_end; t += 4L)"), std::string::npos);
+  for (int k = 0; k < 4; ++k)
+    EXPECT_EQ(count_occurrences(src, "msc_aot_step(slots[SLOT(t + " + std::to_string(k) + "L)]"),
+              1u)
+        << "step " << k;
+  EXPECT_EQ(count_occurrences(src, "msc_aot_step(slots[SLOT(t + 4L)]"), 0u);
 }
 
 // ---- bit-identity against the sweep engine -------------------------------

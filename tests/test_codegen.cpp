@@ -75,7 +75,8 @@ TEST(Codegen, AthreadBackendEmitsMasterAndSlave) {
   EXPECT_TRUE(result.files.contains("athread_shim.h"));
   const auto& master = result.files.at("3d7pt_star_master.c");
   const auto& slave = result.files.at("3d7pt_star_slave.c");
-  EXPECT_NE(master.find("athread_init()"), std::string::npos);
+  EXPECT_NE(master.find("int main(int argc, char **argv) {\n  athread_init();\n"),
+            std::string::npos);
   EXPECT_NE(master.find("athread_spawn"), std::string::npos);
   EXPECT_NE(slave.find("athread_get"), std::string::npos);
   EXPECT_NE(slave.find("% 64) != my_id"), std::string::npos);  // CPE ownership
@@ -88,7 +89,19 @@ TEST(Codegen, OpenAccBackendEmitsDirectives) {
   const auto result = gen_openacc(make_context(*prog));
   const auto& src = result.files.at(result.main_file);
   EXPECT_NE(src.find("#pragma acc parallel loop"), std::string::npos);
-  EXPECT_NE(src.find("#pragma acc data copyin"), std::string::npos);
+}
+
+TEST(Codegen, OpenAccDataClauseCoversEveryReadSlot) {
+  // 3d7pt_star reads t-1 and t-2: both slots are copied in, and `out` is
+  // copied both ways so the halo cells the kernel never writes keep the
+  // host's zeros.
+  auto prog = small_3d7pt(true);
+  const auto result = gen_openacc(make_context(*prog));
+  const auto& src = result.files.at(result.main_file);
+  EXPECT_NE(src.find("#pragma acc data copyin(in_m1[0:PADDED], in_m2[0:PADDED]) "
+                     "copy(out[0:PADDED])"),
+            std::string::npos);
+  EXPECT_EQ(src.find("copyout"), std::string::npos);
 }
 
 TEST(Codegen, MpiGridAddsGuardedExchange) {

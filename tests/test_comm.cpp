@@ -532,28 +532,6 @@ TEST(OverlappedMatrix, EmptyInteriorCollidingSlabs3dBoxZeroHaloF64) {
                                               {2, 2, 2}, false);
 }
 
-TEST(SinglePhaseExchange, InteriorFacesOnly) {
-  // begin/finish exchange must deliver face values without touching halo
-  // corners (those stay at their previous contents).
-  auto tensor = ir::make_sp_tensor("B", ir::DataType::f64, {4, 4}, 1, 1);
-  CartDecomp dec({2, 2}, {8, 8});
-  SimWorld world(4);
-  world.run([&](RankCtx& ctx) {
-    exec::GridStorage<double> g(tensor);
-    g.for_each_interior([&](std::array<std::int64_t, 3> c) {
-      g.at(0, c) = static_cast<double>(ctx.rank() * 100 + c[0] * 10 + c[1]);
-    });
-    g.fill_halo(0, exec::Boundary::ZeroHalo);
-    auto pending = begin_exchange_async(ctx, dec, g, 0);
-    finish_exchange_async(ctx, pending, g, 0);
-    if (ctx.rank() == 0) {
-      EXPECT_DOUBLE_EQ(g.at(0, {0, 4, 0}), 100.0);  // rank 1's (0,0)
-      EXPECT_DOUBLE_EQ(g.at(0, {4, 0, 0}), 200.0);  // rank 2's (0,0)
-      EXPECT_DOUBLE_EQ(g.at(0, {4, 4, 0}), 0.0);    // corner untouched
-    }
-  });
-}
-
 // ---- decomposition edge cases -------------------------------------------
 
 /// Distributed-vs-single-node equivalence harness for 2-D benchmarks:
