@@ -73,7 +73,7 @@ int main() {
           st.state()->halo(), st.state()->time_window());
       exec::GridStorage<double> local(local_tensor);
       for (int s = 0; s < local.slots(); ++s) local.fill_random(s, 11 + r);
-      comm::run_distributed(ctx, mdec, st, local, 1, 4);
+      comm::run_distributed_overlapped(ctx, mdec, st, local, 1, 4);
     });
     std::printf("measured simmpi run (2d9pt_box, 24x24 over 2x2 ranks, 4 steps): "
                 "%lld halo bytes in %lld messages\n",

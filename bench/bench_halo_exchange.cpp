@@ -8,10 +8,11 @@
 // wall-clock ratios over bursts of pure exchange rounds, so the number
 // isolates the communication path from stencil compute.  Before any timing
 // the two exchangers must produce bit-identical padded rings (halos and
-// corners included) over a short distributed stepping; a wrong exchanger is
-// never timed.  An overlap section reruns the plan path through the
-// comm/compute-overlapped driver and reports the measured overlap
-// efficiency (hidden comm / total comm) from a drain of its flight events.
+// corners included) from identically seeded rings with every slot
+// exchanged once; a wrong exchanger is never timed.  An overlap section
+// reruns the plan path through the comm/compute-overlapped driver and
+// reports the measured overlap efficiency (hidden comm / total comm) from a
+// drain of its flight events.
 
 #include <algorithm>
 #include <chrono>
@@ -77,9 +78,11 @@ Workload make_workload(const Row& r) {
   return {std::move(prog), std::move(dec)};
 }
 
-/// Short distributed stepping under `ex`; returns every rank's full padded
-/// ring bytes (all slots) for the bitwise pre-timing gate.
-std::vector<std::vector<std::byte>> run_padded(const Workload& w, comm::Exchanger ex) {
+/// Seeds every rank's ring identically (random interior, zero halos),
+/// exchanges each slot once with the plan exchanger (`plan`) or the
+/// face-sequential one, and returns every rank's full padded ring bytes
+/// (all slots) for the bitwise pre-timing gate.
+std::vector<std::vector<std::byte>> exchanged_rings(const Workload& w, bool plan) {
   const auto& st = w.prog->stencil();
   const auto& dec = w.dec;
   const int ndim = st.state()->ndim();
@@ -92,9 +95,17 @@ std::vector<std::vector<std::byte>> run_padded(const Workload& w, comm::Exchange
     auto tensor = ir::make_sp_tensor("B", ir::DataType::f64, local_ext, st.state()->halo(),
                                      st.state()->time_window());
     exec::GridStorage<double> local(tensor);
-    for (int s = 0; s < local.slots(); ++s)
+    const comm::ExchangePlan xplan(dec, r, local.halo());
+    comm::PlanWorkspace<double> pws;
+    comm::ExchangeWorkspace<double> fws;
+    for (int s = 0; s < local.slots(); ++s) {
       local.fill_random(s, 7 + static_cast<std::uint64_t>(r * local.slots() + s));
-    comm::run_distributed(ctx, dec, st, local, 1, 2, {}, ex);
+      local.fill_halo(s, exec::Boundary::ZeroHalo);
+      if (plan)
+        comm::exchange_halo_plan(ctx, xplan, pws, local, s);
+      else
+        comm::exchange_halo(ctx, dec, local, s, fws);
+    }
     auto& out = padded[static_cast<std::size_t>(r)];
     const std::size_t slot_bytes =
         static_cast<std::size_t>(local.padded_points()) * sizeof(double);
@@ -107,8 +118,8 @@ std::vector<std::vector<std::byte>> run_padded(const Workload& w, comm::Exchange
 }
 
 void require_bit_identical(const Row& r, const Workload& w) {
-  const auto seq = run_padded(w, comm::Exchanger::FaceSequential);
-  const auto plan = run_padded(w, comm::Exchanger::Plan);
+  const auto seq = exchanged_rings(w, /*plan=*/false);
+  const auto plan = exchanged_rings(w, /*plan=*/true);
   MSC_CHECK(seq.size() == plan.size()) << r.label << ": rank count mismatch";
   for (std::size_t rank = 0; rank < seq.size(); ++rank)
     MSC_CHECK(seq[rank].size() == plan[rank].size() &&
@@ -117,9 +128,10 @@ void require_bit_identical(const Row& r, const Workload& w) {
         << rank << "; refusing to time a wrong exchanger";
 }
 
-/// Wall time of one burst of `kRounds` pure exchange rounds under `ex`
-/// (thread spawn included on both sides, so the ratio cancels it).
-double time_burst(const Workload& w, comm::Exchanger ex) {
+/// Wall time of one burst of `kRounds` pure exchange rounds with the plan
+/// exchanger (`plan`) or the face-sequential one (thread spawn included on
+/// both sides, so the ratio cancels it).
+double time_burst(const Workload& w, bool plan) {
   const auto& st = w.prog->stencil();
   const auto& dec = w.dec;
   const int ndim = st.state()->ndim();
@@ -134,12 +146,12 @@ double time_burst(const Workload& w, comm::Exchanger ex) {
     exec::GridStorage<double> local(tensor);
     local.fill_random(0, 7 + static_cast<std::uint64_t>(r));
     local.fill_halo(0, exec::Boundary::ZeroHalo);
-    comm::ExchangePlan plan(dec, r, local.halo());
+    const comm::ExchangePlan xplan(dec, r, local.halo());
     comm::PlanWorkspace<double> pws;
     comm::ExchangeWorkspace<double> fws;
     auto exchange = [&] {
-      if (ex == comm::Exchanger::Plan)
-        comm::exchange_halo_plan(ctx, plan, pws, local, 0);
+      if (plan)
+        comm::exchange_halo_plan(ctx, xplan, pws, local, 0);
       else
         comm::exchange_halo(ctx, dec, local, 0, fws);
     };
@@ -165,8 +177,8 @@ Measured measure(const Row& r) {
 
   std::vector<double> ratios, seq_t, plan_t;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double ts = time_burst(w, comm::Exchanger::FaceSequential);
-    const double tp = time_burst(w, comm::Exchanger::Plan);
+    const double ts = time_burst(w, /*plan=*/false);
+    const double tp = time_burst(w, /*plan=*/true);
     ratios.push_back(ts / tp);
     seq_t.push_back(ts);
     plan_t.push_back(tp);

@@ -70,7 +70,8 @@ int main() {
         local.at(slot, c) = seed_value(-back, oj + c[0], oi + c[1]);
       });
     }
-    stats[static_cast<std::size_t>(r)] = comm::run_distributed(ctx, dec, st, local, 1, kSteps);
+    stats[static_cast<std::size_t>(r)] =
+        comm::run_distributed_overlapped(ctx, dec, st, local, 1, kSteps);
 
     const int slot = local.slot_for_time(kSteps);
     local.for_each_interior([&](std::array<std::int64_t, 3> c) {

@@ -177,7 +177,7 @@ OracleRun run_simmpi_oracle(const CaseSpec& spec, const OracleOptions& opts) {
       });
     }
 
-    comm::run_distributed(ctx, dec, st, local, 1, spec.timesteps);
+    comm::run_distributed_overlapped(ctx, dec, st, local, 1, spec.timesteps);
 
     // Disjoint global regions per rank: no synchronization needed.
     const int fslot = local.slot_for_time(spec.timesteps);

@@ -2,8 +2,8 @@
 
 namespace msc::comm {
 
-// exchange_halo / run_distributed are header templates; force both element
-// types here so errors surface at library build time.
+// exchange_halo is a header template; force both element types here so
+// errors surface at library build time.
 
 template ExchangeStats exchange_halo<float>(RankCtx&, const CartDecomp&,
                                             exec::GridStorage<float>&, int,
@@ -15,11 +15,5 @@ template ExchangeStats exchange_halo<float>(RankCtx&, const CartDecomp&,
                                             exec::GridStorage<float>&, int);
 template ExchangeStats exchange_halo<double>(RankCtx&, const CartDecomp&,
                                              exec::GridStorage<double>&, int);
-template DistRunStats run_distributed<float>(RankCtx&, const CartDecomp&, const ir::StencilDef&,
-                                             exec::GridStorage<float>&, std::int64_t,
-                                             std::int64_t, const exec::Bindings&, Exchanger);
-template DistRunStats run_distributed<double>(RankCtx&, const CartDecomp&, const ir::StencilDef&,
-                                              exec::GridStorage<double>&, std::int64_t,
-                                              std::int64_t, const exec::Bindings&, Exchanger);
 
 }  // namespace msc::comm

@@ -4,21 +4,23 @@
 //
 // Two exchangers live here and in exchange_plan.hpp:
 //
-//   * the legacy dimension-sequential exchange (exchange_halo): each face
-//     pack covers the full padded cross-section (including halos already
-//     filled by earlier dimensions), which ripples corner/edge values to
-//     diagonal neighbors over 2-3 sequential passes with a barrier between
-//     dimensions.  Kept as the differential-testing reference and for the
-//     workspace-reuse fallback path.
 //   * the plan-based single-phase exchange (exchange_plan.hpp): all 26/8
 //     directions including diagonals in one phase, persistent coalesced
-//     buffers, strided memcpy pack/unpack.  This is what the distributed
-//     runners below use.
+//     buffers, strided memcpy pack/unpack.  The distributed driver below
+//     runs it.
+//   * the dimension-sequential exchange (exchange_halo): each face pack
+//     covers the full padded cross-section (including halos already filled
+//     by earlier dimensions), which ripples corner/edge values to diagonal
+//     neighbors over 2-3 sequential passes with a barrier between
+//     dimensions.  It is the halo bench's timed baseline and the
+//     differential reference the plan exchanger is checked against; no
+//     driver runs it.
 //
-// run_distributed ties it together: every rank owns a sub-grid with halo,
-// steps the stencil locally, and exchanges the freshly written slot after
-// each step.  Global-boundary halos stay zero (Dirichlet), matching the
-// single-node ZeroHalo runs so tests can compare distributed against
+// run_distributed_overlapped is the one distributed time-stepping driver:
+// every rank owns a sub-grid with halo, posts the exchange of the freshest
+// slot, sweeps the interior while the messages fly, then finishes the
+// boundary shell.  Global-boundary halos stay zero (Dirichlet), matching
+// the single-node ZeroHalo runs so tests can compare distributed against
 // single-grid execution point for point.
 
 #include <algorithm>
@@ -36,11 +38,6 @@
 #include "support/error.hpp"
 
 namespace msc::comm {
-
-/// Which exchanger a distributed run uses.  Plan is the production path;
-/// FaceSequential is the legacy reference the differential tests pit it
-/// against.
-enum class Exchanger { Plan, FaceSequential };
 
 namespace detail {
 
@@ -177,48 +174,6 @@ struct DistRunStats {
   std::int64_t interior_points_overlapped = 0;  ///< computed while comm in flight
 };
 
-/// Runs timesteps t_begin..t_end of `st` on this rank's `local` sub-grid.
-/// The caller seeds the initial slots (interior); global-edge halos are
-/// zero-filled here, neighbor halos come from exchanges.  The plan-based
-/// exchanger is the default; FaceSequential keeps the legacy reference
-/// path alive for differential testing.
-template <typename T>
-DistRunStats run_distributed(RankCtx& ctx, const CartDecomp& dec, const ir::StencilDef& st,
-                             exec::GridStorage<T>& local, std::int64_t t_begin,
-                             std::int64_t t_end, const exec::Bindings& bindings = {},
-                             Exchanger exchanger = Exchanger::Plan) {
-  DistRunStats stats;
-  const bool plan_path = exchanger == Exchanger::Plan;
-  ExchangePlan plan;
-  PlanWorkspace<T> pws;
-  ExchangeWorkspace<T> fws;
-  if (plan_path) plan = ExchangePlan(dec, ctx.rank(), local.halo());
-  const auto exchange = [&](int slot) {
-    return plan_path ? exchange_halo_plan(ctx, plan, pws, local, slot)
-                     : exchange_halo(ctx, dec, local, slot, fws);
-  };
-
-  // Zero all halos once (covers global edges), then fill the initial
-  // window slots' neighbor halos by exchange.
-  for (int slot = 0; slot < local.slots(); ++slot)
-    local.fill_halo(slot, exec::Boundary::ZeroHalo);
-  for (int back = 1; back < st.time_window(); ++back)
-    stats.exchange.messages_sent +=
-        exchange(local.slot_for_time(t_begin - back)).messages_sent;
-
-  for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    {
-      prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
-      exec::run_reference(st, local, t, t, exec::Boundary::External, bindings);
-    }
-    const auto ex = exchange(local.slot_for_time(t));
-    stats.exchange.messages_sent += ex.messages_sent;
-    stats.exchange.bytes_sent += ex.bytes_sent;
-    ++stats.timesteps;
-  }
-  return stats;
-}
-
 namespace detail {
 
 /// Boundary regions narrower than this in the contiguous dimension sweep as
@@ -265,14 +220,21 @@ std::int64_t sweep_box(const exec::GridStorage<T>& local, T* out,
 
 }  // namespace detail
 
-/// Communication/computation-overlapped distributed run.  Per step: the
-/// freshest slot's exchange is posted (the plan's single phase covers
-/// faces, edges, and corners, so box stencils overlap too), the sub-domain
-/// *interior* (cells at distance >= radius from the local boundary, which
-/// read no halo) computes while the messages fly, then the exchange
-/// completes and the boundary shell finishes the step.  Shell slabs thinner
-/// than detail::kColumnSweepWidth in the contiguous dimension (the faces of
-/// a decomposition that splits it) sweep as strided columns.
+/// The distributed driver: runs timesteps t_begin..t_end of the affine
+/// stencil `st` on this rank's `local` sub-grid.  The caller seeds the
+/// initial slots' interiors; on entry every halo is zero-filled (covering
+/// global edges) and the older window slots t_begin-2 .. t_begin-W+1 are
+/// exchanged, so the driver can be re-entered on any consistent state (a
+/// restored checkpoint, the next chunk of a longer run).  Per step: the
+/// fault hook runs, the freshest slot's exchange is posted (the plan's
+/// single phase covers faces, edges, and corners, so box stencils overlap
+/// too), the sub-domain *interior* (cells at distance >= radius from the
+/// local boundary, which read no halo) computes while the messages fly,
+/// then the exchange completes and the boundary shell finishes the step.
+/// Shell slabs thinner than detail::kColumnSweepWidth in the contiguous
+/// dimension (the faces of a decomposition that splits it) sweep as
+/// strided columns.  The last step's slot is left unexchanged; the next
+/// entry's first step exchanges it.
 template <typename T>
 DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
                                         const ir::StencilDef& st, exec::GridStorage<T>& local,
@@ -289,7 +251,8 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
   DistRunStats stats;
   for (int slot = 0; slot < local.slots(); ++slot)
     local.fill_halo(slot, exec::Boundary::ZeroHalo);
-  for (int back = 1; back < st.time_window(); ++back)
+  // Slot t_begin-1 is the first step's in-flight exchange.
+  for (int back = 2; back < st.time_window(); ++back)
     exchange_halo_plan(ctx, plan, pws, local, local.slot_for_time(t_begin - back));
 
   // The interior box, and the boundary shell as one slab pair per
@@ -332,6 +295,7 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
   }
 
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
+    ctx.fault_hook(t);
     T* out = local.slot_data(local.slot_for_time(t));
     const auto terms = exec::resolve_terms(*lin, local, t);
     const int newest = local.slot_for_time(t - 1);
@@ -360,10 +324,11 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
       prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
       for (const auto& box : shell) detail::sweep_box(local, out, terms, box);
     }
-
-    local.fill_halo(local.slot_for_time(t), exec::Boundary::External);
     ++stats.timesteps;
   }
+  const std::int64_t points = local.tensor()->interior_points() * stats.timesteps;
+  exec::detail::count_run(points, 2 * static_cast<std::int64_t>(lin->terms.size()) * points,
+                          stats.timesteps);
   return stats;
 }
 

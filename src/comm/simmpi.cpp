@@ -462,6 +462,22 @@ void SimWorld::run(const std::function<void(RankCtx&)>& body) {
     if (errors[r] && cascaded[r] == 2) std::rethrow_exception(errors[r]);
   for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
+
+  // Stray-message audit: every rank finished, so a message still queued at
+  // or above its tag's delivered watermark was sent and never received.
+  for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
+    Mailbox* box = mailboxes_[i].load(std::memory_order_acquire);
+    if (box == nullptr) continue;
+    std::lock_guard lock(box->m);
+    for (const Message& m : box->messages) {
+      const auto it = box->delivered.find(m.tag);
+      if (it != box->delivered.end() && m.seq < it->second) continue;  // late duplicate
+      const auto n = static_cast<std::size_t>(nranks_);
+      throw Error(strprintf("stray message after a completed run: src %zu dst %zu tag %d "
+                            "seq %llu was sent but never received",
+                            i / n, i % n, m.tag, static_cast<unsigned long long>(m.seq)));
+    }
+  }
 }
 
 }  // namespace msc::comm

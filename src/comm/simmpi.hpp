@@ -187,7 +187,11 @@ class SimWorld {
 
   /// Executes `body` on every rank concurrently; rethrows the most
   /// root-cause rank exception after all threads join (a crash or genuine
-  /// error wins over the RankFailed it cascaded into the survivors).
+  /// error wins over the RankFailed it cascaded into the survivors).  When
+  /// no rank threw, audits every mailbox and throws msc::Error naming the
+  /// first stray message: one at or above its tag's delivered watermark,
+  /// i.e. sent but never received (a late duplicate of a delivered message
+  /// is not stray).
   void run(const std::function<void(RankCtx&)>& body);
 
  private:

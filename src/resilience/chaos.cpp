@@ -157,7 +157,7 @@ void run_world(comm::SimWorld& world, const comm::CartDecomp& dec, const ir::Ste
     if (store != nullptr)
       run_distributed_checkpointed(ctx, dec, st, local, 1, timesteps, *store, ckpt_every);
     else
-      comm::run_distributed(ctx, dec, st, local, 1, timesteps);
+      comm::run_distributed_overlapped(ctx, dec, st, local, 1, timesteps);
 
     const int fslot = local.slot_for_time(timesteps);
     local.for_each_interior([&](std::array<std::int64_t, 3> c) {
@@ -345,7 +345,7 @@ ChaosResult run_chaos_scenario(const ChaosScenario& sc) {
   const std::size_t points = static_cast<std::size_t>(st.state()->interior_points());
   std::vector<double> oracle(points, 0.0), chaotic(points, 0.0);
 
-  // Fault-free oracle: vanilla driver, no injector, default (off) timeouts.
+  // Fault-free oracle: plain driver, no injector, default (off) timeouts.
   {
     Timer t;
     comm::SimWorld world(dec.size());

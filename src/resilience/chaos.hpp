@@ -5,16 +5,20 @@
 //
 // One scenario = workload x rank count x fault kind x seed.  The runner
 //
-//   1. executes the scenario fault-free (plain run_distributed) to get the
-//      oracle grid and its wall time,
+//   1. executes the scenario fault-free (the one distributed driver,
+//      comm::run_distributed_overlapped) to get the oracle grid and its
+//      wall time,
 //   2. re-executes under a deterministic FaultPlan with checkpointing on
-//      (run_distributed_checkpointed): transport faults are absorbed by the
-//      retry/retransmit layer, crashes abort the world and the runner
-//      restarts it over the same CheckpointStore until it completes,
+//      (run_distributed_checkpointed, the same driver in checkpoint-sized
+//      chunks): transport faults are absorbed by the retry/retransmit
+//      layer, crashes abort the world and the runner restarts it over the
+//      same CheckpointStore until it completes,
 //   3. compares the final gathered grid bit-exactly against the oracle and
 //      tallies what the resilience layer actually did (injections, retries,
 //      retransmits, restores, checkpoints) — a scenario that injected
-//      nothing is vacuous and fails.
+//      nothing is vacuous and fails, and so does one whose completed world
+//      left a stray (sent, never received) message: SimWorld::run's audit
+//      throws, and the scenario fails as unrecoverable.
 //
 // chaos_report() renders the sweep as a msc-chaos-v1 JSON document; the
 // msc-chaos CLI adds a BENCH_chaos_overhead.json on top so the bench-history

@@ -1,16 +1,16 @@
 #pragma once
 
-// Checkpoint/restart wrapper around the distributed time-stepping driver.
+// Checkpoint/restart around the one distributed driver
+// (comm::run_distributed_overlapped).
 //
-// run_distributed_checkpointed() is comm::run_distributed plus resilience:
+// run_distributed_checkpointed() adds only what is specific to resilience:
 //
-//   * a per-step fault hook (RankCtx::fault_hook) so chaos plans can stall
-//     or crash ranks mid-run;
 //   * periodic per-rank grid snapshots into a CheckpointStore — raw byte
-//     images of every sliding-window slot *including halos* (taken right
-//     after the step's halo exchange, so a snapshot set at step s is a
-//     globally consistent cut: every rank holds exactly the post-exchange
-//     state of s);
+//     images of every sliding-window slot.  The driver runs in chunks that
+//     end on the snapshot steps, and each rank snapshots between chunks,
+//     so a snapshot set at step s is a globally consistent cut of the
+//     interiors; halos need not be, because the driver re-exchanges the
+//     window halos on entry;
 //   * restart: a fresh world over the same store agrees on the newest
 //     consistent cut (between two barriers, so in-flight snapshots cannot
 //     skew the vote), restores every rank's slots bit-exactly, and replays
@@ -18,9 +18,11 @@
 //     are absorbed below us (retry/retransmit), so the final grid is
 //     bit-identical to a fault-free run.
 //
-// The cadence comes from the caller or MSC_CKPT_EVERY; <= 0 disables
-// snapshots entirely (the hook and restore scan then cost nothing).
+// The driver's per-step fault hook (RankCtx::fault_hook) lets chaos plans
+// stall, hang or crash ranks mid-run.  The cadence comes from the caller
+// or MSC_CKPT_EVERY; <= 0 disables snapshots (the run is one driver call).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -69,10 +71,11 @@ struct CkptRunStats {
   std::int64_t restored_from_step = -1;  ///< -1 = cold start
 };
 
-/// Distributed stepping with fault hooks and checkpoint/restart against a
-/// shared `store`.  On a cold start this is run_distributed plus periodic
-/// snapshots; after a crash, rerunning the same call over the same store
-/// restores the newest consistent cut and replays from there.
+/// Distributed stepping with checkpoint/restart against a shared `store`.
+/// On a cold start this is the driver plus a snapshot after every step s
+/// with (s - t_begin + 1) % ckpt_every == 0; after a crash, rerunning the
+/// same call over the same store restores the newest consistent cut and
+/// replays from there.
 template <typename T>
 CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDecomp& dec,
                                           const ir::StencilDef& st, exec::GridStorage<T>& local,
@@ -81,8 +84,6 @@ CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDe
                                           const exec::Bindings& bindings = {}) {
   CkptRunStats stats;
   const int rank = ctx.rank();
-  const comm::ExchangePlan plan(dec, rank, local.halo());
-  comm::PlanWorkspace<T> pws;
 
   // Agree on the restore cut with no snapshot writes in flight: every rank
   // reads the store strictly between these two barriers.
@@ -90,46 +91,37 @@ CkptRunStats run_distributed_checkpointed(comm::RankCtx& ctx, const comm::CartDe
   const std::int64_t cut = store.consistent_step(ctx.size());
   ctx.barrier();
 
-  std::int64_t t_start = t_begin;
+  std::int64_t t = t_begin;
   if (cut >= 0) {
     prof::RankPhaseScope restore_span(rank, prof::Phase::Restore);
     const auto ck = store.load(rank, cut);
     MSC_CHECK(ck.has_value()) << "consistent cut " << cut << " missing rank " << rank;
     restore_grid(*ck, local);
     stats.restored_from_step = cut;
-    t_start = cut + 1;
+    t = cut + 1;
     prof::counter("resilience.restores").add(1);
     prof::LogEvent(prof::LogLevel::Info, "resilience.ckpt", "restored")
         .integer("rank", rank)
         .integer("step", static_cast<long long>(cut));
-  } else {
-    // Cold start: zero all halos (covers global edges), then exchange the
-    // initial window slots' neighbor halos — exactly run_distributed's init.
-    for (int slot = 0; slot < local.slots(); ++slot)
-      local.fill_halo(slot, exec::Boundary::ZeroHalo);
-    for (int back = 1; back < st.time_window(); ++back) {
-      const int slot = local.slot_for_time(t_begin - back);
-      stats.dist.exchange.messages_sent +=
-          comm::exchange_halo_plan(ctx, plan, pws, local, slot).messages_sent;
-    }
   }
 
-  for (std::int64_t t = t_start; t <= t_end; ++t) {
-    ctx.fault_hook(t);
-    {
-      prof::RankPhaseScope compute_span(rank, prof::Phase::Compute);
-      exec::run_reference(st, local, t, t, exec::Boundary::External, bindings);
-    }
-    const auto ex = comm::exchange_halo_plan(ctx, plan, pws, local, local.slot_for_time(t));
-    stats.dist.exchange.messages_sent += ex.messages_sent;
-    stats.dist.exchange.bytes_sent += ex.bytes_sent;
-    ++stats.dist.timesteps;
-
-    if (ckpt_every > 0 && (t - t_begin + 1) % ckpt_every == 0) {
+  while (t <= t_end) {
+    // One chunk runs up to the next snapshot step, or to t_end.
+    std::int64_t last = t_end;
+    if (ckpt_every > 0)
+      last = std::min(last, t_begin - 1 + ((t - t_begin) / ckpt_every + 1) * ckpt_every);
+    const comm::DistRunStats chunk =
+        comm::run_distributed_overlapped(ctx, dec, st, local, t, last, bindings);
+    stats.dist.exchange.messages_sent += chunk.exchange.messages_sent;
+    stats.dist.exchange.bytes_sent += chunk.exchange.bytes_sent;
+    stats.dist.timesteps += chunk.timesteps;
+    stats.dist.interior_points_overlapped += chunk.interior_points_overlapped;
+    if (ckpt_every > 0 && (last - t_begin + 1) % ckpt_every == 0) {
       prof::RankPhaseScope ckpt_span(rank, prof::Phase::Checkpoint);
-      store.save(snapshot_grid(rank, t, local));
+      store.save(snapshot_grid(rank, last, local));
       ++stats.checkpoints_taken;
     }
+    t = last + 1;
   }
   return stats;
 }

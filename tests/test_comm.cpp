@@ -1,7 +1,8 @@
-// Communication-library tests: the simulated MPI runtime, cartesian
-// decomposition, halo exchange correctness, distributed-vs-single-node
-// equivalence (including a differential matrix over the overlapped
-// driver), and the analytic network model.
+// Communication-library tests: the simulated MPI runtime (including the
+// post-run stray-message audit), cartesian decomposition, halo exchange
+// correctness, distributed-vs-single-node equivalence of the one
+// distributed driver (including a differential matrix over it), and the
+// analytic network model.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "comm/simmpi.hpp"
 #include "exec/executor.hpp"
 #include "frontend/spec.hpp"
+#include "prof/counters.hpp"
 #include "support/error.hpp"
 #include "workload/stencils.hpp"
 
@@ -81,6 +83,28 @@ TEST(SimMpi, RankExceptionPropagates) {
     if (ctx.rank() == 1) throw Error("rank 1 exploded");
   }),
                Error);
+}
+
+TEST(SimMpi, StrayMessageFailsACompletedRun) {
+  // Rank 0 sends twice on tag 5, rank 1 receives once: the second message
+  // is stray, and run() must name it even though no rank threw.
+  SimWorld world(2);
+  try {
+    world.run([](RankCtx& ctx) {
+      int v = 1;
+      if (ctx.rank() == 0) {
+        ctx.isend(1, 5, &v, sizeof v);
+        ctx.isend(1, 5, &v, sizeof v);
+      } else {
+        auto r = ctx.irecv(0, 5, &v, sizeof v);
+        ctx.wait(r);
+      }
+    });
+    FAIL() << "a run that leaves a message undelivered must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("src 0 dst 1 tag 5 seq 1"), std::string::npos) << what;
+  }
 }
 
 TEST(CartDecomp, CoordsRoundTrip) {
@@ -196,7 +220,7 @@ TEST(DistributedRun, MatchesSingleNodeExecution) {
         local.at(slot, c) = seed_value(-back, oj + c[0], oi + c[1]);
       });
     }
-    run_distributed(ctx, dec, st, local, 1, 5);
+    run_distributed_overlapped(ctx, dec, st, local, 1, 5);
     auto& out = gathered[static_cast<std::size_t>(r)];
     const int slot = local.slot_for_time(5);
     local.for_each_interior(
@@ -254,7 +278,7 @@ TEST(DistributedRun, ThreeDimensionalDecompositionMatches) {
         local.at(slot, c) = seed_value(-back, ok + c[0], oj + c[1], oi + c[2]);
       });
     }
-    run_distributed(ctx, dec, st, local, 1, 4);
+    run_distributed_overlapped(ctx, dec, st, local, 1, 4);
     const int slot = local.slot_for_time(4);
     local.for_each_interior([&](std::array<std::int64_t, 3> c) {
       const double want =
@@ -267,8 +291,8 @@ TEST(DistributedRun, ThreeDimensionalDecompositionMatches) {
 }
 
 TEST(OverlappedRun, MatchesPlainDistributedAndSingleNode) {
-  // Star stencil: the comm/compute-overlapped runtime must agree exactly
-  // with the corner-propagating plain runtime and the single-node run.
+  // Star stencil: the comm/compute-overlapped driver must agree exactly
+  // with the single-node run and overlap the whole interior box.
   const auto& info = workload::benchmark("2d9pt_star");  // radius-2 star
   auto prog = workload::make_program(info, ir::DataType::f64, {16, 16, 0});
   const auto& st = prog->stencil();
@@ -470,6 +494,26 @@ void expect_overlapped_matches_reference(const std::string& spec, std::vector<in
   }
 }
 
+TEST(OverlappedRun, ExchangesEachSlotOncePerCall) {
+  // Window 3: entry exchanges slot t_begin-2 only (slot t_begin-1 is the
+  // first step's in-flight exchange), then each step exchanges one slot,
+  // so n steps tick comm.halo.exchanges n + 1 times per rank.
+  const auto prog = frontend::program_from_spec(overlap_spec({8, 9}, 1, false, "f64", 2));
+  const auto& st = prog->stencil();
+  ASSERT_EQ(st.time_window(), 3);
+  constexpr std::int64_t kSteps = 4;
+  CartDecomp dec({2, 1}, {8, 9});
+  SimWorld world(dec.size());
+  const std::int64_t before = prof::counter("comm.halo.exchanges").value();
+  world.run([&](RankCtx& ctx) {
+    exec::GridStorage<double> local(ir::make_sp_tensor(
+        "B", ir::DataType::f64, {dec.local_extent(ctx.rank(), 0), 9}, st.state()->halo(),
+        st.state()->time_window()));
+    run_distributed_overlapped(ctx, dec, st, local, 1, kSteps);
+  });
+  EXPECT_EQ(prof::counter("comm.halo.exchanges").value() - before, dec.size() * (kSteps + 1));
+}
+
 // Decompositions that split the contiguous dimension leave shell slabs one
 // or two cells wide there, which the driver sweeps as strided columns.
 
@@ -579,7 +623,7 @@ void expect_distributed_matches_2d(const std::string& bench,
         local.at(slot, c) = seed_value(-back, oj + c[0], oi + c[1]);
       });
     }
-    run_distributed(ctx, dec, st, local, 1, steps);
+    run_distributed_overlapped(ctx, dec, st, local, 1, steps);
     const int slot = local.slot_for_time(steps);
     local.for_each_interior([&](std::array<std::int64_t, 3> c) {
       const double want = global.at(global.slot_for_time(steps), {oj + c[0], oi + c[1], 0});
@@ -714,7 +758,7 @@ TEST(PeriodicDecomp, ThreeDimensionalBoxMatchesSingleGridWrap) {
   world.run([&](RankCtx& ctx) {
     exec::GridStorage<double> local(st.state());
     seed(local);
-    run_distributed(ctx, dec, st, local, 1, kSteps);
+    run_distributed_overlapped(ctx, dec, st, local, 1, kSteps);
     got = local.interior_values(local.slot_for_time(kSteps));
   });
   const auto want = single.interior_values(single.slot_for_time(kSteps));

@@ -131,7 +131,7 @@ TEST_P(RandomDecomposition, DistributedEqualsSingleNode) {
         local.at(slot, c) = seed_value(-back, oj + c[0], oi + c[1]);
       });
     }
-    comm::run_distributed(ctx, dec, st, local, 1, 4);
+    comm::run_distributed_overlapped(ctx, dec, st, local, 1, 4);
     double worst = 0.0;
     const int slot = local.slot_for_time(4);
     local.for_each_interior([&](std::array<std::int64_t, 3> c) {

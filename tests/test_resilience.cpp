@@ -12,8 +12,10 @@
 #include <cstring>
 #include <filesystem>
 
+#include "comm/decompose.hpp"
 #include "comm/simmpi.hpp"
 #include "exec/grid.hpp"
+#include "frontend/spec.hpp"
 #include "ir/tensor.hpp"
 #include "prof/counters.hpp"
 #include "resilience/chaos.hpp"
@@ -304,6 +306,27 @@ TEST(SimMpiResilience, BarrierRaisesRankFailedOnSurvivors) {
   EXPECT_EQ(world.first_failed_rank(), 1);
 }
 
+TEST(SimMpiResilience, LateDuplicateIsNotAStrayMessage) {
+  // The duplicate of the only message stays queued after the original is
+  // received; it sits below the tag's delivered watermark, so the post-run
+  // stray audit must let the run complete.
+  FaultInjector injector(make_message_fault_plan(FaultKind::Duplicate, 1, 1));
+  comm::SimWorld world(2);
+  world.set_fault_injector(&injector);
+  world.set_comm_config(quick_config(5.0));
+  EXPECT_NO_THROW(world.run([](comm::RankCtx& ctx) {
+    int v = 7;
+    if (ctx.rank() == 0) {
+      auto s = ctx.isend(1, 0, &v, sizeof v);
+      ctx.wait(s);
+    } else {
+      auto r = ctx.irecv(0, 0, &v, sizeof v);
+      ctx.wait(r);
+    }
+  }));
+  EXPECT_EQ(injector.injected(FaultKind::Duplicate), 1);
+}
+
 TEST(SimMpiResilience, FaultFreeWorldStaysOnTheFastPath) {
   comm::SimWorld world(2);
   // No injector, no timeout: the envelope/retransmit machinery must be off.
@@ -383,6 +406,69 @@ TEST(Checkpoint, GridSnapshotRestoreIsBitExact) {
   const std::size_t bytes = static_cast<std::size_t>(grid.padded_points()) * sizeof(double);
   for (int s = 0; s < grid.slots(); ++s)
     EXPECT_EQ(std::memcmp(grid.slot_data(s), other.slot_data(s), bytes), 0) << "slot " << s;
+}
+
+TEST(Checkpoint, ChunkedRunSnapshotsOnCadenceAndRestoresBitExact) {
+  // Two time terms (window 3), steps 1..7, a snapshot every 3 steps: the
+  // driver runs the chunks [1,3] [4,6] [7,7] and snapshots after steps 3
+  // and 6.  The result must equal one plain driver call; a second call
+  // over the same store, on grids seeded with other values, must restore
+  // the cut at 6, replay step 7 and land on the same bits.
+  const auto prog = frontend::program_from_spec(R"(name ckpt2d
+grid 10 9
+halo 1
+dtype f64
+point  0  0 0.3
+point  0 -1 0.1
+point  0  1 0.2
+point -1  0 0.15
+point  1  0 0.25
+term -1 0.7
+term -2 0.3
+)");
+  const auto& st = prog->stencil();
+  ASSERT_EQ(st.time_window(), 3);
+  constexpr std::int64_t kSteps = 7;
+  const comm::CartDecomp dec({2, 1}, {10, 9});
+  CheckpointStore store(/*keep_per_rank=*/4);
+  std::vector<CkptRunStats> stats(2);
+  const auto run = [&](bool checkpointed, std::uint64_t seed) {
+    std::vector<std::vector<double>> out(2);
+    comm::SimWorld world(2);
+    world.run([&](comm::RankCtx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      exec::GridStorage<double> local(ir::make_sp_tensor(
+          "B", ir::DataType::f64, {dec.local_extent(ctx.rank(), 0), 9}, 1, 3));
+      for (int s = 0; s < local.slots(); ++s)
+        local.fill_random(s, seed + r * 3 + static_cast<std::uint64_t>(s));
+      if (checkpointed)
+        stats[r] = run_distributed_checkpointed(ctx, dec, st, local, 1, kSteps, store, 3);
+      else
+        comm::run_distributed_overlapped(ctx, dec, st, local, 1, kSteps);
+      out[r] = local.interior_values(local.slot_for_time(kSteps));
+    });
+    return out;
+  };
+
+  const auto plain = run(false, 5);
+  EXPECT_EQ(run(true, 5), plain);
+  for (int r = 0; r < 2; ++r) {
+    const auto& rs = stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(rs.checkpoints_taken, 2);
+    EXPECT_EQ(rs.dist.timesteps, kSteps);
+    EXPECT_EQ(rs.restored_from_step, -1);
+    EXPECT_TRUE(store.load(r, 3).has_value());
+    EXPECT_TRUE(store.load(r, 6).has_value());
+    EXPECT_FALSE(store.load(r, 7).has_value());
+  }
+  ASSERT_EQ(store.consistent_step(2), 6);
+
+  EXPECT_EQ(run(true, 99), plain);
+  for (const auto& rs : stats) {
+    EXPECT_EQ(rs.restored_from_step, 6);
+    EXPECT_EQ(rs.dist.timesteps, 1);
+    EXPECT_EQ(rs.checkpoints_taken, 0);
+  }
 }
 
 TEST(Checkpoint, FileRoundTrip) {

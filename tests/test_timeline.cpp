@@ -240,7 +240,7 @@ TEST(CommTimeline, ConcurrentRankThreadsProduceParseableJson) {
                                            st.state()->halo(), st.state()->time_window());
     exec::GridStorage<double> local(local_tensor);
     for (int s = 0; s < local.slots(); ++s) local.fill_random(s, 3 + r);
-    comm::run_distributed(ctx, dec, st, local, 1, 4);
+    comm::run_distributed_overlapped(ctx, dec, st, local, 1, 4);
   });
   const auto dumps = global_flight().drain();
   const auto spans = phase_spans(dumps);

@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
                                                st.state()->halo(), st.state()->time_window());
         exec::GridStorage<double> local(local_tensor);
         for (int s = 0; s < local.slots(); ++s) local.fill_random(s, 7 + r);
-        comm::run_distributed(ctx, dec, st, local, 1, steps);
+        comm::run_distributed_overlapped(ctx, dec, st, local, 1, steps);
       });
     }
     const auto dumps = prof::global_flight().drain();
