@@ -174,52 +174,6 @@ struct DistRunStats {
   std::int64_t interior_points_overlapped = 0;  ///< computed while comm in flight
 };
 
-namespace detail {
-
-/// Boundary regions narrower than this in the contiguous dimension sweep as
-/// strided columns along dimension nd-2 instead of as rows: a row that short
-/// pays sweep_row's dispatch and full term set-up for one to three outputs.
-inline constexpr std::int64_t kColumnSweepWidth = 4;
-
-/// Sweeps the box [lo, hi) of interior coordinates through the compiled
-/// kernels and returns the points swept.  Every point keeps the full-grid
-/// sweep's term order, so neither the region decomposition nor the row or
-/// column shape can change any value.
-template <typename T>
-std::int64_t sweep_box(const exec::GridStorage<T>& local, T* out,
-                       const std::vector<exec::detail::ResolvedTerm<T>>& terms,
-                       const exec::SweepTile& box) {
-  const int nd = local.ndim();
-  const auto last = static_cast<std::size_t>(nd - 1);
-  const std::int64_t n = box.hi[last] - box.lo[last];
-  if (nd >= 2 && n < kColumnSweepWidth) {
-    const std::size_t col = last - 1;
-    const std::int64_t m = box.hi[col] - box.lo[col];
-    const std::int64_t stride = local.stride(nd - 2);
-    std::int64_t points = 0;
-    std::array<std::int64_t, 3> c = box.lo;
-    auto columns = [&] {
-      for (c[last] = box.lo[last]; c[last] < box.hi[last]; ++c[last]) {
-        exec::detail::sweep_column(out, local.index(c), stride, m, terms);
-        points += m;
-      }
-    };
-    if (nd == 2) {
-      columns();
-    } else {
-      for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0]) columns();
-    }
-    return points;
-  }
-  exec::SweepStats tally;
-  exec::detail::tile_rows(box, local, n, tally, [&](std::int64_t base) {
-    exec::detail::sweep_row(out, base, n, terms);
-  });
-  return tally.points;
-}
-
-}  // namespace detail
-
 /// The distributed driver: runs timesteps t_begin..t_end of the affine
 /// stencil `st` on this rank's `local` sub-grid.  The caller seeds the
 /// initial slots' interiors; on entry every halo is zero-filled (covering
@@ -231,10 +185,12 @@ std::int64_t sweep_box(const exec::GridStorage<T>& local, T* out,
 /// too), the sub-domain *interior* (cells at distance >= radius from the
 /// local boundary, which read no halo) computes while the messages fly,
 /// then the exchange completes and the boundary shell finishes the step.
-/// Shell slabs thinner than detail::kColumnSweepWidth in the contiguous
-/// dimension (the faces of a decomposition that splits it) sweep as
-/// strided columns.  The last step's slot is left unexchanged; the next
-/// entry's first step exchanges it.
+/// Both sweep through exec::detail::sweep_box, so shell slabs thinner than
+/// exec::detail::kColumnSweepWidth in the contiguous dimension (the faces
+/// of a decomposition that splits it) sweep as strided columns.  The
+/// driver calls sweep_box directly, not run_sweep: routing the ranks
+/// through run_sweep raised peak RSS.  The last step's slot is left
+/// unexchanged; the next entry's first step exchanges it.
 template <typename T>
 DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
                                         const ir::StencilDef& st, exec::GridStorage<T>& local,
@@ -309,7 +265,7 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
       // Interior: needs no halo of the in-flight slot.
       if (has_interior) {
         prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
-        const std::int64_t pts = detail::sweep_box(local, out, terms, interior);
+        const std::int64_t pts = exec::detail::sweep_box(local, out, terms, interior);
         stats.interior_points_overlapped += pts;
         prof::counter("comm.overlap.interior_points").add(pts);
       }
@@ -322,7 +278,7 @@ DistRunStats run_distributed_overlapped(RankCtx& ctx, const CartDecomp& dec,
       // The shell reads the halos just received; it runs after the wait,
       // so its compute is exposed (never overlapped) time.
       prof::RankPhaseScope compute_span(ctx.rank(), prof::Phase::Compute);
-      for (const auto& box : shell) detail::sweep_box(local, out, terms, box);
+      for (const auto& box : shell) exec::detail::sweep_box(local, out, terms, box);
     }
     ++stats.timesteps;
   }

@@ -360,7 +360,7 @@ SimWorld::SimWorld(int nranks) : nranks_(nranks) {
   // the boxes themselves materialize on first touch of each (src, dst) pair.
   mailboxes_ = std::vector<std::atomic<Mailbox*>>(static_cast<std::size_t>(nranks) *
                                                   static_cast<std::size_t>(nranks));
-  failed_.assign(static_cast<std::size_t>(nranks), false);
+  failed_.assign(static_cast<std::size_t>(nranks), Failure::None);
   config_ = comm_config_from_env();
 }
 
@@ -387,13 +387,17 @@ double SimWorld::effective_timeout_ms() const {
   return injector_ != nullptr ? kInjectorDefaultTimeoutMs : 0.0;
 }
 
-void SimWorld::declare_failed(int rank) {
+void SimWorld::declare_failed(int rank) { mark_failed(rank, Failure::Root); }
+
+void SimWorld::mark_failed(int rank, Failure how) {
   MSC_CHECK(rank >= 0 && rank < nranks_) << "declare_failed on invalid rank " << rank;
   {
     std::lock_guard lock(failed_mutex_);
-    failed_[static_cast<std::size_t>(rank)] = true;
+    // A root declaration overrides a cascade, never the reverse.
+    auto& state = failed_[static_cast<std::size_t>(rank)];
+    if (how > state) state = how;
   }
-  prof::counter("resilience.rank_failures").add(1);
+  if (how == Failure::Root) prof::counter("resilience.rank_failures").add(1);
   // Wake every blocked waiter.  Briefly taking each lock orders the wakeup
   // after any waiter's failed-check, so no sleeper can miss the failure.
   for (auto& slot : mailboxes_) {
@@ -408,14 +412,18 @@ void SimWorld::declare_failed(int rank) {
 
 bool SimWorld::rank_failed(int rank) const {
   std::lock_guard lock(failed_mutex_);
-  return failed_[static_cast<std::size_t>(rank)];
+  return failed_[static_cast<std::size_t>(rank)] != Failure::None;
 }
 
 int SimWorld::first_failed_rank() const {
   std::lock_guard lock(failed_mutex_);
-  for (int r = 0; r < nranks_; ++r)
-    if (failed_[static_cast<std::size_t>(r)]) return r;
-  return -1;
+  int cascaded = -1;
+  for (int r = 0; r < nranks_; ++r) {
+    const Failure state = failed_[static_cast<std::size_t>(r)];
+    if (state == Failure::Root) return r;
+    if (state == Failure::Cascaded && cascaded < 0) cascaded = r;
+  }
+  return cascaded;
 }
 
 bool SimWorld::retransmit_locked(Mailbox& box, int tag, std::uint64_t seq) {
@@ -440,8 +448,13 @@ void SimWorld::run(const std::function<void(RankCtx&)>& body) {
         body(ctx);
       } catch (const RankFailed&) {
         // Secondary casualty: this rank only failed because a peer did.
+        // Declare it failed too, so a rank blocked on *it* raises
+        // RankFailed at once instead of walking its whole retry ladder.
+        // Messages it sent before dying stay deliverable: wait() scans the
+        // mailbox before it looks at the failed set.
         errors[static_cast<std::size_t>(r)] = std::current_exception();
         cascaded[static_cast<std::size_t>(r)] = 1;
+        mark_failed(r, Failure::Cascaded);
       } catch (const Cancelled&) {
         // A shared token fires on every rank at once; prefer a genuine
         // root cause (crash, hang) over the cancellation it provoked.

@@ -182,12 +182,15 @@ class SimWorld {
   /// raise RankFailed.
   void declare_failed(int rank);
   bool rank_failed(int rank) const;
-  /// Lowest failed rank, or -1 when all ranks are healthy.
+  /// Lowest rank declared failed as a root cause, else the lowest rank
+  /// that failed in a RankFailed cascade, else -1 (all ranks healthy).
   int first_failed_rank() const;
 
   /// Executes `body` on every rank concurrently; rethrows the most
   /// root-cause rank exception after all threads join (a crash or genuine
-  /// error wins over the RankFailed it cascaded into the survivors).  When
+  /// error wins over the RankFailed it cascaded into the survivors).  A
+  /// rank that exits with RankFailed is declared failed in turn, so the
+  /// cascade reaches ranks blocked on it without a timeout.  When
   /// no rank threw, audits every mailbox and throws msc::Error naming the
   /// first stray message: one at or above its tag's delivered watermark,
   /// i.e. sent but never received (a late duplicate of a delivered message
@@ -234,8 +237,13 @@ class SimWorld {
   resilience::FaultInjector* injector_ = nullptr;
   const CancelToken* cancel_ = nullptr;
 
+  /// Why a rank is in the failed set: declared (crash, hang) or exited
+  /// with RankFailed because a peer failed.
+  enum class Failure : char { None, Cascaded, Root };
+  void mark_failed(int rank, Failure how);
+
   mutable std::mutex failed_mutex_;
-  std::vector<bool> failed_;
+  std::vector<Failure> failed_;
 
   std::mutex barrier_mutex_;
   std::condition_variable barrier_cv_;

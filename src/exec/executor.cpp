@@ -117,11 +117,11 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
     prof::FlightScope flight_step(prof::FlightKind::Step, 0,
                                   static_cast<std::int64_t>(lin.terms.size()));
     const int out_slot = state.slot_for_time(t);
-    const SweepStats swept =
+    const std::int64_t swept =
         run_sweep(sweep, state, state.slot_data(out_slot), resolve_terms(lin, state, t), cancel);
-    flight_step.set_a(swept.points);
+    flight_step.set_a(swept);
     state.fill_halo(out_slot, bc);
-    points += swept.points;
+    points += swept;
   }
   return points;
 }
@@ -145,7 +145,7 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
   const prof::FlightPlanScope flight_plan(
       fingerprint(plan, lin.terms.size(), static_cast<std::uint64_t>(tplan.wedge_depth)));
-  return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel).points;
+  return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel);
 }
 
 /// Route::Aot: the compiled kernel, zero halos filled once up front as for

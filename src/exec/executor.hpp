@@ -78,33 +78,52 @@ void count_run(std::int64_t points, std::int64_t flops, std::int64_t steps);
 /// run leaves the grid bit-identical to its pre-run state.  Armed only when
 /// a CancelToken is attached — uncancellable runs pay a single null test.
 /// One snapshot per run (not per step) keeps the armed-token overhead
-/// amortized across the whole time range, inside the <=2% hot-path budget.
+/// amortized across the whole time range, inside the <=2% hot-path budget;
+/// the copy is split into kSlices slices per slot over global_pool(), since
+/// a serial copy of a multi-MB ring costs a visible share of a short run.
+/// Never construct one on a pool worker: the copy waits on the pool.
 template <typename T>
 class CancelGuard {
  public:
   CancelGuard(GridStorage<T>& state, const CancelToken* cancel) {
     if (cancel == nullptr) return;
     state_ = &state;
-    const auto per_slot = static_cast<std::size_t>(state.padded_points());
-    // Uninitialized: the copy below overwrites every element, and zeroing
-    // first would double the guard's memory traffic.
+    // Uninitialized: the copy overwrites every element, and zeroing first
+    // would double the guard's memory traffic.
     backup_ = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(state.slots()) *
-                                                  per_slot);
-    for (int s = 0; s < state.slots(); ++s)
-      std::copy_n(state.slot_data(s), per_slot,
-                  backup_.get() + static_cast<std::size_t>(s) * per_slot);
+                                                  static_cast<std::size_t>(state.padded_points()));
+    copy(/*to_backup=*/true);
   }
 
   /// Restores every slot from the entry snapshot.  No-op when unarmed.
   void restore() {
-    if (state_ == nullptr) return;
-    const auto per_slot = static_cast<std::size_t>(state_->padded_points());
-    for (int s = 0; s < state_->slots(); ++s)
-      std::copy_n(backup_.get() + static_cast<std::size_t>(s) * per_slot, per_slot,
-                  state_->slot_data(s));
+    if (state_ != nullptr) copy(/*to_backup=*/false);
   }
 
  private:
+  static constexpr std::int64_t kSlices = 8;
+
+  /// Copies slice u % kSlices of slot u / kSlices for every unit u.
+  void copy(bool to_backup) {
+    const std::int64_t per_slot = state_->padded_points();
+    const std::int64_t slice = (per_slot + kSlices - 1) / kSlices;
+    const auto units = [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t u = lo; u < hi; ++u) {
+        const std::int64_t at = u % kSlices * slice;
+        const std::int64_t n = std::min(slice, per_slot - at);
+        if (n <= 0) continue;
+        T* live = state_->slot_data(static_cast<int>(u / kSlices)) + at;
+        T* saved = backup_.get() + u / kSlices * per_slot + at;
+        if (to_backup) {
+          std::copy_n(live, n, saved);
+        } else {
+          std::copy_n(saved, n, live);
+        }
+      }
+    };
+    global_pool().parallel_for(0, state_->slots() * kSlices, units);
+  }
+
   GridStorage<T>* state_ = nullptr;
   std::unique_ptr<T[]> backup_;
 };
@@ -159,8 +178,8 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
 
     if (lin.has_value()) {
       const auto terms = resolve_terms(*lin, state, t);
-      const SweepStats swept = run_sweep(plan, state, out, terms, cancel);
-      flops += 2 * static_cast<std::int64_t>(terms.size()) * swept.points;
+      flops += 2 * static_cast<std::int64_t>(terms.size()) *
+               run_sweep(plan, state, out, terms, cancel);
     } else {
       // The generic evaluator has no tile structure; step granularity is
       // the checkpoint unit.

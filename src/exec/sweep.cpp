@@ -1,6 +1,9 @@
 #include "exec/sweep.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <utility>
 
 #include "ir/type.hpp"
 #include "prof/flight.hpp"
@@ -160,12 +163,103 @@ SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot kernels.  These live here — and only here — so the unrolled row/tile
+// Hot kernels.  These live here — and only here — so the unrolled row
 // bodies are optimized in a TU with nothing else competing for GCC's
 // per-TU unrolling and SLP budgets; header-inlined copies regressed ~25%
 // in consumer TUs that also instantiate the interpreter.
 
 namespace detail {
+namespace {
+
+inline constexpr std::int64_t kSweepChunk = 256;
+
+/// Computes `n` contiguous outputs at `o` from per-term row pointers.
+/// Both formulations accumulate each point's terms in k order through an
+/// exact double, so results are bit-identical to sweep_point_linear.
+template <typename T, std::size_t N>
+void sweep_span_fixed(T* o, const std::array<const T*, N>& src,
+                      const std::array<double, N>& coeff, std::int64_t n) {
+  if constexpr (N <= kFusedTermLimit) {
+    MSC_SWEEP_IVDEP
+    for (std::int64_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < N; ++k)
+        acc += coeff[k] * static_cast<double>(src[k][i]);
+      o[i] = static_cast<T>(acc);
+    }
+  } else {
+    double buf[kSweepChunk];
+    for (std::int64_t at = 0; at < n; at += kSweepChunk) {
+      const std::int64_t m = std::min<std::int64_t>(kSweepChunk, n - at);
+      MSC_SWEEP_IVDEP
+      for (std::int64_t i = 0; i < m; ++i)
+        buf[i] = coeff[0] * static_cast<double>(src[0][at + i]);
+      for (std::size_t k = 1; k < N; ++k) {
+        MSC_SWEEP_IVDEP
+        for (std::int64_t i = 0; i < m; ++i)
+          buf[i] += coeff[k] * static_cast<double>(src[k][at + i]);
+      }
+      MSC_SWEEP_IVDEP
+      for (std::int64_t i = 0; i < m; ++i) o[at + i] = static_cast<T>(buf[i]);
+    }
+  }
+}
+
+/// Row kernel, term count fixed at compile time: term base pointers and
+/// coefficients are hoisted out of the loop, the N-term accumulation fully
+/// unrolls, and the i-loop is a pure stride-1 sweep the compiler can
+/// vectorize.
+template <typename T, std::size_t N>
+void sweep_row_fixed(T* out, std::int64_t base, std::int64_t n, const ResolvedTerm<T>* terms) {
+  std::array<const T*, N> src;
+  std::array<double, N> coeff;
+  for (std::size_t k = 0; k < N; ++k) {
+    src[k] = terms[k].src + base + terms[k].delta;
+    coeff[k] = terms[k].coeff;
+  }
+  sweep_span_fixed<T, N>(out + base, src, coeff, n);
+}
+
+/// Generic fallback for stencils with more than kMaxFixedTerms terms.  The
+/// term base pointers and coefficients are still hoisted out of the i-loop
+/// — into thread-local flat arrays reused across rows — so the per-point
+/// cost is the same loads-and-fmas as the fixed kernels, just with a
+/// runtime trip count.
+template <typename T>
+void sweep_row_generic(T* out, std::int64_t base, std::int64_t n,
+                       const std::vector<ResolvedTerm<T>>& terms) {
+  static thread_local std::vector<const T*> src_buf;
+  static thread_local std::vector<double> coeff_buf;
+  const std::size_t nt = terms.size();
+  if (src_buf.size() < nt) {
+    src_buf.resize(nt);
+    coeff_buf.resize(nt);
+  }
+  const T** src = src_buf.data();
+  double* coeff = coeff_buf.data();
+  for (std::size_t k = 0; k < nt; ++k) {
+    src[k] = terms[k].src + base + terms[k].delta;
+    coeff[k] = terms[k].coeff;
+  }
+  T* o = out + base;
+  MSC_SWEEP_IVDEP
+  for (std::int64_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < nt; ++k)
+      acc += coeff[k] * static_cast<double>(src[k][i]);
+    o[i] = static_cast<T>(acc);
+  }
+}
+
+template <typename T>
+using RowFn = void (*)(T*, std::int64_t, std::int64_t, const ResolvedTerm<T>*);
+
+template <typename T, std::size_t... I>
+constexpr std::array<RowFn<T>, sizeof...(I)> make_row_table(std::index_sequence<I...>) {
+  return {{&sweep_row_fixed<T, I + 1>...}};
+}
+
+}  // namespace
 
 template <typename T>
 void sweep_row(T* out, std::int64_t base, std::int64_t n,
@@ -180,59 +274,93 @@ void sweep_row(T* out, std::int64_t base, std::int64_t n,
   }
 }
 
+template <typename T>
+std::int64_t sweep_box(const GridStorage<T>& state, T* out,
+                       const std::vector<ResolvedTerm<T>>& terms, const SweepTile& box) {
+  const int nd = state.ndim();
+  const auto last = static_cast<std::size_t>(nd - 1);
+  std::int64_t points = 1;
+  for (std::size_t d = 0; d <= last; ++d) {
+    if (box.hi[d] <= box.lo[d]) return 0;
+    points *= box.hi[d] - box.lo[d];
+  }
+  const std::int64_t n = box.hi[last] - box.lo[last];
+  std::array<std::int64_t, 3> c = box.lo;
+  if (nd >= 2 && n < kColumnSweepWidth) {
+    const std::size_t col = last - 1;
+    const std::int64_t m = box.hi[col] - box.lo[col];
+    const std::int64_t stride = state.stride(nd - 2);
+    const auto columns = [&] {
+      for (c[last] = box.lo[last]; c[last] < box.hi[last]; ++c[last])
+        sweep_column(out, state.index(c), stride, m, terms);
+    };
+    if (nd == 2) {
+      columns();
+    } else {
+      for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0]) columns();
+    }
+  } else if (nd == 1) {
+    sweep_row(out, state.index(c), n, terms);
+  } else if (nd == 2) {
+    for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0]) sweep_row(out, state.index(c), n, terms);
+  } else {
+    for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0])
+      for (c[1] = box.lo[1]; c[1] < box.hi[1]; ++c[1])
+        sweep_row(out, state.index(c), n, terms);
+  }
+  return points;
+}
+
 template void sweep_row<float>(float*, std::int64_t, std::int64_t,
                                const std::vector<ResolvedTerm<float>>&);
 template void sweep_row<double>(double*, std::int64_t, std::int64_t,
                                 const std::vector<ResolvedTerm<double>>&);
+template std::int64_t sweep_box<float>(const GridStorage<float>&, float*,
+                                       const std::vector<ResolvedTerm<float>>&,
+                                       const SweepTile&);
+template std::int64_t sweep_box<double>(const GridStorage<double>&, double*,
+                                        const std::vector<ResolvedTerm<double>>&,
+                                        const SweepTile&);
 
 }  // namespace detail
 
 template <typename T>
-SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                     const std::vector<detail::ResolvedTerm<T>>& terms,
-                     const CancelToken* cancel) {
+std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
+                       const std::vector<detail::ResolvedTerm<T>>& terms,
+                       const CancelToken* cancel) {
   MSC_CHECK(plan.ndim == state.ndim()) << "sweep plan rank mismatch";
-  SweepStats total;
-  const auto ntiles = static_cast<std::int64_t>(plan.tiles.size());
-  if (fans_out(plan, ntiles)) {
-    std::mutex merge;
-    global_pool().parallel_for(0, ntiles, [&](std::int64_t lo, std::int64_t hi) {
-      // One flight span per chunk, not per tile: bounded event rate at any
-      // tile size, so the recorder stays inside its overhead budget.
-      prof::FlightScope flight(prof::FlightKind::RowChunk, 0, hi - lo);
-      SweepStats local;
-      for (std::int64_t n = lo; n < hi; ++n) {
-        // Row-chunk-granularity cancellation: one relaxed load per tile on
-        // the armed path, a single null test otherwise.  The throw unwinds
-        // through parallel_for, which rethrows Cancelled on the caller.
-        if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
-        detail::sweep_tile(plan.tiles[static_cast<std::size_t>(n)], state, out, terms, local);
-      }
-      local.tiles = hi - lo;
-      flight.set_a(local.points);
-      std::lock_guard<std::mutex> lock(merge);
-      total.points += local.points;
-      total.rows += local.rows;
-      total.tiles += local.tiles;
-    });
-  } else {
-    prof::FlightScope flight(prof::FlightKind::RowChunk, 0, ntiles);
-    for (const auto& tile : plan.tiles) {
+  // Tiles [lo, hi) under one flight span: one span per chunk, not per
+  // tile, keeps the event rate bounded at any tile size, so the recorder
+  // stays inside its overhead budget.
+  const auto sweep_range = [&](std::int64_t lo, std::int64_t hi) {
+    prof::FlightScope flight(prof::FlightKind::RowChunk, 0, hi - lo);
+    std::int64_t points = 0;
+    for (std::int64_t n = lo; n < hi; ++n) {
+      // Row-chunk-granularity cancellation: one relaxed load per tile on
+      // the armed path, a single null test otherwise.  On a pool worker
+      // the throw unwinds through parallel_for, which rethrows Cancelled
+      // on the caller.
       if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
-      detail::sweep_tile(tile, state, out, terms, total);
+      points += detail::sweep_box(state, out, terms, plan.tiles[static_cast<std::size_t>(n)]);
     }
-    total.tiles = ntiles;
-    flight.set_a(total.points);
-  }
-  return total;
+    flight.set_a(points);
+    return points;
+  };
+  const auto ntiles = static_cast<std::int64_t>(plan.tiles.size());
+  if (!fans_out(plan, ntiles)) return sweep_range(0, ntiles);
+  std::atomic<std::int64_t> total{0};
+  global_pool().parallel_for(0, ntiles, [&](std::int64_t lo, std::int64_t hi) {
+    total.fetch_add(sweep_range(lo, hi), std::memory_order_relaxed);
+  });
+  return total.load(std::memory_order_relaxed);
 }
 
-template SweepStats run_sweep<float>(const SweepPlan&, const GridStorage<float>&, float*,
-                                     const std::vector<detail::ResolvedTerm<float>>&,
-                                     const CancelToken*);
-template SweepStats run_sweep<double>(const SweepPlan&, const GridStorage<double>&,
-                                      double*,
-                                      const std::vector<detail::ResolvedTerm<double>>&,
-                                      const CancelToken*);
+template std::int64_t run_sweep<float>(const SweepPlan&, const GridStorage<float>&, float*,
+                                       const std::vector<detail::ResolvedTerm<float>>&,
+                                       const CancelToken*);
+template std::int64_t run_sweep<double>(const SweepPlan&, const GridStorage<double>&,
+                                        double*,
+                                        const std::vector<detail::ResolvedTerm<double>>&,
+                                        const CancelToken*);
 
 }  // namespace msc::exec

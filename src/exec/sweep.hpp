@@ -12,16 +12,18 @@
 //                      remainder tiles are clamped here, not per iteration)
 //   resolve_terms    — LinearKernel x GridStorage -> per-term base pointer
 //                      + linear delta for one output timestep
-//   run_sweep        — sweeps every tile; rows dispatch to term-count-
-//                      templated inner kernels (1..kMaxFixedTerms = 32
-//                      terms unrolled, generic fallback above), parallel
-//                      tiles chunked over the process pool with per-thread
-//                      stats merged once at the end (no shared-counter
-//                      contention).
-//   sweep_column     — the same accumulation down a strided column, for
-//                      regions too thin in the contiguous dimension to
-//                      make rows worth their set-up (the overlapped
-//                      distributed driver's boundary shell).
+//   sweep_row        — one contiguous row, dispatched on the term count
+//                      (1..kMaxFixedTerms = 32 terms unrolled, generic
+//                      fallback above)
+//   sweep_column     — the same accumulation down a strided column
+//   sweep_box        — the one box sweeper: a box of interior points as
+//                      rows, or as strided columns when it is narrower
+//                      than kColumnSweepWidth in the contiguous dimension.
+//                      run_sweep's tiles, the wedge engine's tiles and the
+//                      distributed driver's interior and shell all sweep
+//                      through it.
+//   run_sweep        — sweeps every tile of a plan, chunked over the
+//                      process pool when the plan is parallel.
 //
 // Numerics are bit-identical to the retired per-point interpreter: each
 // output element accumulates its terms in the same order with the same
@@ -33,8 +35,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "exec/grid.hpp"
@@ -127,13 +127,6 @@ bool fans_out(const SweepPlan& plan, std::int64_t units);
 /// by run_reference, the grid utilities, and region sweeps).
 SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent);
 
-/// Tallies of one run_sweep invocation, merged from per-thread locals.
-struct SweepStats {
-  std::int64_t points = 0;
-  std::int64_t rows = 0;
-  std::int64_t tiles = 0;
-};
-
 namespace detail {
 
 /// Per-term precomputation for one output timestep: coefficient, linear
@@ -162,88 +155,6 @@ inline void sweep_point_linear(T* out_base, std::int64_t out_idx,
 /// host).  Wider kernels instead accumulate through an in-L1 row buffer,
 /// one clean two-stream axpy loop per term.
 inline constexpr std::size_t kFusedTermLimit = 16;
-inline constexpr std::int64_t kSweepChunk = 256;
-
-/// Computes `n` contiguous outputs at `o` from per-term row pointers.
-/// Both formulations accumulate each point's terms in k order through an
-/// exact double, so results are bit-identical to sweep_point_linear.
-template <typename T, std::size_t N>
-inline void sweep_span_fixed(T* o, const std::array<const T*, N>& src,
-                             const std::array<double, N>& coeff, std::int64_t n) {
-  if constexpr (N <= kFusedTermLimit) {
-    MSC_SWEEP_IVDEP
-    for (std::int64_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < N; ++k)
-        acc += coeff[k] * static_cast<double>(src[k][i]);
-      o[i] = static_cast<T>(acc);
-    }
-  } else {
-    double buf[kSweepChunk];
-    for (std::int64_t at = 0; at < n; at += kSweepChunk) {
-      const std::int64_t m = std::min<std::int64_t>(kSweepChunk, n - at);
-      MSC_SWEEP_IVDEP
-      for (std::int64_t i = 0; i < m; ++i)
-        buf[i] = coeff[0] * static_cast<double>(src[0][at + i]);
-      for (std::size_t k = 1; k < N; ++k) {
-        MSC_SWEEP_IVDEP
-        for (std::int64_t i = 0; i < m; ++i)
-          buf[i] += coeff[k] * static_cast<double>(src[k][at + i]);
-      }
-      MSC_SWEEP_IVDEP
-      for (std::int64_t i = 0; i < m; ++i) o[at + i] = static_cast<T>(buf[i]);
-    }
-  }
-}
-
-/// Row kernel, term count fixed at compile time: term base pointers and
-/// coefficients are hoisted out of the loop, the N-term accumulation fully
-/// unrolls, and the i-loop is a pure stride-1 sweep the compiler can
-/// vectorize (accumulation order per point matches sweep_point_linear, so
-/// results stay bit-identical).
-template <typename T, std::size_t N>
-inline void sweep_row_fixed(T* out, std::int64_t base, std::int64_t n,
-                            const ResolvedTerm<T>* terms) {
-  std::array<const T*, N> src;
-  std::array<double, N> coeff;
-  for (std::size_t k = 0; k < N; ++k) {
-    src[k] = terms[k].src + base + terms[k].delta;
-    coeff[k] = terms[k].coeff;
-  }
-  sweep_span_fixed<T, N>(out + base, src, coeff, n);
-}
-
-/// Generic fallback for stencils with more than kMaxFixedTerms terms.  The term base
-/// pointers and coefficients are still hoisted out of the i-loop — into
-/// thread-local flat arrays reused across rows — so the per-point cost is
-/// the same loads-and-fmas as the fixed kernels, just with a runtime trip
-/// count (roughly 7x the naive read-the-struct-per-point loop this
-/// replaced).
-template <typename T>
-inline void sweep_row_generic(T* out, std::int64_t base, std::int64_t n,
-                              const std::vector<ResolvedTerm<T>>& terms) {
-  static thread_local std::vector<const T*> src_buf;
-  static thread_local std::vector<double> coeff_buf;
-  const std::size_t nt = terms.size();
-  if (src_buf.size() < nt) {
-    src_buf.resize(nt);
-    coeff_buf.resize(nt);
-  }
-  const T** src = src_buf.data();
-  double* coeff = coeff_buf.data();
-  for (std::size_t k = 0; k < nt; ++k) {
-    src[k] = terms[k].src + base + terms[k].delta;
-    coeff[k] = terms[k].coeff;
-  }
-  T* o = out + base;
-  MSC_SWEEP_IVDEP
-  for (std::int64_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < nt; ++k)
-      acc += coeff[k] * static_cast<double>(src[k][i]);
-    o[i] = static_cast<T>(acc);
-  }
-}
 
 /// Term counts with a dedicated fully-unrolled kernel.  32 covers every
 /// (time term x offset) combination of the standard workloads up to
@@ -252,13 +163,10 @@ inline void sweep_row_generic(T* out, std::int64_t base, std::int64_t n,
 /// term accumulation instead of looping over it per point).
 inline constexpr std::size_t kMaxFixedTerms = 32;
 
-template <typename T>
-using RowFn = void (*)(T*, std::int64_t, std::int64_t, const ResolvedTerm<T>*);
-
-template <typename T, std::size_t... I>
-constexpr std::array<RowFn<T>, sizeof...(I)> make_row_table(std::index_sequence<I...>) {
-  return {{&sweep_row_fixed<T, I + 1>...}};
-}
+/// Boxes narrower than this in the contiguous dimension sweep as strided
+/// columns along dimension nd-2 instead of as rows: a row that short pays
+/// sweep_row's dispatch and full term set-up for one to three outputs.
+inline constexpr std::int64_t kColumnSweepWidth = 4;
 
 /// Sweeps one contiguous row of `n` outputs starting at linear index
 /// `base`, dispatching on the term count.  Defined out of line (sweep.cpp)
@@ -301,77 +209,23 @@ inline void axpy_row(double* acc, const T* src, double coeff, std::int64_t n) {
     acc[i] += coeff * static_cast<double>(src[i]);
 }
 
-/// Invokes fn(base) for every row of `tile` (base = linear index of the
-/// row's first element) and tallies rows/points.  Returns the row length.
-template <typename T, typename Fn>
-inline void tile_rows(const SweepTile& tile, const GridStorage<T>& state, std::int64_t n,
-                      SweepStats& stats, Fn&& fn) {
-  const int nd = state.ndim();
-  const auto last = static_cast<std::size_t>(nd - 1);
-  auto row = [&](std::array<std::int64_t, 3> c) {
-    c[last] = tile.lo[last];
-    fn(state.index(c));
-    ++stats.rows;
-    stats.points += n;
-  };
-  std::array<std::int64_t, 3> c = tile.lo;
-  if (nd == 1) {
-    row(c);
-  } else if (nd == 2) {
-    for (c[0] = tile.lo[0]; c[0] < tile.hi[0]; ++c[0]) row(c);
-  } else {
-    for (c[0] = tile.lo[0]; c[0] < tile.hi[0]; ++c[0])
-      for (c[1] = tile.lo[1]; c[1] < tile.hi[1]; ++c[1]) row(c);
-  }
-}
-
-/// Tile kernel with the term count fixed at compile time: the term arrays
-/// are hoisted OUT of the row loop (built once per tile), so a row costs
-/// only its base-index computation before the unrolled stride-1 sweep.
-template <typename T, std::size_t N>
-void sweep_tile_fixed(const SweepTile& tile, const GridStorage<T>& state, T* out,
-                      const std::vector<ResolvedTerm<T>>& terms, SweepStats& stats,
-                      std::int64_t n) {
-  std::array<const T*, N> src;
-  std::array<double, N> coeff;
-  for (std::size_t k = 0; k < N; ++k) {
-    src[k] = terms[k].src + terms[k].delta;
-    coeff[k] = terms[k].coeff;
-  }
-  tile_rows(tile, state, n, stats, [&](std::int64_t base) {
-    std::array<const T*, N> row;
-    for (std::size_t k = 0; k < N; ++k) row[k] = src[k] + base;
-    sweep_span_fixed<T, N>(out + base, row, coeff, n);
-  });
-}
-
+/// Sweeps the box [lo, hi) of interior coordinates and returns the points
+/// swept (0 for an empty box, which writes nothing).  Rows go through
+/// sweep_row; a box narrower than kColumnSweepWidth in the contiguous
+/// dimension goes through sweep_column along dimension nd-2 instead.  Every
+/// point keeps sweep_point_linear's term order, so neither the tiling nor
+/// the row or column shape can change any value.  Records no flight event
+/// and polls no token: callers own both.  Defined in sweep.cpp.
 template <typename T>
-using TileFn = void (*)(const SweepTile&, const GridStorage<T>&, T*,
-                        const std::vector<ResolvedTerm<T>>&, SweepStats&, std::int64_t);
+std::int64_t sweep_box(const GridStorage<T>& state, T* out,
+                       const std::vector<ResolvedTerm<T>>& terms, const SweepTile& box);
 
-template <typename T, std::size_t... I>
-constexpr std::array<TileFn<T>, sizeof...(I)> make_tile_table(std::index_sequence<I...>) {
-  return {{&sweep_tile_fixed<T, I + 1>...}};
-}
-
-/// Sweeps every row of one tile, dispatching once per tile on the term
-/// count (1..kMaxFixedTerms get a fully-unrolled kernel).
-template <typename T>
-inline void sweep_tile(const SweepTile& tile, const GridStorage<T>& state, T* out,
-                       const std::vector<ResolvedTerm<T>>& terms, SweepStats& stats) {
-  static constexpr auto kTable =
-      make_tile_table<T>(std::make_index_sequence<kMaxFixedTerms>{});
-  const auto last = static_cast<std::size_t>(state.ndim() - 1);
-  const std::int64_t n = tile.hi[last] - tile.lo[last];
-  if (n <= 0) return;
-  const std::size_t nt = terms.size();
-  if (nt - 1 < kMaxFixedTerms) {
-    kTable[nt - 1](tile, state, out, terms, stats, n);
-  } else {
-    tile_rows(tile, state, n, stats,
-              [&](std::int64_t base) { sweep_row_generic(out, base, n, terms); });
-  }
-}
+extern template std::int64_t sweep_box<float>(const GridStorage<float>&, float*,
+                                              const std::vector<ResolvedTerm<float>>&,
+                                              const SweepTile&);
+extern template std::int64_t sweep_box<double>(const GridStorage<double>&, double*,
+                                               const std::vector<ResolvedTerm<double>>&,
+                                               const SweepTile&);
 
 }  // namespace detail
 
@@ -405,11 +259,11 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
   return terms;
 }
 
-/// Executes one timestep: every tile of `plan`, rows through the unrolled
-/// kernels, chunked over the process pool when the plan is parallel.
-/// Per-chunk stats are merged exactly once per chunk.  Out-of-line for the
-/// same reason as detail::sweep_row — one canonical, well-optimized copy
-/// of the tile kernels, independent of what else the caller's TU contains.
+/// Executes one timestep: every tile of `plan` through detail::sweep_box,
+/// chunked over the process pool when the plan fans out, and returns the
+/// points swept.  Out-of-line for the same reason as detail::sweep_row —
+/// one canonical, well-optimized copy of the kernels, independent of what
+/// else the caller's TU contains.
 ///
 /// `cancel`, when non-null, is polled at row-chunk granularity (before each
 /// tile); a fired token throws Cancelled out of the sweep, leaving the
@@ -417,15 +271,14 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 /// (exec::run_scheduled, exec::run_reference) wrap the whole run in a slot
 /// snapshot so the caller-visible contract stays all-or-nothing.
 template <typename T>
-SweepStats run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                     const std::vector<detail::ResolvedTerm<T>>& terms,
-                     const CancelToken* cancel = nullptr);
+std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
+                       const std::vector<detail::ResolvedTerm<T>>& terms,
+                       const CancelToken* cancel = nullptr);
 
-extern template SweepStats run_sweep<float>(const SweepPlan&, const GridStorage<float>&,
-                                            float*,
-                                            const std::vector<detail::ResolvedTerm<float>>&,
-                                            const CancelToken*);
-extern template SweepStats run_sweep<double>(
+extern template std::int64_t run_sweep<float>(
+    const SweepPlan&, const GridStorage<float>&, float*,
+    const std::vector<detail::ResolvedTerm<float>>&, const CancelToken*);
+extern template std::int64_t run_sweep<double>(
     const SweepPlan&, const GridStorage<double>&, double*,
     const std::vector<detail::ResolvedTerm<double>>&, const CancelToken*);
 

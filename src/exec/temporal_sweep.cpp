@@ -56,16 +56,18 @@ struct StepCtx {
   std::vector<detail::ResolvedTerm<T>> terms;
 };
 
+/// Sweeps one wedge step's tiles; returns the points swept.
 template <typename T>
-void run_wedge_step(const WedgeStep& ws, const StepCtx<T>& ctx, const GridStorage<T>& state,
-                    SweepStats& stats) {
-  for (const auto& tile : ws.tiles) detail::sweep_tile(tile, state, ctx.out, ctx.terms, stats);
-  stats.tiles += static_cast<std::int64_t>(ws.tiles.size());
+std::int64_t run_wedge_step(const WedgeStep& ws, const StepCtx<T>& ctx,
+                            const GridStorage<T>& state) {
+  std::int64_t points = 0;
+  for (const auto& tile : ws.tiles) points += detail::sweep_box(state, ctx.out, ctx.terms, tile);
+  return points;
 }
 
 template <typename T>
 void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel& lin,
-               GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, SweepStats& total,
+               GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, std::int64_t& points,
                const CancelToken* cancel) {
   prof::FlightScope block_flight(prof::FlightKind::WedgeBlock, t0, set.depth);
   prof::counter("sweep.temporal.blocks").add(1);
@@ -96,7 +98,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
       prof::FlightScope wedge_flight(prof::FlightKind::Wedge, wedge.index,
                                      static_cast<std::int64_t>(wedge.steps.size()));
       for (const auto& ws : wedge.steps)
-        run_wedge_step(ws, ctx[static_cast<std::size_t>(ws.step)], state, total);
+        points += run_wedge_step(ws, ctx[static_cast<std::size_t>(ws.step)], state);
       ++wedges_run;
       steps_run += static_cast<std::int64_t>(wedge.steps.size());
     }
@@ -137,8 +139,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
   std::int64_t wedges_run = 0, steps_run = 0;
 
   pool.parallel_for(0, nchunks, [&](std::int64_t cb, std::int64_t ce) {
-    SweepStats local;
-    std::int64_t local_wedges = 0, local_steps = 0;
+    std::int64_t local_points = 0, local_wedges = 0, local_steps = 0;
     for (std::int64_t c = cb; c < ce; ++c) {
       try {
         for (std::int64_t s = 0; s < set.depth; ++s) {
@@ -172,7 +173,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
                w < lo[static_cast<std::size_t>(c) + 1]; ++w) {
             for (const auto& ws : set.wedges[static_cast<std::size_t>(w)].steps) {
               if (ws.step != s) continue;
-              run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state, local);
+              local_points += run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state);
               ++local_steps;
               ++level_steps;
             }
@@ -191,9 +192,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
       }
     }
     std::lock_guard<std::mutex> lock(merge);
-    total.points += local.points;
-    total.rows += local.rows;
-    total.tiles += local.tiles;
+    points += local_points;
     wedges_run += local_wedges;
     steps_run += local_steps;
   });
@@ -251,12 +250,12 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window, std:
 }
 
 template <typename T>
-SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
-                              GridStorage<T>& state, ThreadPool* pool,
-                              const CancelToken* cancel) {
+std::int64_t run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
+                                GridStorage<T>& state, ThreadPool* pool,
+                                const CancelToken* cancel) {
   MSC_CHECK(plan.ndim == state.ndim()) << "temporal plan rank mismatch";
   ThreadPool& tp = pool != nullptr ? *pool : global_pool();
-  SweepStats total;
+  std::int64_t total = 0;
   std::int64_t t = plan.t_begin;
   for (std::int64_t b = 0; b < plan.full_blocks; ++b) {
     run_block(plan, plan.full, lin, state, t, tp, total, cancel);
@@ -267,11 +266,11 @@ SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
   return total;
 }
 
-template SweepStats run_temporal_sweep<float>(const TemporalPlan&, const LinearKernel&,
-                                              GridStorage<float>&, ThreadPool*,
-                                              const CancelToken*);
-template SweepStats run_temporal_sweep<double>(const TemporalPlan&, const LinearKernel&,
-                                               GridStorage<double>&, ThreadPool*,
-                                               const CancelToken*);
+template std::int64_t run_temporal_sweep<float>(const TemporalPlan&, const LinearKernel&,
+                                                GridStorage<float>&, ThreadPool*,
+                                                const CancelToken*);
+template std::int64_t run_temporal_sweep<double>(const TemporalPlan&, const LinearKernel&,
+                                                 GridStorage<double>&, ThreadPool*,
+                                                 const CancelToken*);
 
 }  // namespace msc::exec

@@ -47,7 +47,7 @@
 //
 // Numerics are bit-identical to the per-step sweep and the interpreter:
 // every output element is written exactly once per step by the same
-// detail::sweep_tile kernels with the same term order, so the wedge visit
+// detail::sweep_box sweeper with the same term order, so the wedge visit
 // order cannot change any value.  tests/test_temporal_tiling.cpp pins this
 // differentially across dtypes, depths and remainder shapes.
 
@@ -118,7 +118,8 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// Executes the lowered temporal sweep in place over the grid's ring
 /// slots.  Serial fast path sweeps wedge-major; parallel plans run the
 /// chunk-level wavefront DAG over `pool` (nullptr = global_pool()).
-/// Emits wedge-level trace spans and the sweep.temporal.* counters.
+/// Emits wedge-level trace spans and the sweep.temporal.* counters, and
+/// returns the points updated.
 ///
 /// `cancel`, when non-null, is polled at wedge boundaries and inside the
 /// done-counter spin of the parallel wavefront (a cancelled run must not
@@ -127,17 +128,17 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// throws Cancelled; exec::run_scheduled restores the ring slots so the
 /// caller-visible contract is all-or-nothing.
 template <typename T>
-SweepStats run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
-                              GridStorage<T>& state, ThreadPool* pool = nullptr,
-                              const CancelToken* cancel = nullptr);
+std::int64_t run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
+                                GridStorage<T>& state, ThreadPool* pool = nullptr,
+                                const CancelToken* cancel = nullptr);
 
-extern template SweepStats run_temporal_sweep<float>(const TemporalPlan&,
-                                                     const LinearKernel&,
-                                                     GridStorage<float>&, ThreadPool*,
-                                                     const CancelToken*);
-extern template SweepStats run_temporal_sweep<double>(const TemporalPlan&,
-                                                      const LinearKernel&,
-                                                      GridStorage<double>&, ThreadPool*,
-                                                      const CancelToken*);
+extern template std::int64_t run_temporal_sweep<float>(const TemporalPlan&,
+                                                       const LinearKernel&,
+                                                       GridStorage<float>&, ThreadPool*,
+                                                       const CancelToken*);
+extern template std::int64_t run_temporal_sweep<double>(const TemporalPlan&,
+                                                        const LinearKernel&,
+                                                        GridStorage<double>&, ThreadPool*,
+                                                        const CancelToken*);
 
 }  // namespace msc::exec

@@ -244,8 +244,13 @@ std::string diff_markdown(const HistoryEntry& fresh, const DiffReport& report,
   }
   for (const auto& key : report.new_metrics)
     out << "| " << key << " | · | — | new | — | — | baseline seeded |\n";
+  // A run with no same-config history compared nothing: it must not read
+  // as a pass to a gate that greps for "verdict: ok".
   out << "\n"
-      << (report.regressed ? "**verdict: REGRESSION**" : "verdict: ok") << "\n";
+      << (report.baseline_runs == 0 ? "**verdict: no baseline** (nothing compared)"
+          : report.regressed        ? "**verdict: REGRESSION**"
+                                    : "verdict: ok")
+      << "\n";
   return out.str();
 }
 

@@ -99,7 +99,9 @@ struct DiffReport {
 DiffReport diff_against_history(const std::vector<HistoryEntry>& history,
                                 const HistoryEntry& fresh, const DiffOptions& opts = {});
 
-/// Markdown delta table (what msc-bench-diff prints).
+/// Markdown delta table (what msc-bench-diff prints), ending in a verdict
+/// line: "verdict: ok", "**verdict: REGRESSION**", or "**verdict: no
+/// baseline**" when no history entry shares the config hash.
 std::string diff_markdown(const HistoryEntry& fresh, const DiffReport& report,
                           const DiffOptions& opts);
 

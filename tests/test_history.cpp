@@ -202,6 +202,21 @@ TEST(HistoryDiff, MarkdownTableCarriesTheVerdict) {
             std::string::npos);
 }
 
+// A fresh run whose config no ledger row shares compared nothing; its
+// verdict must differ from "verdict: ok" so a gate grepping for a pass
+// cannot pass vacuously.
+TEST(HistoryDiff, ZeroBaselineVerdictIsNotOk) {
+  std::vector<HistoryEntry> history;
+  for (double s : {0.1, 0.1, 0.1})
+    history.push_back(flatten_bench_report(make_report(s, 40.0, "64x64x64")));
+  const auto fresh = flatten_bench_report(make_report(0.1, 40.0, "32x32x32"));
+  const auto report = diff_against_history(history, fresh);
+  ASSERT_EQ(report.baseline_runs, 0);
+  const std::string md = diff_markdown(fresh, report, {});
+  EXPECT_EQ(md.find("verdict: ok"), std::string::npos) << md;
+  EXPECT_NE(md.find("**verdict: no baseline**"), std::string::npos) << md;
+}
+
 // ---- end to end through a real BenchReport ------------------------------
 
 TEST(History, RealBenchReportFlattens) {

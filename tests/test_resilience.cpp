@@ -306,6 +306,51 @@ TEST(SimMpiResilience, BarrierRaisesRankFailedOnSurvivors) {
   EXPECT_EQ(world.first_failed_rank(), 1);
 }
 
+// A rank that dies of a cascaded RankFailed is itself declared failed: in
+// the chain 0 <- 1 <- 2, rank 2 (blocked on rank 1, not on the crashed
+// rank 0) raises RankFailed naming peer 1 at once instead of walking its
+// retry ladder into CommTimeout, and still receives what rank 1 sent
+// before it died.
+TEST(SimMpiResilience, CascadedFailureReachesRanksBlockedOnTheCasualty) {
+  comm::SimWorld world(3);
+  world.set_comm_config(quick_config(300.0));
+  const std::int64_t timeouts_before = prof::counter("comm.wait.timeouts").value();
+  std::atomic<int> rank2_saw_failed_peer{-1};
+  std::atomic<int> rank2_got{0};
+  EXPECT_THROW(
+      world.run([&](comm::RankCtx& ctx) {
+        int v = 0;
+        if (ctx.rank() == 0) {
+          ctx.world().declare_failed(0);
+          throw comm::RankCrashed("injected crash", 0, 0);
+        }
+        if (ctx.rank() == 1) {
+          v = 42;
+          auto s = ctx.isend(2, 0, &v, sizeof v);
+          ctx.wait(s);
+          auto r = ctx.irecv(0, 0, &v, sizeof v);
+          ctx.wait(r);  // rank 0 never sends: RankFailed (peer 0)
+          return;
+        }
+        auto first = ctx.irecv(1, 0, &v, sizeof v);
+        ctx.wait(first);
+        rank2_got = v;
+        try {
+          auto second = ctx.irecv(1, 1, &v, sizeof v);
+          ctx.wait(second);
+        } catch (const comm::RankFailed& e) {
+          rank2_saw_failed_peer = e.failed_peer();
+          throw;
+        }
+      }),
+      comm::RankCrashed);
+  EXPECT_EQ(rank2_got.load(), 42);
+  EXPECT_EQ(rank2_saw_failed_peer.load(), 1);
+  EXPECT_EQ(prof::counter("comm.wait.timeouts").value(), timeouts_before)
+      << "rank 2 waited out a retry window instead of seeing rank 1 fail";
+  EXPECT_EQ(world.first_failed_rank(), 0);  // the root cause, not the cascade
+}
+
 TEST(SimMpiResilience, LateDuplicateIsNotAStrayMessage) {
   // The duplicate of the only message stays queued after the original is
   // received; it sits below the tag's delivered watermark, so the post-run

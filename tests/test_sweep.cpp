@@ -2,7 +2,8 @@
 // lowering coverage/clamping, bit-exact agreement between the retired
 // per-point interpreter and the compiled sweep across random conformance
 // cases, the wide-kernel (row-accumulator) formulation, the strided column
-// kernel, and the row-based grid primitives' order guarantees.
+// kernel, the one box sweeper (sweep_box) on row and column boxes, and the
+// row-based grid primitives' order guarantees.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "check/case_gen.hpp"
@@ -22,6 +24,7 @@
 #include "exec/grid.hpp"
 #include "exec/sweep.hpp"
 #include "exec/temporal_sweep.hpp"
+#include "ir/tensor.hpp"
 #include "support/rng.hpp"
 
 namespace msc::exec {
@@ -305,6 +308,109 @@ void expect_column_matches_one_point_rows() {
 TEST(SweepColumn, MatchesOnePointRowsBitwiseAndWritesOnlyItsOutputs) {
   expect_column_matches_one_point_rows<float>();
   expect_column_matches_one_point_rows<double>();
+}
+
+// ---- the one box sweeper -------------------------------------------------
+
+// sweep_box must reproduce per-point sweep_point_linear bit for bit on
+// row-shaped boxes and on boxes thinner than kColumnSweepWidth (which take
+// sweep_column), in 1-3 D, on every fixed-kernel term count and the generic
+// route above them; it must return the box's point count and write nothing
+// outside the box.  Empty boxes return 0 and leave the poison untouched.
+template <typename T>
+void expect_box_matches_point_loop() {
+  constexpr ir::DataType dt = std::is_same_v<T, float> ? ir::DataType::f32 : ir::DataType::f64;
+  Rng rng(555);
+  const T poison = static_cast<T>(-777.25);
+  const std::int64_t halo = 2;
+  for (int nd = 1; nd <= 3; ++nd) {
+    std::vector<std::int64_t> shape(static_cast<std::size_t>(nd), 9);
+    shape.back() = 11;
+    GridStorage<T> in(ir::make_sp_tensor("B", dt, shape, halo, 2));
+    in.fill_random(0, 77 + static_cast<std::uint64_t>(nd));
+    const auto last = static_cast<std::size_t>(nd - 1);
+
+    // Row-shaped (full interior, an offset sub-box), thin in the last
+    // dimension (widths 1 and 3: columns from 2-D up), and empty boxes.
+    std::vector<SweepTile> boxes;
+    SweepTile full;
+    for (int d = 0; d < nd; ++d) full.hi[static_cast<std::size_t>(d)] = in.extent(d);
+    boxes.push_back(full);
+    SweepTile sub = full;
+    for (std::size_t d = 0; d <= last; ++d) {
+      sub.lo[d] = 1;
+      sub.hi[d] -= 2;
+    }
+    boxes.push_back(sub);
+    for (std::int64_t width : {std::int64_t{1}, detail::kColumnSweepWidth - 1}) {
+      SweepTile thin = sub;
+      thin.lo[last] = 4;
+      thin.hi[last] = 4 + width;
+      boxes.push_back(thin);
+    }
+    for (std::size_t d = 0; d <= last; ++d) {
+      SweepTile empty = sub;
+      empty.hi[d] = empty.lo[d];
+      boxes.push_back(empty);
+    }
+
+    for (std::size_t nt = 1; nt <= detail::kMaxFixedTerms + 2; ++nt) {
+      std::vector<detail::ResolvedTerm<T>> terms;
+      for (std::size_t k = 0; k < nt; ++k) {
+        std::int64_t delta = 0;
+        for (int d = 0; d < nd; ++d) delta += rng.next_int(-halo, halo) * in.stride(d);
+        terms.push_back({rng.next_real(-1.0, 1.0), delta, in.slot_data(0)});
+      }
+      for (const auto& box : boxes) {
+        std::vector<T> got(static_cast<std::size_t>(in.padded_points()), poison);
+        std::vector<T> want = got;
+        std::int64_t points = 0;
+        std::array<std::int64_t, 3> c{0, 0, 0};
+        for (c[0] = box.lo[0]; c[0] < box.hi[0]; ++c[0])
+          for (c[1] = box.lo[1]; c[1] < box.hi[1]; ++c[1])
+            for (c[2] = box.lo[2]; c[2] < box.hi[2]; ++c[2], ++points)
+              detail::sweep_point_linear(want.data(), in.index(c), terms);
+        ASSERT_EQ(detail::sweep_box(in, got.data(), terms, box), points)
+            << "nd=" << nd << " nt=" << nt;
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)), 0)
+            << "nd=" << nd << " nt=" << nt << " box width " << box.hi[last] - box.lo[last];
+      }
+    }
+  }
+}
+
+TEST(SweepBox, MatchesPointLoopBitwiseOnRowAndColumnBoxes) {
+  expect_box_matches_point_loop<float>();
+  expect_box_matches_point_loop<double>();
+}
+
+// A schedule that tiles the last dimension below kColumnSweepWidth sends
+// every tile through sweep_column; serial and pool-parallel plans must
+// stay bit-identical to the per-point interpreter.
+TEST(SweepVsInterpreter, ColumnTilesBitIdentical) {
+  auto prog = std::make_unique<dsl::Program>("coltile");
+  auto kvar = prog->var("k"), j = prog->var("j"), i = prog->var("i");
+  dsl::GridRef B = prog->def_tensor_3d_timewin("B", 2, 1, ir::DataType::f64, 7, 9, 10);
+  auto& k = prog->kernel("k", {kvar, j, i},
+                         dsl::ExprH(0.4) * B(kvar, j, i) + dsl::ExprH(0.15) * B(kvar - 1, j, i) +
+                             dsl::ExprH(0.15) * B(kvar, j + 1, i) +
+                             dsl::ExprH(0.15) * B(kvar, j, i - 1) +
+                             dsl::ExprH(0.15) * B(kvar, j, i + 1));
+  k.tile({3, 4, 3}).reorder({"k_outer", "j_outer", "i_outer", "k_inner", "j_inner", "i_inner"});
+  prog->def_stencil("st", B, 0.6 * k[prog->t() - 1] + 0.4 * k[prog->t() - 2]);
+  const SweepPlan plan = lower_sweep(build_loop_plan(prog->primary_schedule()));
+  for (const auto& t : plan.tiles) ASSERT_LT(t.hi[2] - t.lo[2], detail::kColumnSweepWidth);
+  expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 3, 19);
+
+  auto par = std::make_unique<dsl::Program>("coltile_par");
+  auto pj = par->var("j"), pi = par->var("i");
+  dsl::GridRef P = par->def_tensor_2d_timewin("P", 1, 1, ir::DataType::f32, 16, 11);
+  auto& pk = par->kernel("k", {pj, pi},
+                         dsl::ExprH(0.5) * P(pj, pi - 1) + dsl::ExprH(0.25) * P(pj + 1, pi) +
+                             dsl::ExprH(0.25) * P(pj - 1, pi));
+  pk.tile({4, 2}).reorder({"j_outer", "i_outer", "j_inner", "i_inner"}).parallel("j_outer", 4);
+  par->def_stencil("st", P, pk[par->t() - 1]);
+  expect_paths_bit_identical<float>(par->stencil(), par->primary_schedule(), 4, 23);
 }
 
 // ---- non-affine fallback -------------------------------------------------
