@@ -34,7 +34,7 @@ namespace {
 using namespace msc;
 
 constexpr std::int64_t kSteps = 4;           // timesteps per attribution row
-constexpr std::int64_t kOverheadSteps = 16;  // timesteps per overhead repetition
+constexpr std::int64_t kOverheadSteps = 64;  // timesteps per overhead repetition
 constexpr int kReps = 5;                     // best-of to shed scheduler noise
 constexpr int kOverheadReps = 15;            // the gated ratio needs more shots
 
@@ -174,6 +174,7 @@ int main() {
   const auto wall0 = std::chrono::steady_clock::now();
   prof::BenchReport report("attribution", "3d7pt_star,2d9pt_star,3d13pt_star");
   report.set_config("steps", kSteps);
+  report.set_config("overhead_steps", kOverheadSteps);
   report.set_config("dtype", "f64");
   report.set_config("grid_3d", "64x64x64");
   report.set_config("grid_2d", "512x512");

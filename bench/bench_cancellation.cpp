@@ -30,7 +30,7 @@ namespace {
 
 using namespace msc;
 
-constexpr std::int64_t kSteps = 16;  // timesteps per repetition
+constexpr std::int64_t kSteps = 64;  // timesteps per repetition
 constexpr int kReps = 41;            // the gated ratio needs many shots
 
 double now_seconds() {

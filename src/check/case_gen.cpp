@@ -98,6 +98,13 @@ CaseSpec random_case(std::uint64_t seed) {
       if (spec.ranks[static_cast<std::size_t>(d)] > 1 && spec.rank_count() > 8)
         spec.ranks[static_cast<std::size_t>(d)] -= 1;
   }
+
+  // Temporal blocking, drawn last: most cases step one at a time, the rest
+  // fuse 2-4 steps per block, with the default or a narrow wedge width.
+  if (rng.next_double() < 0.3) {
+    spec.time_tile.depth = rng.next_int(2, 4);
+    if (rng.next_double() < 0.5) spec.time_tile.width = rng.next_int(1, 4);
+  }
   return spec;
 }
 
@@ -158,6 +165,7 @@ std::unique_ptr<dsl::Program> build_program(const CaseSpec& spec) {
   }
   if (spec.parallel_threads > 0)
     k.parallel(spec.tiled() ? outer_names.front() : vars.front(), spec.parallel_threads);
+  if (spec.time_tile.depth > 1) k.time_tile(spec.time_tile.depth, spec.time_tile.width);
 
   dsl::TermSum sum;
   for (int n = 0; n < spec.time_deps; ++n)
@@ -193,7 +201,10 @@ std::string describe(const CaseSpec& spec) {
     if (spec.spm_pipeline) out << " cache_read+cache_write+compute_at";
   }
   if (spec.parallel_threads > 0) out << " parallel=" << spec.parallel_threads;
-  if (!spec.tiled() && spec.parallel_threads == 0) out << " (default)";
+  if (spec.time_tile.depth > 1)
+    out << " time_tile=" << spec.time_tile.depth << "," << spec.time_tile.width;
+  if (!spec.tiled() && spec.parallel_threads == 0 && spec.time_tile.depth == 1)
+    out << " (default)";
   out << "\n  mpi ranks=[";
   for (int d = 0; d < spec.ndim; ++d)
     out << (d ? "," : "") << spec.ranks[static_cast<std::size_t>(d)];

@@ -7,10 +7,10 @@
 // case: grid rank/extents, neighbor pattern with coefficients, temporal
 // combination, timestep count, MPI rank grid, and the schedule primitives
 // applied (tile / reorder / parallel / cache_read / cache_write /
-// compute_at).  Everything derives deterministically from one 64-bit seed,
-// so a failing case is fully replayable from its seed — and because the
-// spec is plain data, the shrinker (shrink.hpp) can mutate it towards a
-// minimal reproducer without touching the RNG again.
+// compute_at / time_tile).  Everything derives deterministically from one
+// 64-bit seed, so a failing case is fully replayable from its seed — and
+// because the spec is plain data, the shrinker (shrink.hpp) can mutate it
+// towards a minimal reproducer without touching the RNG again.
 
 #include <array>
 #include <cstdint>
@@ -46,6 +46,12 @@ struct CaseSpec {
   bool reorder = false;         ///< outers-then-inners after tiling
   int parallel_threads = 0;     ///< 0 = serial
   bool spm_pipeline = false;    ///< cache_read/cache_write + compute_at
+  /// time_tile(depth, width): depth > 1 sends the scheduled oracle down the
+  /// wedge route and unrolls the AOT module's msc_aot_run into blocks.
+  struct TimeTile {
+    std::int64_t depth = 1;     ///< timesteps fused per block (1 = per step)
+    std::int64_t width = 0;     ///< wedge rows of dim 0 (0 = the engine's default)
+  } time_tile;
 
   // Simulated-MPI decomposition used by the simmpi oracle.
   std::array<int, 3> ranks{1, 1, 1};
@@ -60,7 +66,9 @@ struct CaseSpec {
 
 /// Draws a random case from `seed`.  The distribution covers 2-D and 3-D
 /// grids, star and box neighbor subsets, radii 1-3, 1-3 time dependencies
-/// and every schedule-primitive combination the backends accept.
+/// and every schedule-primitive combination the backends accept.  The
+/// time_tile is drawn last, so a seed keeps every earlier field it drew
+/// before time blocking joined the distribution.
 CaseSpec random_case(std::uint64_t seed);
 
 /// Builds the case as a DSL program (kernel + schedule + stencil) named

@@ -45,6 +45,8 @@ workload::Json spec_json(const CaseSpec& s) {
   j["reorder"] = workload::Json::boolean(s.reorder);
   j["parallel_threads"] = workload::Json::integer(s.parallel_threads);
   j["spm_pipeline"] = workload::Json::boolean(s.spm_pipeline);
+  j["time_tile_depth"] = workload::Json::integer(static_cast<long long>(s.time_tile.depth));
+  j["time_tile_width"] = workload::Json::integer(static_cast<long long>(s.time_tile.width));
   j["ranks"] = workload::Json::integer(s.rank_count());
   return j;
 }
@@ -61,16 +63,24 @@ void write_report(const ConformOptions& opts, const ConformReport& report) {
       workload::Json::integer(static_cast<long long>(report.faults_injected));
   root["seconds"] = workload::Json::number(report.seconds);
 
-  // Per-oracle tallies across the sweep.
+  // Per-oracle tallies across the sweep: verdicts, the cases per host
+  // engine taken (oracles that go through run_scheduled), and the cases
+  // run with a time_tile depth > 1.
   auto oracles = workload::Json::object();
   for (Oracle o : all_oracles()) {
-    int pass = 0, fail = 0, skip = 0;
+    int pass = 0, fail = 0, skip = 0, time_tiled = 0;
     double secs = 0.0;
+    auto routes = workload::Json::object();
     for (const auto& c : report.cases)
       for (const auto& r : c.oracles) {
         if (r.oracle != o) continue;
         (r.skipped ? skip : r.passed ? pass : fail) += 1;
         secs += r.seconds;
+        if (r.skipped) continue;
+        if (c.time_depth > 1) ++time_tiled;
+        if (r.route.empty()) continue;
+        const workload::Json* seen = routes.find(r.route);
+        routes[r.route] = workload::Json::integer(seen != nullptr ? seen->as_integer() + 1 : 1);
       }
     if (pass + fail + skip == 0) continue;
     auto entry = workload::Json::object();
@@ -78,6 +88,8 @@ void write_report(const ConformOptions& opts, const ConformReport& report) {
     entry["failed"] = workload::Json::integer(fail);
     entry["skipped"] = workload::Json::integer(skip);
     entry["seconds"] = workload::Json::number(secs);
+    entry["time_tiled"] = workload::Json::integer(time_tiled);
+    if (!routes.members().empty()) entry["routes"] = std::move(routes);
     oracles[oracle_name(o)] = std::move(entry);
   }
   root["oracles"] = std::move(oracles);
@@ -141,6 +153,7 @@ ConformReport run_conformance(const ConformOptions& opts) {
     const CaseSpec spec = random_case(seed);
     CaseOutcome outcome;
     outcome.seed = seed;
+    outcome.time_depth = spec.time_tile.depth;
 
     OracleRun ref = run_oracle(spec, Oracle::Reference, oopts);
     if (!ref.ok) {
@@ -148,7 +161,7 @@ ConformReport run_conformance(const ConformOptions& opts) {
       outcome.passed = false;
       outcome.oracles.push_back(
           {Oracle::Reference, false, false, "reference oracle failed: " + ref.note, 0,
-           ref.seconds});
+           ref.seconds, ref.route});
       std::printf("case %4d seed %llu: FAIL (reference: %s)\n", n,
                   static_cast<unsigned long long>(seed), ref.note.c_str());
     }
@@ -161,6 +174,7 @@ ConformReport run_conformance(const ConformOptions& opts) {
       OracleOutcome oo;
       oo.oracle = o;
       oo.seconds = run.seconds;
+      oo.route = run.route;
       if (run.skipped) {
         oo.skipped = true;
         oo.note = run.note;

@@ -40,11 +40,13 @@ struct OracleOutcome {
   std::string note;              ///< skip reason or mismatch detail
   std::int64_t worst_ulp = 0;
   double seconds = 0.0;
+  std::string route;             ///< engine run_scheduled took (OracleRun::route)
 };
 
 struct CaseOutcome {
   std::uint64_t seed = 0;
   bool passed = true;
+  std::int64_t time_depth = 1;   ///< the case's time_tile depth
   std::vector<OracleOutcome> oracles;
 };
 

@@ -14,6 +14,7 @@
 #include "comm/decompose.hpp"
 #include "comm/halo_exchange.hpp"
 #include "comm/simmpi.hpp"
+#include "exec/aot_backend.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "machine/machine.hpp"
@@ -68,8 +69,20 @@ OracleRun run_scheduled_oracle(const CaseSpec& spec) {
   auto prog = build_program(spec);
   exec::GridStorage<double> state(prog->stencil().state());
   seed_state(state);
+  exec::ExecInfo info;
   exec::run_scheduled(prog->stencil(), prog->primary_schedule(), state, 1, spec.timesteps,
-                      exec::Boundary::ZeroHalo);
+                      exec::Boundary::ZeroHalo, prog->bindings(), nullptr, {}, &info);
+  run.route = exec::route_name(info.route);
+  // A run that fell back to another engine would vacuously match the
+  // reference: the route is part of the verdict.
+  const exec::Route asked =
+      spec.time_tile.depth > 1 ? exec::Route::Temporal : exec::Route::Sweep;
+  if (info.route != asked) {
+    run.note = strprintf("took the %s route, the case asks for %s", run.route.c_str(),
+                         exec::route_name(asked));
+    if (!info.fallback_reason.empty()) run.note += ": " + info.fallback_reason;
+    return run;
+  }
   finish(run, state, spec.timesteps);
   return run;
 }
@@ -224,12 +237,44 @@ OracleRun run_aot_oracle(const CaseSpec& spec, const OracleOptions& opts) {
   // plan (the circuit breaker tripped on an earlier compile crash/timeout)
   // is called out separately: it means the compiler is broken for this plan,
   // not merely absent.
+  run.route = exec::route_name(info.route);
   if (info.route != exec::Route::Aot) {
     run.note = std::string(info.aot.quarantined ? "aot quarantined: " : "aot fallback: ") +
                info.fallback_reason;
     return run;
   }
   finish(run, state, spec.timesteps);
+  if (spec.time_tile.depth > 1) {
+    // run_scheduled drives the module one step at a time (msc_aot_rows);
+    // the same module's msc_aot_run unrolls time_tile blocks and must land
+    // on the same bits.
+    std::string why;
+    const auto mod = exec::detail::load_aot_module(prog->stencil(), prog->primary_schedule(),
+                                                   prog->bindings(), eopts.aot, nullptr, &why);
+    if (mod == nullptr) {
+      run.ok = false;
+      run.note = "aot reload for msc_aot_run failed: " + why;
+      return run;
+    }
+    exec::GridStorage<double> whole(prog->stencil().state());
+    seed_state(whole);
+    std::vector<void*> slots;
+    for (int s = 0; s < whole.slots(); ++s) {
+      whole.fill_halo(s, exec::Boundary::ZeroHalo);
+      slots.push_back(whole.slot_data(s));
+    }
+    mod->run(slots.data(), 1, static_cast<long>(spec.timesteps));
+    const auto unrolled = whole.interior_values(whole.slot_for_time(spec.timesteps));
+    for (std::size_t n = 0; n < unrolled.size(); ++n) {
+      if (std::memcmp(&unrolled[n], &run.values[n], sizeof(double)) == 0) continue;
+      run.ok = false;
+      run.note = strprintf("msc_aot_run (time_tile depth %lld) differs from the stepped run "
+                           "at element %zu: %.17g vs %.17g",
+                           static_cast<long long>(spec.time_tile.depth), n, unrolled[n],
+                           run.values[n]);
+      return run;
+    }
+  }
   return run;
 }
 

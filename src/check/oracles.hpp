@@ -5,7 +5,9 @@
 // MSC program and the final grids are compared element-wise.
 //
 //   reference    — serial IR interpreter (exec::run_reference), the anchor
-//   scheduled    — schedule-interpreting host executor (exec::run_scheduled)
+//   scheduled    — schedule-interpreting host executor (exec::run_scheduled);
+//                  fails unless it took the route the case asks for (the
+//                  wedges for a time_tile depth > 1, else the row sweep)
 //   c            — AOT-generated serial C, compiled with the host cc and run
 //   openmp       — AOT-generated OpenMP (Matrix) source, compiled and run
 //   athread      — AOT-generated Sunway master/slave pair under the pthread
@@ -15,7 +17,9 @@
 //                  with real halo exchanges, gathered back to the global grid
 //   aot          — the AOT dlopen host backend (exec/aot_backend): the plan
 //                  is emitted as specialized C, compiled with the host cc,
-//                  dlopen'd and dispatched in-process; skipped when no cc
+//                  dlopen'd and dispatched in-process; skipped when no cc.
+//                  With a time_tile depth > 1 the module's time-unrolled
+//                  msc_aot_run must also reproduce the stepped run's bits
 //
 // All oracles seed the state grid identically (seed 42 + 0x51ed2701 * slot,
 // the scheme shared by Program::input and the generated mains), so agreeing
@@ -66,6 +70,8 @@ struct OracleRun {
   std::vector<double> values; ///< row-major interior of the final timestep
   double checksum = 0.0;      ///< row-major interior sum
   double seconds = 0.0;       ///< wall time of this oracle run
+  std::string route;          ///< host engine run_scheduled took (exec::route_name);
+                              ///< empty for oracles that do not go through it
   std::int64_t faults_injected = 0;  ///< transport faults (simmpi + fault_plan)
 };
 

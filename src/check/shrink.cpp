@@ -39,6 +39,7 @@ void normalize(CaseSpec& s) {
     s.spm_pipeline = false;
   }
   if (!s.reorder) s.spm_pipeline = false;
+  if (s.time_tile.depth <= 1) s.time_tile = {};
 
   s.time_deps = std::max(1, s.time_deps);
   s.time_weights.resize(static_cast<std::size_t>(s.time_deps), 0.0);
@@ -116,6 +117,12 @@ std::vector<Mutation> candidates(const CaseSpec& s) {
 
   // Schedule primitives, innermost first so the simplest failing schedule
   // survives.
+  if (s.time_tile.depth > 1) {
+    CaseSpec m = s;
+    m.time_tile.depth = 1;
+    push(strprintf("time_tile depth %lld -> 1", static_cast<long long>(s.time_tile.depth)),
+         std::move(m));
+  }
   if (s.spm_pipeline) {
     CaseSpec m = s;
     m.spm_pipeline = false;

@@ -28,10 +28,11 @@ struct ShrinkResult {
 /// Greedy fix-point shrink.  Each pass tries, in order: halving the
 /// timestep count, shrinking each extent towards its legal minimum,
 /// dropping neighbor terms (halves, then singles), reducing the time
-/// window, stripping schedule primitives (spm pipeline, parallel, reorder,
-/// tile) and tightening the radius to the farthest remaining offset.  A
-/// mutation is kept only if `still_fails` accepts it; passes repeat until
-/// none is accepted or `max_attempts` candidates were evaluated.
+/// window, stripping schedule primitives (time_tile depth -> 1, spm
+/// pipeline, parallel, reorder, tile) and tightening the radius to the
+/// farthest remaining offset.  A mutation is kept only if `still_fails`
+/// accepts it; passes repeat until none is accepted or `max_attempts`
+/// candidates were evaluated.
 ShrinkResult shrink_case(const CaseSpec& failing, const StillFails& still_fails,
                          int max_attempts = 200);
 

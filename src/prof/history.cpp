@@ -31,11 +31,20 @@ bool key_contains(const std::string& key, std::initializer_list<const char*> nee
   return false;
 }
 
-/// Identifying label of one results row, for metric key prefixes.
+/// Identifying label of one results row, for metric key prefixes.  Rows
+/// that share a benchmark but ran different engines carry a string
+/// `backend` or `route` discriminator, appended as "<benchmark>.<backend>"
+/// so each row keeps its own metric set.
 std::string row_label(const workload::Json& row, std::size_t index) {
   for (const char* id : {"benchmark", "label", "name", "oracle"}) {
     const workload::Json* v = row.find(id);
-    if (v != nullptr && v->is_string()) return v->as_string();
+    if (v == nullptr || !v->is_string()) continue;
+    std::string label = v->as_string();
+    for (const char* tag : {"backend", "route"}) {
+      const workload::Json* d = row.find(tag);
+      if (d != nullptr && d->is_string()) label += "." + d->as_string();
+    }
+    return label;
   }
   const workload::Json* run = row.find("run");
   if (run != nullptr && run->is_number())

@@ -39,12 +39,14 @@ TEST(CaseGen, DeterministicFromSeed) {
     EXPECT_EQ(a.tile, b.tile);
     EXPECT_EQ(a.parallel_threads, b.parallel_threads);
     EXPECT_EQ(a.ranks, b.ranks);
+    EXPECT_EQ(a.time_tile.depth, b.time_tile.depth);
+    EXPECT_EQ(a.time_tile.width, b.time_tile.width);
   }
 }
 
 TEST(CaseGen, CoversBothRanksAndSchedules) {
   bool saw_2d = false, saw_3d = false, saw_tiled = false, saw_untiled = false,
-       saw_parallel = false, saw_multirank = false, saw_spm = false;
+       saw_parallel = false, saw_multirank = false, saw_spm = false, saw_time_tile = false;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const CaseSpec s = random_case(seed);
     (s.ndim == 2 ? saw_2d : saw_3d) = true;
@@ -52,6 +54,7 @@ TEST(CaseGen, CoversBothRanksAndSchedules) {
     saw_parallel |= s.parallel_threads > 0;
     saw_multirank |= s.rank_count() > 1;
     saw_spm |= s.spm_pipeline;
+    saw_time_tile |= s.time_tile.depth > 1;
   }
   EXPECT_TRUE(saw_2d);
   EXPECT_TRUE(saw_3d);
@@ -60,6 +63,7 @@ TEST(CaseGen, CoversBothRanksAndSchedules) {
   EXPECT_TRUE(saw_parallel);
   EXPECT_TRUE(saw_multirank);
   EXPECT_TRUE(saw_spm);
+  EXPECT_TRUE(saw_time_tile);
 }
 
 TEST(CaseGen, EverySpecBuildsAValidProgram) {
@@ -83,9 +87,12 @@ TEST(Oracles, UlpDistance) {
 
 TEST(Oracles, InProcessOraclesMatchReferenceBitwise) {
   // run_scheduled and the CG simulator keep the reference accumulation
-  // order, so agreement is exact, not just within tolerance.
+  // order, so agreement is exact, not just within tolerance.  The scheduled
+  // oracle also names its route: the wedges for a time_tile depth > 1, the
+  // row sweep otherwise.
   OracleOptions opts;
   opts.work_dir = scratch_dir("msc_check_inproc");
+  bool saw_wedges = false;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const CaseSpec spec = random_case(seed);
     const OracleRun ref = run_oracle(spec, Oracle::Reference, opts);
@@ -97,8 +104,13 @@ TEST(Oracles, InProcessOraclesMatchReferenceBitwise) {
       const Comparison cmp = compare_runs(ref, run, /*max_ulps=*/0);
       EXPECT_TRUE(cmp.match) << oracle_name(o) << " seed " << seed << ": " << cmp.detail
                              << "\n" << describe(spec);
+      if (o == Oracle::Scheduled) {
+        EXPECT_EQ(run.route, spec.time_tile.depth > 1 ? "temporal" : "sweep") << describe(spec);
+      }
     }
+    saw_wedges |= spec.time_tile.depth > 1;
   }
+  EXPECT_TRUE(saw_wedges) << "seeds 1-8 must draw at least one time_tile depth > 1";
 }
 
 TEST(Oracles, CompiledBackendsMatchReference) {
@@ -250,6 +262,7 @@ TEST(Shrink, ProducesMinimalReproducer) {
   EXPECT_FALSE(r.spec.tiled());
   EXPECT_EQ(r.spec.parallel_threads, 0);
   EXPECT_EQ(r.spec.rank_count(), 1);
+  EXPECT_EQ(r.spec.time_tile.depth, 1);
   for (int d = 0; d < r.spec.ndim; ++d)
     EXPECT_LE(r.spec.extent[static_cast<std::size_t>(d)],
               start.extent[static_cast<std::size_t>(d)]);

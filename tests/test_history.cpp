@@ -50,6 +50,35 @@ TEST(History, FlattenExtractsNumericMetricsWithRowLabels) {
   EXPECT_EQ(entry.metrics[1].first, "3d7pt_star.gflops");
 }
 
+TEST(History, RowsSharingABenchmarkKeepTheirBackends) {
+  // Three engines of one benchmark (bench_attribution's sweep, temporal
+  // and AOT rows) must flatten to three metric sets, not collapse into one.
+  Json doc = make_report(0.125, 40.0);
+  Json& results = doc["results"];
+  results = Json::array();
+  for (const char* backend : {"sweep", "temporal", "aot"}) {
+    Json row = Json::object();
+    row["benchmark"] = Json::string("3d7pt_star");
+    row["backend"] = Json::string(backend);
+    row["wall_s"] = Json::number(0.5);
+    results.push_back(std::move(row));
+  }
+  Json overhead = Json::object();  // no backend: the label stays the benchmark
+  overhead["benchmark"] = Json::string("3d7pt_star");
+  overhead["recorder_efficiency"] = Json::number(0.99);
+  results.push_back(std::move(overhead));
+
+  const auto entry = flatten_bench_report(doc);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : entry.metrics) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"3d7pt_star.sweep.wall_s",
+                                            "3d7pt_star.temporal.wall_s",
+                                            "3d7pt_star.aot.wall_s",
+                                            "3d7pt_star.recorder_efficiency"}));
+  const auto back = parse_history_entry(Json::parse(history_entry_json(entry).dump_compact()));
+  EXPECT_EQ(back.metrics.size(), 4u);  // every row survives the ledger round trip
+}
+
 TEST(History, FlattenRejectsWrongSchema) {
   Json doc = Json::object();
   doc["schema"] = Json::string("something-else");
