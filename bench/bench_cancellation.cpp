@@ -1,9 +1,9 @@
 // Cancellation-check overhead ledger.
 //
-// The robustness spine threads a CancelToken through every engine hot loop
-// (row-chunk checkpoints in the sweep, wedge boundaries in the temporal
-// engine, per-step dispatch in the AOT backend).  Those checkpoints must be
-// effectively free when nothing fires.  The gated metric is
+// The robustness spine threads a CancelToken through every engine: one
+// check per step on the caller thread (one per time block on the wedges),
+// and nothing is copied or restored.  Those checks must be effectively
+// free when nothing fires.  The gated metric is
 // `cancel_efficiency` — wall time of the sweep engine with no token divided
 // by wall time with an armed-but-never-firing deadline token, taken as the
 // median of per-rep adjacent off/on ratios so ambient machine-load epochs
@@ -12,6 +12,8 @@
 // set by launch-to-launch code-layout jitter (each process run lands a few
 // percent apart even with identical code), not by the rep count — so real
 // checkpoint creep fails CI instead of silently taxing every run.
+// `checkpoint_polls` (informational) counts the armed arm's checks: one
+// per step, kSteps * kReps.
 
 #include <algorithm>
 #include <chrono>

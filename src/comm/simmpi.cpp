@@ -133,7 +133,7 @@ void RankCtx::wait(Request& req) {
 
   std::unique_lock lock(box.m);
   for (;;) {
-    if (cancel != nullptr) cancel->checkpoint_now("comm.wait");
+    if (cancel != nullptr) cancel->checkpoint("comm.wait");
     const std::uint64_t expected = box.delivered[req.tag];
     const auto now = SimWorld::Clock::now();
 
@@ -302,7 +302,7 @@ void RankCtx::barrier() {
       // bounded by the remaining deadline.  The arrival count we already
       // contributed stands, so peers still pass once everyone arrives.
       while (!done()) {
-        cancel->checkpoint_now("comm.barrier");
+        cancel->checkpoint("comm.barrier");
         world_->barrier_cv_.wait_until(
             lock,
             SimWorld::Clock::now() + ms_duration(cancel->budget_ms(kCancelPollSliceMs)));

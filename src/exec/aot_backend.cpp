@@ -194,7 +194,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
                                            const Bindings& bindings, const AotOptions& opts,
                                            AotExecInfo* info, std::string* why,
                                            const CancelToken* cancel) {
-  if (cancel != nullptr) cancel->checkpoint_now("aot.emit");
+  if (cancel != nullptr) cancel->checkpoint("aot.emit");
   const auto lin = linearize_stencil(st, bindings);
   if (!lin.has_value()) {
     *why = "stencil is not affine (no linear form to specialize)";
@@ -224,7 +224,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
   if (info != nullptr) info->module_path = so.string();
 
   std::error_code ec;
-  if (cancel != nullptr) cancel->checkpoint_now("aot.cache_probe");
+  if (cancel != nullptr) cancel->checkpoint("aot.cache_probe");
   {
     // Cache probe phase: the in-memory registry (shared dlopen handle for
     // bench loops and parallel oracles), then the on-disk object.  A stale
@@ -257,7 +257,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
   }
 
   if (!write_file(src, source, why)) return nullptr;
-  if (cancel != nullptr) cancel->checkpoint_now("aot.compile");
+  if (cancel != nullptr) cancel->checkpoint("aot.compile");
 
   // Compile budget: the option (0 = MSC_AOT_COMPILE_TIMEOUT_MS, default
   // 120 s; negative = unbounded) clamped by the token's remaining deadline
@@ -287,7 +287,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     if (r.timed_out) {
       // Deadline-driven kill cancels the run; budget-driven kill condemns
       // the plan and degrades.  Either way the cc process group is dead.
-      if (cancel != nullptr) cancel->checkpoint_now("aot.compile");
+      if (cancel != nullptr) cancel->checkpoint("aot.compile");
       *why = strprintf("compile timed out after %.0f ms", budget_ms);
       quarantine_plan(hash, *why);
       return nullptr;
@@ -303,7 +303,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     return nullptr;
   }
 
-  if (cancel != nullptr) cancel->checkpoint_now("aot.dlopen");
+  if (cancel != nullptr) cancel->checkpoint("aot.dlopen");
   auto mod = [&] {
     prof::FlightScope dlopen_flight(prof::FlightKind::AotDlopen);
     return open_module(so.string(), why);

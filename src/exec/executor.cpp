@@ -101,12 +101,14 @@ std::uint64_t fingerprint(const LoopPlan& plan, std::size_t nterms, std::uint64_
       static_cast<std::uint64_t>(plan.tiles_per_step), extra);
 }
 
-/// Route::Sweep: one row sweep and one halo fill per timestep.  Returns
-/// the points updated.
+/// Route::Sweep: one row sweep and one halo fill per timestep, the token
+/// checked before each.  Sets `done` to each step as it finishes and
+/// returns the points updated.
 template <typename T>
 std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
                          const LinearKernel& lin, GridStorage<T>& state, std::int64_t t_begin,
-                         std::int64_t t_end, Boundary bc, const CancelToken* cancel) {
+                         std::int64_t t_end, Boundary bc, const CancelToken* cancel,
+                         std::int64_t& done) {
   const SweepPlan sweep = lower_sweep(plan);
   const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0));
   for (int back = 1; back < st.time_window(); ++back)
@@ -114,14 +116,16 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
 
   std::int64_t points = 0;
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
+    if (cancel != nullptr) cancel->checkpoint("sweep.step");
     prof::FlightScope flight_step(prof::FlightKind::Step, 0,
                                   static_cast<std::int64_t>(lin.terms.size()));
     const int out_slot = state.slot_for_time(t);
     const std::int64_t swept =
-        run_sweep(sweep, state, state.slot_data(out_slot), resolve_terms(lin, state, t), cancel);
+        run_sweep(sweep, state, state.slot_data(out_slot), resolve_terms(lin, state, t));
     flight_step.set_a(swept);
     state.fill_halo(out_slot, bc);
     points += swept;
+    done = t;
   }
   return points;
 }
@@ -129,11 +133,12 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
 /// Route::Temporal: the wedge engine over the whole range.  The halos are
 /// zero and sweeps never write them, so one fill per ring slot up front
 /// leaves every read — and the final grid — exactly as the per-step fill
-/// would.
+/// would.  The token and `done` work per time block (run_temporal_sweep).
 template <typename T>
 std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
                          const LinearKernel& lin, GridStorage<T>& state, std::int64_t t_begin,
-                         std::int64_t t_end, const ExecOptions& opts, ExecInfo& info) {
+                         std::int64_t t_end, const ExecOptions& opts, ExecInfo& info,
+                         std::int64_t& done) {
   const TemporalPlan tplan =
       lower_temporal(plan, st.time_window(), st.max_radius(), t_begin, t_end);
   info.blocks = tplan.blocks();
@@ -145,7 +150,7 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
   const prof::FlightPlanScope flight_plan(
       fingerprint(plan, lin.terms.size(), static_cast<std::uint64_t>(tplan.wedge_depth)));
-  return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel);
+  return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel, done);
 }
 
 /// Route::Aot: the compiled kernel, zero halos filled once up front as for
@@ -155,11 +160,12 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
 /// row.  Bands are disjoint and the ring slots a step reads are not
 /// written during it, so concurrent calls are safe and every point is
 /// computed exactly as by a serial call.  Compiled code cannot poll a
-/// token, so cancellation is checked before each band.
+/// token, so it is checked on the caller before each step.
 template <typename T>
 std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
                        const detail::AotModule& mod, GridStorage<T>& state,
-                       std::int64_t t_begin, std::int64_t t_end, const CancelToken* cancel) {
+                       std::int64_t t_begin, std::int64_t t_end, const CancelToken* cancel,
+                       std::int64_t& done) {
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
   std::vector<void*> slots;
   slots.reserve(static_cast<std::size_t>(state.slots()));
@@ -182,7 +188,6 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
     prof::FlightScope flight(prof::FlightKind::RowChunk, 0, hi - lo);
     std::int64_t rows = 0;
     for (std::int64_t n = lo; n < hi; ++n) {
-      if (cancel != nullptr) cancel->checkpoint_now("aot.band");
       const auto& [r0, r1] = bands[static_cast<std::size_t>(n)];
       mod.rows(slots.data(), static_cast<long>(t), static_cast<long>(r0),
                static_cast<long>(r1));
@@ -191,10 +196,12 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
     flight.set_a(rows * points_per_row);
   };
   for (; t <= t_end; ++t) {
+    if (cancel != nullptr) cancel->checkpoint("aot.step");
     if (parallel)
       global_pool().parallel_for(0, nbands, run_bands);
     else
       run_bands(0, 1);
+    done = t;
   }
   return state.tensor()->interior_points() * (t_end - t_begin + 1);
 }
@@ -213,41 +220,42 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
   const LoopPlan plan = detail::checked_loop_plan(sched, state);
 
   // Route selection: a requested engine that cannot run falls through to
-  // the next rule with its reason recorded and counted.
+  // the next rule with its reason recorded and counted.  Every Cancelled
+  // leaves with the last finished step, so the caller can resume from it.
   ExecInfo local;
   ExecInfo& out = info != nullptr ? *info : local;
   out = ExecInfo{};
-  std::shared_ptr<detail::AotModule> mod;
-  if (opts.backend == HostBackend::Aot)
-    mod = acquire_aot(st, sched, state, bc, bindings, opts, out);
-  if (mod != nullptr) {
-    out.route = Route::Aot;
-    out.aot.aot = true;
-  } else if (plan.time_depth > 1) {
-    if (bc == Boundary::ZeroHalo) {
-      out.route = Route::Temporal;
-    } else {
-      prof::counter("sweep.temporal.fallback").add(1);
-      if (out.fallback_reason.empty()) out.fallback_reason = per_step_halo_reason(bc);
-    }
-  }
-
-  detail::CancelGuard<T> guard(state, opts.cancel);
+  std::int64_t done = t_begin - 1;
   std::int64_t points = 0;
   try {
+    std::shared_ptr<detail::AotModule> mod;
+    if (opts.backend == HostBackend::Aot)
+      mod = acquire_aot(st, sched, state, bc, bindings, opts, out);
+    if (mod != nullptr) {
+      out.route = Route::Aot;
+      out.aot.aot = true;
+    } else if (plan.time_depth > 1) {
+      if (bc == Boundary::ZeroHalo) {
+        out.route = Route::Temporal;
+      } else {
+        prof::counter("sweep.temporal.fallback").add(1);
+        if (out.fallback_reason.empty()) out.fallback_reason = per_step_halo_reason(bc);
+      }
+    }
+
     switch (out.route) {
       case Route::Sweep:
-        points = sweep_steps(st, plan, *lin, state, t_begin, t_end, bc, opts.cancel);
+        points = sweep_steps(st, plan, *lin, state, t_begin, t_end, bc, opts.cancel, done);
         break;
       case Route::Temporal:
-        points = wedge_steps(st, plan, *lin, state, t_begin, t_end, opts, out);
+        points = wedge_steps(st, plan, *lin, state, t_begin, t_end, opts, out, done);
         break;
       case Route::Aot:
-        points = aot_steps(plan, *lin, *mod, state, t_begin, t_end, opts.cancel);
+        points = aot_steps(plan, *lin, *mod, state, t_begin, t_end, opts.cancel, done);
         break;
     }
-  } catch (const Cancelled&) {
-    guard.restore();
+  } catch (Cancelled& c) {
+    c.set_completed_through(done);
     throw;
   }
 

@@ -73,61 +73,6 @@ namespace detail {
 /// run_reference and run_scheduled so both account the same way.
 void count_run(std::int64_t points, std::int64_t flops, std::int64_t steps);
 
-/// All-or-nothing cancellation guard: snapshots every ring slot (halos
-/// included) once at run entry, and restore() puts them back so a cancelled
-/// run leaves the grid bit-identical to its pre-run state.  Armed only when
-/// a CancelToken is attached — uncancellable runs pay a single null test.
-/// One snapshot per run (not per step) keeps the armed-token overhead
-/// amortized across the whole time range, inside the <=2% hot-path budget;
-/// the copy is split into kSlices slices per slot over global_pool(), since
-/// a serial copy of a multi-MB ring costs a visible share of a short run.
-/// Never construct one on a pool worker: the copy waits on the pool.
-template <typename T>
-class CancelGuard {
- public:
-  CancelGuard(GridStorage<T>& state, const CancelToken* cancel) {
-    if (cancel == nullptr) return;
-    state_ = &state;
-    // Uninitialized: the copy overwrites every element, and zeroing first
-    // would double the guard's memory traffic.
-    backup_ = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(state.slots()) *
-                                                  static_cast<std::size_t>(state.padded_points()));
-    copy(/*to_backup=*/true);
-  }
-
-  /// Restores every slot from the entry snapshot.  No-op when unarmed.
-  void restore() {
-    if (state_ != nullptr) copy(/*to_backup=*/false);
-  }
-
- private:
-  static constexpr std::int64_t kSlices = 8;
-
-  /// Copies slice u % kSlices of slot u / kSlices for every unit u.
-  void copy(bool to_backup) {
-    const std::int64_t per_slot = state_->padded_points();
-    const std::int64_t slice = (per_slot + kSlices - 1) / kSlices;
-    const auto units = [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t u = lo; u < hi; ++u) {
-        const std::int64_t at = u % kSlices * slice;
-        const std::int64_t n = std::min(slice, per_slot - at);
-        if (n <= 0) continue;
-        T* live = state_->slot_data(static_cast<int>(u / kSlices)) + at;
-        T* saved = backup_.get() + u / kSlices * per_slot + at;
-        if (to_backup) {
-          std::copy_n(live, n, saved);
-        } else {
-          std::copy_n(saved, n, live);
-        }
-      }
-    };
-    global_pool().parallel_for(0, state_->slots() * kSlices, units);
-  }
-
-  GridStorage<T>* state_ = nullptr;
-  std::unique_ptr<T[]> backup_;
-};
-
 /// build_loop_plan plus the check that the schedule was built for `state`.
 template <typename T>
 LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>& state) {
@@ -146,7 +91,10 @@ LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>
 /// the affine fragment fall back to the per-point expression evaluator.
 /// Stencils whose kernels read auxiliary grids supply them via `aux`.
 /// A completed run adds to `stats` and ticks the exec.* counters once, as
-/// run_scheduled does; a cancelled one leaves both untouched.
+/// run_scheduled does; a cancelled one leaves both untouched.  `cancel`,
+/// when non-null, is checked before each step ("reference.step"); the
+/// Cancelled it throws carries the last finished step, so calling again
+/// from the step after it resumes the run bit-exactly.
 template <typename T>
 void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
                    std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
@@ -157,8 +105,6 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
       << "grid '" << state.tensor()->name() << "' is not the stencil state '"
       << st.state()->name() << "'";
 
-  detail::CancelGuard<T> guard(state, cancel);
-  try {
   // Seed halos of the initial window slots.
   for (int back = 1; back < st.time_window(); ++back)
     state.fill_halo(state.slot_for_time(t_begin - back), bc);
@@ -173,17 +119,21 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
 
   std::int64_t flops = 0;  // the generic evaluator counts none
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
+    if (cancel != nullptr) {
+      try {
+        cancel->checkpoint("reference.step");
+      } catch (Cancelled& c) {
+        c.set_completed_through(t - 1);
+        throw;
+      }
+    }
     const int out_slot = state.slot_for_time(t);
     T* out = state.slot_data(out_slot);
 
     if (lin.has_value()) {
       const auto terms = resolve_terms(*lin, state, t);
-      flops += 2 * static_cast<std::int64_t>(terms.size()) *
-               run_sweep(plan, state, out, terms, cancel);
+      flops += 2 * static_cast<std::int64_t>(terms.size()) * run_sweep(plan, state, out, terms);
     } else {
-      // The generic evaluator has no tile structure; step granularity is
-      // the checkpoint unit.
-      if (cancel != nullptr) cancel->checkpoint_now("reference.step");
       // Generic path: evaluate each time term's kernel RHS per point.
       state.for_each_interior([&](std::array<std::int64_t, 3> c) {
         double acc = 0.0;
@@ -219,10 +169,6 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
     stats->points_updated += points;
     stats->flops += flops;
   }
-  } catch (const Cancelled&) {
-    guard.restore();
-    throw;
-  }
 }
 
 /// The host engine a scheduled run took.
@@ -247,7 +193,7 @@ enum class HostBackend {
 struct ExecOptions {
   HostBackend backend = HostBackend::Sweep;
   AotOptions aot;                       ///< compile settings under HostBackend::Aot
-  const CancelToken* cancel = nullptr;  ///< all-or-nothing cancellation
+  const CancelToken* cancel = nullptr;  ///< checked between steps; see run_scheduled
   ThreadPool* pool = nullptr;           ///< wedge-engine pool (tests); nullptr = global_pool()
 };
 
@@ -269,10 +215,18 @@ struct ExecInfo {
 /// Scheduled executor: same numerics as run_reference — bit-identical on
 /// every route — with loop structure, parallelism and engine taken from
 /// `sched`, `bc` and `opts` (see the route rules at the top of this file).
-/// The stencil must be affine.  With `opts.cancel` attached a fired token
-/// restores every ring slot before Cancelled escapes.  `stats` and the
+/// The stencil must be affine.  `stats` and the
 /// exec.points_updated/flops/timesteps counters are filled the same way on
 /// every route.
+///
+/// With `opts.cancel` attached, the token is checked on the calling thread
+/// where the ring is consistent: before each step on the sweep and AOT
+/// routes ("sweep.step", "aot.step"), before each time block on the wedges
+/// ("temporal.block"), and between the AOT pipeline stages.  A fired token
+/// throws Cancelled with completed_through() set to the last finished step
+/// (t_begin - 1 if none); its slots and halos are intact, so calling again
+/// with t_begin = completed_through() + 1 finishes the run bit-exactly.  A
+/// cancelled run leaves `stats` and the counters untouched.
 template <typename T>
 void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
                    GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,

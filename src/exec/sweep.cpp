@@ -326,8 +326,7 @@ template std::int64_t sweep_box<double>(const GridStorage<double>&, double*,
 
 template <typename T>
 std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                       const std::vector<detail::ResolvedTerm<T>>& terms,
-                       const CancelToken* cancel) {
+                       const std::vector<detail::ResolvedTerm<T>>& terms) {
   MSC_CHECK(plan.ndim == state.ndim()) << "sweep plan rank mismatch";
   // Tiles [lo, hi) under one flight span: one span per chunk, not per
   // tile, keeps the event rate bounded at any tile size, so the recorder
@@ -335,14 +334,8 @@ std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* ou
   const auto sweep_range = [&](std::int64_t lo, std::int64_t hi) {
     prof::FlightScope flight(prof::FlightKind::RowChunk, 0, hi - lo);
     std::int64_t points = 0;
-    for (std::int64_t n = lo; n < hi; ++n) {
-      // Row-chunk-granularity cancellation: one relaxed load per tile on
-      // the armed path, a single null test otherwise.  On a pool worker
-      // the throw unwinds through parallel_for, which rethrows Cancelled
-      // on the caller.
-      if (cancel != nullptr) cancel->checkpoint("sweep.row_chunk");
+    for (std::int64_t n = lo; n < hi; ++n)
       points += detail::sweep_box(state, out, terms, plan.tiles[static_cast<std::size_t>(n)]);
-    }
     flight.set_a(points);
     return points;
   };
@@ -356,11 +349,9 @@ std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* ou
 }
 
 template std::int64_t run_sweep<float>(const SweepPlan&, const GridStorage<float>&, float*,
-                                       const std::vector<detail::ResolvedTerm<float>>&,
-                                       const CancelToken*);
+                                       const std::vector<detail::ResolvedTerm<float>>&);
 template std::int64_t run_sweep<double>(const SweepPlan&, const GridStorage<double>&,
                                         double*,
-                                        const std::vector<detail::ResolvedTerm<double>>&,
-                                        const CancelToken*);
+                                        const std::vector<detail::ResolvedTerm<double>>&);
 
 }  // namespace msc::exec

@@ -40,7 +40,6 @@
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
 #include "schedule/schedule.hpp"
-#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
@@ -263,23 +262,18 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 /// chunked over the process pool when the plan fans out, and returns the
 /// points swept.  Out-of-line for the same reason as detail::sweep_row —
 /// one canonical, well-optimized copy of the kernels, independent of what
-/// else the caller's TU contains.
-///
-/// `cancel`, when non-null, is polled at row-chunk granularity (before each
-/// tile); a fired token throws Cancelled out of the sweep, leaving the
-/// current output slot partially written — callers that expose cancellation
-/// (exec::run_scheduled, exec::run_reference) wrap the whole run in a slot
-/// snapshot so the caller-visible contract stays all-or-nothing.
+/// else the caller's TU contains.  A step is the unit of cancellation: the
+/// callers (exec::run_scheduled, exec::run_reference) check their token
+/// between calls, never inside one.
 template <typename T>
 std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                       const std::vector<detail::ResolvedTerm<T>>& terms,
-                       const CancelToken* cancel = nullptr);
+                       const std::vector<detail::ResolvedTerm<T>>& terms);
 
 extern template std::int64_t run_sweep<float>(
     const SweepPlan&, const GridStorage<float>&, float*,
-    const std::vector<detail::ResolvedTerm<float>>&, const CancelToken*);
+    const std::vector<detail::ResolvedTerm<float>>&);
 extern template std::int64_t run_sweep<double>(
     const SweepPlan&, const GridStorage<double>&, double*,
-    const std::vector<detail::ResolvedTerm<double>>&, const CancelToken*);
+    const std::vector<detail::ResolvedTerm<double>>&);
 
 }  // namespace msc::exec

@@ -67,8 +67,7 @@ std::int64_t run_wedge_step(const WedgeStep& ws, const StepCtx<T>& ctx,
 
 template <typename T>
 void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel& lin,
-               GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, std::int64_t& points,
-               const CancelToken* cancel) {
+               GridStorage<T>& state, std::int64_t t0, ThreadPool& pool, std::int64_t& points) {
   prof::FlightScope block_flight(prof::FlightKind::WedgeBlock, t0, set.depth);
   prof::counter("sweep.temporal.blocks").add(1);
 
@@ -92,9 +91,6 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
     std::int64_t wedges_run = 0, steps_run = 0;
     for (const auto& wedge : set.wedges) {
       if (wedge.steps.empty()) continue;
-      // Wedge-boundary cancellation: a wedge is the natural unit after
-      // which the in-place ring rotation is self-consistent again.
-      if (cancel != nullptr) cancel->checkpoint("temporal.wedge");
       prof::FlightScope wedge_flight(prof::FlightKind::Wedge, wedge.index,
                                      static_cast<std::int64_t>(wedge.steps.size()));
       for (const auto& ws : wedge.steps)
@@ -143,7 +139,6 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
     for (std::int64_t c = cb; c < ce; ++c) {
       try {
         for (std::int64_t s = 0; s < set.depth; ++s) {
-          if (cancel != nullptr) cancel->checkpoint("temporal.wedge");
           // Flight span only when a predecessor actually makes us spin, so
           // uncontended levels cost zero wait events.
           bool waited = false;
@@ -155,11 +150,6 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
                 wait_start = prof::flight_now_ns();
               }
               if (failed.load(std::memory_order_relaxed)) break;
-              // The spin must poll too: if the predecessor chunk stopped
-              // because the token fired, nobody will ever advance done[p].
-              // The throw lands in the catch below, which poisons our own
-              // counters so downstream waiters drain the same way.
-              if (cancel != nullptr) cancel->checkpoint("temporal.wedge_wait");
               std::this_thread::yield();
             }
           }
@@ -252,25 +242,26 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window, std:
 template <typename T>
 std::int64_t run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
                                 GridStorage<T>& state, ThreadPool* pool,
-                                const CancelToken* cancel) {
+                                const CancelToken* cancel, std::int64_t& done) {
   MSC_CHECK(plan.ndim == state.ndim()) << "temporal plan rank mismatch";
   ThreadPool& tp = pool != nullptr ? *pool : global_pool();
   std::int64_t total = 0;
-  std::int64_t t = plan.t_begin;
-  for (std::int64_t b = 0; b < plan.full_blocks; ++b) {
-    run_block(plan, plan.full, lin, state, t, tp, total, cancel);
-    t += plan.wedge_depth;
-  }
-  if (plan.remainder.depth > 0)
-    run_block(plan, plan.remainder, lin, state, t, tp, total, cancel);
+  const auto block = [&](const WedgeSet& set) {
+    if (cancel != nullptr) cancel->checkpoint("temporal.block");
+    run_block(plan, set, lin, state, done + 1, tp, total);
+    done += set.depth;
+  };
+  done = plan.t_begin - 1;
+  for (std::int64_t b = 0; b < plan.full_blocks; ++b) block(plan.full);
+  if (plan.remainder.depth > 0) block(plan.remainder);
   return total;
 }
 
 template std::int64_t run_temporal_sweep<float>(const TemporalPlan&, const LinearKernel&,
                                                 GridStorage<float>&, ThreadPool*,
-                                                const CancelToken*);
+                                                const CancelToken*, std::int64_t&);
 template std::int64_t run_temporal_sweep<double>(const TemporalPlan&, const LinearKernel&,
                                                  GridStorage<double>&, ThreadPool*,
-                                                 const CancelToken*);
+                                                 const CancelToken*, std::int64_t&);
 
 }  // namespace msc::exec

@@ -58,6 +58,7 @@
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
 #include "exec/sweep.hpp"
+#include "support/cancel.hpp"
 #include "support/thread_pool.hpp"
 
 namespace msc::exec {
@@ -121,24 +122,23 @@ TemporalPlan lower_temporal(const LoopPlan& plan, std::int64_t time_window,
 /// Emits wedge-level trace spans and the sweep.temporal.* counters, and
 /// returns the points updated.
 ///
-/// `cancel`, when non-null, is polled at wedge boundaries and inside the
-/// done-counter spin of the parallel wavefront (a cancelled run must not
-/// keep spinning on a predecessor that itself stopped).  A fired token
-/// poisons the wavefront counters exactly like a worker exception and
-/// throws Cancelled; exec::run_scheduled restores the ring slots so the
-/// caller-visible contract is all-or-nothing.
+/// Mid-block wedges leave tiles at different times, and later steps
+/// overwrite the last consistent slots, so a block is the unit of
+/// cancellation: `cancel`, when non-null, is checked on the calling thread
+/// before each block ("temporal.block"), and `done` is advanced to the
+/// last step of every finished block.
 template <typename T>
 std::int64_t run_temporal_sweep(const TemporalPlan& plan, const LinearKernel& lin,
-                                GridStorage<T>& state, ThreadPool* pool = nullptr,
-                                const CancelToken* cancel = nullptr);
+                                GridStorage<T>& state, ThreadPool* pool,
+                                const CancelToken* cancel, std::int64_t& done);
 
 extern template std::int64_t run_temporal_sweep<float>(const TemporalPlan&,
                                                        const LinearKernel&,
                                                        GridStorage<float>&, ThreadPool*,
-                                                       const CancelToken*);
+                                                       const CancelToken*, std::int64_t&);
 extern template std::int64_t run_temporal_sweep<double>(const TemporalPlan&,
                                                         const LinearKernel&,
                                                         GridStorage<double>&, ThreadPool*,
-                                                        const CancelToken*);
+                                                        const CancelToken*, std::int64_t&);
 
 }  // namespace msc::exec

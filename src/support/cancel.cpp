@@ -51,50 +51,19 @@ void CancelToken::cancel(ErrorCode reason) {
 }
 
 ErrorCode CancelToken::poll() const {
-  const std::int64_t n = polls_.fetch_add(1, std::memory_order_relaxed);
-  const int latched = state_.load(std::memory_order_relaxed);
-  if (latched != static_cast<int>(ErrorCode::Ok))
-    return static_cast<ErrorCode>(latched);
-  // Amortize the deadline clock read: an explicit cancel (watchdog, user)
-  // latches state_ and is seen by the load above on the very next poll, but
-  // deadline expiry needs Clock::now(), which dominates the checkpoint cost
-  // in hot loops.  Checking every 64th poll (and always the first, so a
-  // pre-expired token fires immediately) keeps detection latency bounded at
-  // a handful of row chunks while making the common poll two relaxed
-  // atomics.
-  constexpr std::int64_t kDeadlineStride = 64;
-  if ((n & (kDeadlineStride - 1)) != 0) return ErrorCode::Ok;
-  return latch_if_expired();
-}
-
-ErrorCode CancelToken::poll_now() const {
   polls_.fetch_add(1, std::memory_order_relaxed);
   const int latched = state_.load(std::memory_order_relaxed);
-  if (latched != static_cast<int>(ErrorCode::Ok))
+  if (latched != static_cast<int>(ErrorCode::Ok) || !deadline_.expired())
     return static_cast<ErrorCode>(latched);
-  return latch_if_expired();
-}
-
-ErrorCode CancelToken::latch_if_expired() const {
-  if (deadline_.expired()) {
-    // Latch so every later poll agrees on the reason without a clock read.
-    int expected = static_cast<int>(ErrorCode::Ok);
-    state_.compare_exchange_strong(expected,
-                                   static_cast<int>(ErrorCode::DeadlineExpired),
-                                   std::memory_order_release,
-                                   std::memory_order_relaxed);
-    return static_cast<ErrorCode>(state_.load(std::memory_order_relaxed));
-  }
-  return ErrorCode::Ok;
+  // Latch so every later poll agrees on the reason without a clock read.
+  int expected = static_cast<int>(ErrorCode::Ok);
+  state_.compare_exchange_strong(expected, static_cast<int>(ErrorCode::DeadlineExpired),
+                                 std::memory_order_release, std::memory_order_relaxed);
+  return static_cast<ErrorCode>(state_.load(std::memory_order_relaxed));
 }
 
 void CancelToken::checkpoint(const char* site) const {
   const ErrorCode code = poll();
-  if (code != ErrorCode::Ok) throw Cancelled(code, site);
-}
-
-void CancelToken::checkpoint_now(const char* site) const {
-  const ErrorCode code = poll_now();
   if (code != ErrorCode::Ok) throw Cancelled(code, site);
 }
 

@@ -2,25 +2,28 @@
 
 // Deadline-aware cooperative cancellation.
 //
-// Every long-running path in the library (row sweeps, temporal wedges, the
-// AOT compile pipeline, simmpi waits) accepts an optional `const CancelToken*`
-// and polls it at natural checkpoint boundaries.  A token is cancelled either
+// Every long-running path in the library (the host engines, the AOT compile
+// pipeline, simmpi waits) accepts an optional `const CancelToken*` and
+// checks it where its state is consistent.  A token is cancelled either
 // explicitly (caller, watchdog) or implicitly when its Deadline expires; the
-// first reason to land wins and is latched.  Checkpoints throw `Cancelled`,
-// which engines translate into all-or-nothing semantics: output slots are
-// restored to their pre-run contents before the exception escapes, so a
-// cancelled run is indistinguishable from one that never started.
+// first reason to land wins and is latched.  Checkpoints throw `Cancelled`.
 //
-// The uncancelled hot path pays one relaxed atomic load (plus a coarse
-// steady_clock read when a deadline is armed) per checkpoint; checkpoints sit
-// at row-chunk / wedge / pipeline-stage granularity, never inside row loops,
-// and checkpoint creep is pinned by bench_cancellation's history gate
-// (~2% overhead budget, gated at the measurement's noise floor).
+// The host engines check once per finished step (the wedges once per time
+// block), on the caller thread.  A step writes only the ring slot of
+// t - window, so a run stopped before step t still holds an intact,
+// halo-filled state through t - 1: `Cancelled::completed_through()` says
+// which step that is, and calling the run again from the next step resumes
+// it bit-exactly.  Nothing is copied or restored.
+//
+// A check is one relaxed atomic load plus, when a deadline is armed, one
+// steady_clock read; at one check per step both are noise, and the armed
+// overhead is pinned by bench_cancellation's history gate.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "support/error.hpp"
@@ -60,14 +63,22 @@ class CodedError : public Error {
 
 /// Thrown by CancelToken::checkpoint().  `code()` says why the run stopped
 /// (Cancelled / DeadlineExpired / WatchdogStall) and `site()` names the
-/// checkpoint that observed it ("sweep.row_chunk", "aot.compile", ...).
+/// checkpoint that observed it ("sweep.step", "aot.compile", ...).
 class Cancelled : public CodedError {
  public:
   Cancelled(ErrorCode code, std::string site);
   const std::string& site() const { return site_; }
 
+  /// The last timestep whose ring slots are intact (t_begin - 1 when no
+  /// step finished): run again from completed_through() + 1 to resume.
+  /// Set by exec::run_scheduled and exec::run_reference before the
+  /// exception leaves them; empty on Cancelled raised elsewhere.
+  std::optional<std::int64_t> completed_through() const { return completed_through_; }
+  void set_completed_through(std::int64_t t) { completed_through_ = t; }
+
  private:
   std::string site_;
+  std::optional<std::int64_t> completed_through_;
 };
 
 /// A wall-clock budget on std::chrono::steady_clock.  Default-constructed
@@ -114,25 +125,15 @@ class CancelToken {
   /// Current state without a clock read: the latched reason, or Ok.
   ErrorCode state() const { return static_cast<ErrorCode>(state_.load(std::memory_order_relaxed)); }
 
-  /// Cheap cooperative check: latched reason if any, else a deadline test
+  /// Cooperative check: the latched reason if any, else a deadline test
   /// (latching DeadlineExpired the first time it trips).  Ok means keep
-  /// going.  The deadline's clock read is amortized across polls — a
-  /// latched cancel is seen immediately, deadline expiry within a bounded
-  /// handful of polls.
+  /// going.  Reads the clock on every call, so an expired deadline is seen
+  /// at the first poll after it passes.
   ErrorCode poll() const;
 
-  /// Like poll(), but always performs the deadline clock read.  For coarse
-  /// checkpoints (pipeline stage boundaries, per-timestep dispatch) where
-  /// the clock read is negligible against the work quantum and detection
-  /// must not be amortized.
-  ErrorCode poll_now() const;
-
   /// Poll and throw Cancelled{reason, site} when the token has fired.
-  /// Engines call this at every checkpoint boundary.
+  /// Engines call this at every checkpoint.
   void checkpoint(const char* site) const;
-
-  /// checkpoint() on poll_now(): exact deadline detection at coarse sites.
-  void checkpoint_now(const char* site) const;
 
   /// min(cap_ms, remaining deadline budget); cap_ms <= 0 means "no cap"
   /// (returns the deadline budget alone, +inf when unarmed).  Used by
@@ -144,7 +145,6 @@ class CancelToken {
   std::int64_t polls() const { return polls_.load(std::memory_order_relaxed); }
 
  private:
-  ErrorCode latch_if_expired() const;
   mutable std::atomic<int> state_{static_cast<int>(ErrorCode::Ok)};
   mutable std::atomic<std::int64_t> polls_{0};
   Deadline deadline_;

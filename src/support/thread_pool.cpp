@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <typeinfo>
+#include <utility>
 
-#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -74,10 +74,13 @@ struct Completion {
 
   explicit Completion(std::int64_t n) : remaining(n) {}
 
+  /// Takes the worker's exception_ptr by move: the first error's last
+  /// reference must not be dropped on the worker after the caller, woken
+  /// by this call, has started reading the exception.
   void finish(std::exception_ptr e, std::string context = {}) {
     std::lock_guard lock(m);
     if (e && !error) {
-      error = e;
+      error = std::move(e);
       error_context = std::move(context);
     }
     if (--remaining == 0) cv.notify_all();
@@ -88,13 +91,11 @@ struct Completion {
     if (!error) return;
     // Rethrow the first worker failure on the caller thread, appending the
     // task context so "which chunk blew up" survives the pool boundary.
-    // Two exceptions must cross untouched: Cancelled (callers detect it by
-    // type for all-or-nothing rollback) and any Error *subclass* (rewrapping
-    // into plain Error would defeat downstream catch-by-type).
+    // Any Error *subclass* crosses untouched — Cancelled and the other
+    // CodedErrors among them — since rewrapping into plain Error would
+    // defeat downstream catch-by-type.
     try {
       std::rethrow_exception(error);
-    } catch (const Cancelled&) {
-      throw;
     } catch (const Error& e) {
       if (error_context.empty() || typeid(e) != typeid(Error)) throw;
       throw Error(std::string(e.what()) + " [in parallel " + error_context + "]");
@@ -130,9 +131,9 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
         } catch (...) {
           err = std::current_exception();
         }
-        done.finish(err, err ? strprintf("chunk [%lld, %lld)", (long long)lo,
-                                         (long long)hi)
-                             : std::string());
+        std::string context =
+            err ? strprintf("chunk [%lld, %lld)", (long long)lo, (long long)hi) : std::string();
+        done.finish(std::move(err), std::move(context));
       });
       ++submitted;
       lo = hi;
@@ -162,8 +163,8 @@ void ThreadPool::parallel_tasks(std::int64_t n, const std::function<void(std::in
         } catch (...) {
           err = std::current_exception();
         }
-        done.finish(err, err ? strprintf("task %lld", (long long)idx)
-                             : std::string());
+        std::string context = err ? strprintf("task %lld", (long long)idx) : std::string();
+        done.finish(std::move(err), std::move(context));
       });
       ++submitted;
     }
