@@ -3,30 +3,24 @@
 // Plan-based halo exchanger (paper §4.4; cf. the 26/27-direction exchangers
 // of large production stencil codes).
 //
-// The legacy exchanger (halo_exchange.hpp) moves corner and edge data by
-// rippling it through dimension-sequential face passes with a barrier
-// between dimensions, packing each face point by point into freshly
-// allocated vectors.  This module replaces that with a *plan* built once
-// per (decomposition, rank, halo): a compacted list of the active
-// directions among all 3^ndim-1 neighbor offsets — faces, edges, and
-// corners — each with its neighbor rank, tag pair, and the exact slab of
-// interior cells to send / halo cells to receive.  One exchange then is a
-// single phase: every receive is preposted, every direction packs with
-// contiguous inner-dimension memcpy rows into one persistently allocated
-// coalesced arena, and corner data arrives directly from the diagonal
-// neighbor instead of via two (or three) store-and-forward hops.
+// One *plan* is built per (decomposition, rank, halo): a compacted list of
+// the active directions among all 3^ndim-1 neighbor offsets — faces,
+// edges, and corners — each with its neighbor rank, tag pair, and the
+// exact slab of interior cells to send / halo cells to receive.  One
+// exchange then is a single phase: every receive is preposted, every
+// direction packs with contiguous inner-dimension memcpy rows into one
+// persistently allocated coalesced arena, and corner data arrives directly
+// from the diagonal neighbor.  Inactive directions (past a non-periodic
+// global boundary) leave their halo cells as the caller filled them.
 //
-// Bit-identity with the sequential exchange is not an accident, it is the
-// design invariant (and is pinned by differential tests): the sequential
-// scheme's corner values are pure copies relayed through intermediate
-// ranks' freshly filled halos, so the relayed bytes equal the diagonal
-// neighbor's interior bytes; inactive diagonals at non-periodic boundaries
-// relay never-written halo zeros, which equals leaving the (zero-filled at
-// init, never written since) corner untouched.
+// After every rank zero-fills a slot's halos and exchanges it, each rank's
+// padded ring equals the global grid's, halos filled by
+// GridStorage::fill_halo (Periodic when the decomposition wraps, else
+// ZeroHalo), read at the rank's offset — corners included.  test_halo_plan
+// pins that bit for bit.
 //
-// Tags encode the *direction index* (base-3 over the offset vector), in a
-// band disjoint from the legacy dim*2+side tags, so both exchangers can
-// coexist in one world — which is exactly what the differential tests do.
+// Tags encode the *direction index* (base-3 over the offset vector) from
+// kPlanTagBase up, so a fault plan can aim at one direction's traffic.
 
 #include <array>
 #include <cstdint>
@@ -42,16 +36,13 @@
 
 namespace msc::comm {
 
-/// Statistics of one rank's participation in exchanges (shared with the
-/// legacy face-sequential exchanger in halo_exchange.hpp).
+/// Statistics of one rank's participation in exchanges.
 struct ExchangeStats {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
 };
 
-/// First plan tag; the legacy exchanger's tags live in [0, 2*ndim) and the
-/// plan's in [kPlanTagBase, kPlanTagBase + 27), so the two schemes never
-/// collide inside one SimWorld.
+/// First plan tag: the plan's tags live in [kPlanTagBase, kPlanTagBase + 27).
 constexpr int kPlanTagBase = 100;
 
 /// Direction index of an offset vector in {-1,0,+1}^ndim: base-3 digits,
@@ -237,9 +228,7 @@ void finish_exchange_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<
 }
 
 /// One full single-phase exchange: prepost + pack/send + wait + unpack.
-/// Drop-in replacement for the sequential exchange_halo — same final halo
-/// bytes (differential-tested), one phase, no barriers, no allocation in
-/// steady state.
+/// No barriers, no allocation in steady state.
 template <typename T>
 ExchangeStats exchange_halo_plan(RankCtx& ctx, const ExchangePlan& plan, PlanWorkspace<T>& ws,
                                  exec::GridStorage<T>& g, int slot) {

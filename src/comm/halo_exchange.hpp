@@ -1,20 +1,8 @@
 #pragma once
 
-// Halo exchange over the simulated MPI runtime (paper §4.4, Fig. 6b/c).
-//
-// Two exchangers live here and in exchange_plan.hpp:
-//
-//   * the plan-based single-phase exchange (exchange_plan.hpp): all 26/8
-//     directions including diagonals in one phase, persistent coalesced
-//     buffers, strided memcpy pack/unpack.  The distributed driver below
-//     runs it.
-//   * the dimension-sequential exchange (exchange_halo): each face pack
-//     covers the full padded cross-section (including halos already filled
-//     by earlier dimensions), which ripples corner/edge values to diagonal
-//     neighbors over 2-3 sequential passes with a barrier between
-//     dimensions.  It is the halo bench's timed baseline and the
-//     differential reference the plan exchanger is checked against; no
-//     driver runs it.
+// The distributed driver over the simulated MPI runtime (paper §4.4,
+// Fig. 6b/c).  Halos move through the plan exchanger of exchange_plan.hpp,
+// the only halo exchange: one phase covers faces, edges and corners.
 //
 // run_distributed_overlapped is the one distributed time-stepping driver:
 // every rank owns a sub-grid with halo, posts the exchange of the freshest
@@ -24,7 +12,6 @@
 // single-grid execution point for point.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,134 +25,6 @@
 #include "support/error.hpp"
 
 namespace msc::comm {
-
-namespace detail {
-
-/// Iterates the region of (dim, side): a slab `halo` thick just inside the
-/// interior face (`inside`, the data to send) or just outside it (the halo
-/// it fills).  The slab spans the padded extents of every other dimension,
-/// which is what propagates corners in the dimension-sequential exchange.
-/// fn receives interior-coordinate points (halo coords are negative/past-end).
-template <typename T, typename Fn>
-void for_each_face_point(const exec::GridStorage<T>& g, int dim, int side, bool inside,
-                         Fn&& fn) {
-  const std::int64_t h = g.halo();
-  std::array<std::int64_t, 3> lo{0, 0, 0}, hi{1, 1, 1};
-  for (int d = 0; d < g.ndim(); ++d) {
-    if (d == dim) {
-      if (inside) {  // inner-halo slab (data to send)
-        lo[static_cast<std::size_t>(d)] = side == 0 ? 0 : g.extent(d) - h;
-        hi[static_cast<std::size_t>(d)] = side == 0 ? h : g.extent(d);
-      } else {  // outer-halo slab (data received)
-        lo[static_cast<std::size_t>(d)] = side == 0 ? -h : g.extent(d);
-        hi[static_cast<std::size_t>(d)] = side == 0 ? 0 : g.extent(d) + h;
-      }
-    } else {
-      lo[static_cast<std::size_t>(d)] = -h;
-      hi[static_cast<std::size_t>(d)] = g.extent(d) + h;
-    }
-  }
-  std::array<std::int64_t, 3> c = lo;
-  if (g.ndim() == 1) {
-    for (c[0] = lo[0]; c[0] < hi[0]; ++c[0]) fn(c);
-  } else if (g.ndim() == 2) {
-    for (c[0] = lo[0]; c[0] < hi[0]; ++c[0])
-      for (c[1] = lo[1]; c[1] < hi[1]; ++c[1]) fn(c);
-  } else {
-    for (c[0] = lo[0]; c[0] < hi[0]; ++c[0])
-      for (c[1] = lo[1]; c[1] < hi[1]; ++c[1])
-        for (c[2] = lo[2]; c[2] < hi[2]; ++c[2]) fn(c);
-  }
-}
-
-/// Packs into `buf` (cleared first; capacity is retained, so a reused
-/// buffer allocates nothing in steady state).
-template <typename T>
-void pack_face_into(const exec::GridStorage<T>& g, int slot, int dim, int side,
-                    std::vector<T>& buf) {
-  buf.clear();
-  for_each_face_point(g, dim, side, /*inside=*/true,
-                      [&](std::array<std::int64_t, 3> c) { buf.push_back(g.at(slot, c)); });
-}
-
-template <typename T>
-void unpack_face(exec::GridStorage<T>& g, int slot, int dim, int side,
-                 const std::vector<T>& buf) {
-  std::size_t n = 0;
-  for_each_face_point(g, dim, side, /*inside=*/false, [&](std::array<std::int64_t, 3> c) {
-    MSC_ASSERT(n < buf.size()) << "halo unpack overflow";
-    g.at(slot, c) = buf[n++];
-  });
-  MSC_CHECK(n == buf.size()) << "halo unpack size mismatch: " << n << " vs " << buf.size();
-}
-
-}  // namespace detail
-
-/// Reusable buffers of the face-sequential exchanger: one send/recv vector
-/// per (dim, side) plus the request list.  Capacities survive across
-/// exchanges, so steady-state exchanges stop allocating.
-template <typename T>
-struct ExchangeWorkspace {
-  std::array<std::vector<T>, 6> send, recv;  // index 2*dim + side
-  std::vector<Request> requests;
-};
-
-/// Exchanges the halo of `slot` with all cartesian neighbors.  Dimension-
-/// sequential with a barrier between dimensions (corner propagation).
-template <typename T>
-ExchangeStats exchange_halo(RankCtx& ctx, const CartDecomp& dec, exec::GridStorage<T>& local,
-                            int slot, ExchangeWorkspace<T>& ws) {
-  ExchangeStats stats;
-  const int rank = ctx.rank();
-  for (int dim = 0; dim < dec.ndim(); ++dim) {
-    ws.requests.clear();
-    int recv_sides[2] = {0, 0};
-    int nrecv = 0;
-
-    {
-      prof::RankPhaseScope pack_span(rank, prof::Phase::Pack);
-      for (int side = 0; side < 2; ++side) {
-        const int nb = dec.neighbor(rank, dim, side == 0 ? -1 : +1);
-        if (nb < 0) continue;
-        // Pack the inner-halo slab facing this neighbor and post both ops.
-        auto& sb = ws.send[static_cast<std::size_t>(dim * 2 + side)];
-        detail::pack_face_into(local, slot, dim, side, sb);
-        const int tag = dim * 2 + side;           // my face id
-        const int peer_tag = dim * 2 + (1 - side);  // the face id the peer sends
-        ws.requests.push_back(ctx.isend(nb, tag, sb.data(),
-                                        static_cast<std::int64_t>(sb.size() * sizeof(T))));
-        stats.messages_sent += 1;
-        stats.bytes_sent += static_cast<std::int64_t>(sb.size() * sizeof(T));
-
-        auto& rb = ws.recv[static_cast<std::size_t>(dim * 2 + side)];
-        rb.resize(sb.size());
-        ws.requests.push_back(ctx.irecv(nb, peer_tag, rb.data(),
-                                        static_cast<std::int64_t>(rb.size() * sizeof(T))));
-        recv_sides[nrecv++] = side;
-      }
-    }
-    ctx.wait_all(ws.requests);  // blocked time lands as "wait" spans (simmpi)
-    {
-      prof::RankPhaseScope unpack_span(rank, prof::Phase::Unpack);
-      for (int n = 0; n < nrecv; ++n)
-        detail::unpack_face(local, slot, dim, recv_sides[n],
-                            ws.recv[static_cast<std::size_t>(dim * 2 + recv_sides[n])]);
-    }
-    ctx.barrier();  // next dimension packs halos this dimension just filled
-  }
-  prof::counter("comm.halo.bytes_sent").add(stats.bytes_sent);
-  prof::counter("comm.halo.messages").add(stats.messages_sent);
-  prof::counter("comm.halo.exchanges").add(1);
-  return stats;
-}
-
-/// Workspace-free convenience overload (one-shot exchanges, tests).
-template <typename T>
-ExchangeStats exchange_halo(RankCtx& ctx, const CartDecomp& dec, exec::GridStorage<T>& local,
-                            int slot) {
-  ExchangeWorkspace<T> ws;
-  return exchange_halo(ctx, dec, local, slot, ws);
-}
 
 /// Result of a distributed run on one rank.
 struct DistRunStats {

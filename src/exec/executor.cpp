@@ -219,9 +219,24 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
       << "run_scheduled requires an affine stencil (use run_reference for the generic fragment)";
   const LoopPlan plan = detail::checked_loop_plan(sched, state);
 
+  // Adds `nsteps` finished steps to `stats` and the exec.* counters.
+  const auto account = [&](std::int64_t nsteps, std::int64_t points) {
+    const std::int64_t flops = 2 * static_cast<std::int64_t>(lin->terms.size()) * points;
+    detail::count_run(points, flops, nsteps);
+    if (stats != nullptr) {
+      stats->timesteps += nsteps;
+      stats->points_updated += points;
+      stats->flops += flops;
+      stats->tiles_executed += plan.tiles_per_step * nsteps;
+      stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read * nsteps;
+      stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write * nsteps;
+    }
+  };
+
   // Route selection: a requested engine that cannot run falls through to
   // the next rule with its reason recorded and counted.  Every Cancelled
-  // leaves with the last finished step, so the caller can resume from it.
+  // leaves with the last finished step, counted, so the caller can resume
+  // from it.
   ExecInfo local;
   ExecInfo& out = info != nullptr ? *info : local;
   out = ExecInfo{};
@@ -255,21 +270,13 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
         break;
     }
   } catch (Cancelled& c) {
+    // Every route updates each interior point once per finished step.
+    const std::int64_t finished = done - t_begin + 1;
+    account(finished, state.tensor()->interior_points() * finished);
     c.set_completed_through(done);
     throw;
   }
-
-  const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t flops = 2 * static_cast<std::int64_t>(lin->terms.size()) * points;
-  detail::count_run(points, flops, nsteps);
-  if (stats != nullptr) {
-    stats->timesteps += nsteps;
-    stats->points_updated += points;
-    stats->flops += flops;
-    stats->tiles_executed += plan.tiles_per_step * nsteps;
-    stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read * nsteps;
-    stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write * nsteps;
-  }
+  account(t_end - t_begin + 1, points);
 }
 
 template void run_scheduled<float>(const ir::StencilDef&, const schedule::Schedule&,

@@ -90,11 +90,12 @@ LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>
 /// the row-sweep engine on a single full-interior tile; stencils outside
 /// the affine fragment fall back to the per-point expression evaluator.
 /// Stencils whose kernels read auxiliary grids supply them via `aux`.
-/// A completed run adds to `stats` and ticks the exec.* counters once, as
-/// run_scheduled does; a cancelled one leaves both untouched.  `cancel`,
-/// when non-null, is checked before each step ("reference.step"); the
-/// Cancelled it throws carries the last finished step, so calling again
-/// from the step after it resumes the run bit-exactly.
+/// A run adds the steps it finished to `stats` and ticks the exec.*
+/// counters once, as run_scheduled does, also when it is cancelled.
+/// `cancel`, when non-null, is checked before each step ("reference.step");
+/// the Cancelled it throws carries the last finished step, so calling again
+/// from the step after it resumes the run bit-exactly, and the two calls
+/// together count what one uninterrupted run would.
 template <typename T>
 void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t t_begin,
                    std::int64_t t_end, Boundary bc, const Bindings& bindings = {},
@@ -118,11 +119,23 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
   }
 
   std::int64_t flops = 0;  // the generic evaluator counts none
+  // Adds `nsteps` finished steps (and the flops so far) to `stats` and the
+  // exec.* counters.
+  const auto account = [&](std::int64_t nsteps) {
+    const std::int64_t points = state.tensor()->interior_points() * nsteps;
+    detail::count_run(points, flops, nsteps);
+    if (stats != nullptr) {
+      stats->timesteps += nsteps;
+      stats->points_updated += points;
+      stats->flops += flops;
+    }
+  };
   for (std::int64_t t = t_begin; t <= t_end; ++t) {
     if (cancel != nullptr) {
       try {
         cancel->checkpoint("reference.step");
       } catch (Cancelled& c) {
+        account(t - t_begin);
         c.set_completed_through(t - 1);
         throw;
       }
@@ -161,14 +174,7 @@ void run_reference(const ir::StencilDef& st, GridStorage<T>& state, std::int64_t
 
     state.fill_halo(out_slot, bc);
   }
-  const std::int64_t nsteps = t_end - t_begin + 1;
-  const std::int64_t points = state.tensor()->interior_points() * nsteps;
-  detail::count_run(points, flops, nsteps);
-  if (stats != nullptr) {
-    stats->timesteps += nsteps;
-    stats->points_updated += points;
-    stats->flops += flops;
-  }
+  account(t_end - t_begin + 1);
 }
 
 /// The host engine a scheduled run took.
@@ -226,7 +232,8 @@ struct ExecInfo {
 /// throws Cancelled with completed_through() set to the last finished step
 /// (t_begin - 1 if none); its slots and halos are intact, so calling again
 /// with t_begin = completed_through() + 1 finishes the run bit-exactly.  A
-/// cancelled run leaves `stats` and the counters untouched.
+/// cancelled run adds the steps it finished to `stats` and the counters,
+/// so the two calls together count what one uninterrupted run would.
 template <typename T>
 void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
                    GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,

@@ -171,7 +171,7 @@ MetricDirection metric_direction(const std::string& key) {
                          "messages"}))
     return MetricDirection::LowerIsBetter;
   if (key_contains(key, {"gflops", "flops", "speedup", "gain", "efficiency", "ratio", "r2",
-                         "reuse"}))
+                         "reuse", "rounds_per_s"}))
     return MetricDirection::HigherIsBetter;
   return MetricDirection::Informational;
 }

@@ -24,6 +24,7 @@
 #include "exec/aot_backend.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
+#include "prof/counters.hpp"
 #include "prof/flight.hpp"
 #include "prof/log.hpp"
 #include "resilience/driver.hpp"
@@ -412,9 +413,29 @@ class FireAtPoll {
   std::thread thread_;
 };
 
+/// The work runs report: the ExecStats passed through them and their
+/// exec.timesteps / exec.points_updated counter deltas.
+struct Counted {
+  exec::ExecStats stats;
+  std::int64_t timesteps = 0;
+  std::int64_t points = 0;
+};
+
+void expect_same_count(const Counted& got, const Counted& want) {
+  EXPECT_EQ(got.stats.timesteps, want.stats.timesteps);
+  EXPECT_EQ(got.stats.points_updated, want.stats.points_updated);
+  EXPECT_EQ(got.stats.flops, want.stats.flops);
+  EXPECT_EQ(got.stats.tiles_executed, want.stats.tiles_executed);
+  EXPECT_EQ(got.stats.staged_bytes_in, want.stats.staged_bytes_in);
+  EXPECT_EQ(got.stats.staged_bytes_out, want.stats.staged_bytes_out);
+  EXPECT_EQ(got.timesteps, want.timesteps);
+  EXPECT_EQ(got.points, want.points);
+}
+
 // For every route, serial and pool: cancel at a varying poll, resume from
 // completed_through() + 1, and the ring — every slot, halos included — is
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run, and the cancelled call plus its
+// resume count the same work as the uninterrupted run.
 TEST(CancelResume, EveryRouteResumesBitExactlyFromAnyFirePoint) {
   constexpr std::int64_t kSteps = 24;  // 8 wedge blocks of 3
   const bool have_cc = host_cc_available();
@@ -434,16 +455,16 @@ TEST(CancelResume, EveryRouteResumesBitExactlyFromAnyFirePoint) {
       exec::AotOptions aot;
       aot.cache_dir = cache;
       const auto run = [&](const CancelToken* tok, GridStorage<double>& g,
-                           std::int64_t t_begin) {
+                           std::int64_t t_begin, exec::ExecStats* stats) {
         if (route == ResumeRoute::Reference) {
-          exec::run_reference(st, g, t_begin, kSteps, bc, {}, nullptr, {}, tok);
+          exec::run_reference(st, g, t_begin, kSteps, bc, {}, stats, {}, tok);
           return;
         }
         exec::ExecOptions opts = route == ResumeRoute::Aot ? aot_options(aot, tok)
                                                            : with_cancel(tok);
         exec::ExecInfo info;
         exec::run_scheduled(st, prog->primary_schedule(), g, t_begin, kSteps, bc, {},
-                            nullptr, opts, &info);
+                            stats, opts, &info);
         const exec::Route want = route == ResumeRoute::Aot      ? exec::Route::Aot
                                  : route == ResumeRoute::Wedges ? exec::Route::Temporal
                                                                 : exec::Route::Sweep;
@@ -452,8 +473,15 @@ TEST(CancelResume, EveryRouteResumesBitExactlyFromAnyFirePoint) {
 
       GridStorage<double> seeded(st.state());
       seed(seeded, 11);
+      const prof::Counter& timesteps = prof::counter("exec.timesteps");
+      const prof::Counter& points = prof::counter("exec.points_updated");
       GridStorage<double> whole = seeded;
-      run(nullptr, whole, 1);
+      Counted whole_count;
+      whole_count.timesteps = -timesteps.value();
+      whole_count.points = -points.value();
+      run(nullptr, whole, 1, &whole_count.stats);
+      whole_count.timesteps += timesteps.value();
+      whole_count.points += points.value();
 
       for (std::int64_t k = 0; k < 6; ++k) {
         SCOPED_TRACE(testing::Message() << resume_route_name(route)
@@ -462,10 +490,13 @@ TEST(CancelResume, EveryRouteResumesBitExactlyFromAnyFirePoint) {
         GridStorage<double> grid = seeded;
         CancelToken token;
         std::int64_t resume_at = kSteps + 1;
+        Counted count;
+        count.timesteps = -timesteps.value();
+        count.points = -points.value();
         {
           const FireAtPoll fire(token, k);
           try {
-            run(&token, grid, 1);
+            run(&token, grid, 1, &count.stats);
           } catch (const Cancelled& c) {
             ASSERT_TRUE(c.completed_through().has_value());
             resume_at = *c.completed_through() + 1;
@@ -477,9 +508,12 @@ TEST(CancelResume, EveryRouteResumesBitExactlyFromAnyFirePoint) {
           if (route == ResumeRoute::Wedges) {
             EXPECT_EQ((resume_at - 1) % 3, 0) << "stopped inside a time block";
           }
-          run(nullptr, grid, resume_at);
+          run(nullptr, grid, resume_at, &count.stats);
         }
+        count.timesteps += timesteps.value();
+        count.points += points.value();
         EXPECT_TRUE(grids_identical(grid, whole)) << "resumed from step " << resume_at;
+        expect_same_count(count, whole_count);
       }
     }
   }

@@ -150,7 +150,9 @@ TEST(HaloExchange, NeighborValuesArriveBothWays) {
     for (std::int64_t i = 0; i < 4; ++i)
       g.at(0, {i, 0, 0}) = static_cast<double>(ctx.rank() * 100 + i);
     g.fill_halo(0, exec::Boundary::ZeroHalo);
-    exchange_halo(ctx, dec, g, 0);
+    const ExchangePlan plan(dec, ctx.rank(), g.halo());
+    PlanWorkspace<double> ws;
+    exchange_halo_plan(ctx, plan, ws, g, 0);
     if (ctx.rank() == 0) {
       EXPECT_DOUBLE_EQ(g.at(0, {4, 0, 0}), 100.0);  // rank 1's first point
       EXPECT_DOUBLE_EQ(g.at(0, {-1, 0, 0}), 0.0);   // global edge stays zero
@@ -162,8 +164,8 @@ TEST(HaloExchange, NeighborValuesArriveBothWays) {
 }
 
 TEST(HaloExchange, CornersPropagateFor2dBoxStencils) {
-  // Dimension-sequential exchange must deliver diagonal-neighbor values
-  // into the halo corners (needed by box stencils).
+  // The exchange must deliver diagonal-neighbor values into the halo
+  // corners (needed by box stencils).
   auto tensor = ir::make_sp_tensor("B", ir::DataType::f64, {3, 3}, 1, 1);
   CartDecomp dec({2, 2}, {6, 6});
   SimWorld world(4);
@@ -173,7 +175,9 @@ TEST(HaloExchange, CornersPropagateFor2dBoxStencils) {
       g.at(0, c) = static_cast<double>(ctx.rank());
     });
     g.fill_halo(0, exec::Boundary::ZeroHalo);
-    exchange_halo(ctx, dec, g, 0);
+    const ExchangePlan plan(dec, ctx.rank(), g.halo());
+    PlanWorkspace<double> ws;
+    exchange_halo_plan(ctx, plan, ws, g, 0);
     if (ctx.rank() == 0) {
       // Rank 0's bottom-right halo corner holds rank 3's value.
       EXPECT_DOUBLE_EQ(g.at(0, {3, 3, 0}), 3.0);

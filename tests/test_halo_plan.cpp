@@ -1,19 +1,23 @@
 // Plan-exchanger tests (comm/exchange_plan.hpp): direction-list
-// construction pins, persistent-workspace reuse, and the differential
-// bit-identity matrix — the 26-direction plan exchange must reproduce the
-// dimension-sequential exchanger's full padded ring (halos and corners
-// included) bit for bit across periodic/non-periodic decompositions, odd
-// extents, and self/coincident neighbors.  A differential failure engages a
-// greedy shrinker that prints the minimal failing configuration.
+// construction pins, persistent-workspace reuse, and the global-fill
+// matrix (check/halo_fill.hpp) — after every slot is exchanged once, each
+// rank's full padded ring (halos, edges and corners) must equal, bit for
+// bit, one global grid with the same seeding whose halos
+// GridStorage::fill_halo filled, read at the rank's offset.  The matrix
+// covers periodic/non-periodic decompositions, odd extents, and
+// self/coincident neighbors.  A mismatch engages a greedy shrinker that
+// prints the minimal failing configuration.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
+#include "check/halo_fill.hpp"
 #include "comm/decompose.hpp"
-#include "comm/halo_exchange.hpp"
+#include "comm/exchange_plan.hpp"
 #include "comm/simmpi.hpp"
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
@@ -65,7 +69,6 @@ TEST(ExchangePlan, TagsPairUpWithOppositeDirection) {
   for (const auto& dir : plan.directions()) {
     EXPECT_EQ(dir.send_tag, kPlanTagBase + dir.index);
     EXPECT_EQ(dir.recv_tag, kPlanTagBase + opposite_direction_index(dir.off, plan.ndim()));
-    EXPECT_GE(dir.send_tag, kPlanTagBase);  // disjoint from legacy [0, 2*ndim)
   }
 }
 
@@ -89,9 +92,9 @@ TEST(PlanWorkspace, ArenasPersistAcrossExchanges) {
   });
 }
 
-// ---- differential bit-identity matrix -----------------------------------
+// ---- global-fill matrix ----------------------------------------------------
 
-struct DiffCase {
+struct HaloCase {
   std::string bench;
   std::array<std::int64_t, 3> grid{0, 0, 0};
   std::vector<int> proc;
@@ -108,91 +111,43 @@ struct DiffCase {
   }
 };
 
-/// Seeds every ring slot of every rank identically (interior by global
-/// coordinate, zero halos), exchanges each slot once with the plan
-/// exchanger (`plan`) or the face-sequential one, and returns, per rank,
-/// the raw bytes of the whole padded ring — halos and corners included, so
-/// any divergence anywhere is caught, not just the interior.
-std::vector<std::vector<std::byte>> exchanged_rings(const DiffCase& dc, bool plan) {
+/// The case's global ring, seeded by coordinate, through the global-fill
+/// oracle (check/halo_fill.hpp): "" when the exchanger matches everywhere,
+/// else the first mismatching point.
+std::string first_mismatch(const HaloCase& dc) {
   const auto& info = workload::benchmark(dc.bench);
   auto prog = workload::make_program(info, ir::DataType::f64, dc.grid);
-  const auto& st = prog->stencil();
-  const int ndim = st.state()->ndim();
+  const auto& state = prog->stencil().state();
+  const int ndim = state->ndim();
 
   std::vector<std::int64_t> global_ext;
-  for (int d = 0; d < ndim; ++d) global_ext.push_back(st.state()->extent(d));
+  for (int d = 0; d < ndim; ++d) global_ext.push_back(state->extent(d));
   CartDecomp dec(dc.proc, global_ext,
                  std::vector<bool>(static_cast<std::size_t>(ndim), dc.periodic));
 
-  auto seed_value = [](int slot, std::array<std::int64_t, 3> g) {
-    return 0.001 * static_cast<double>((g[0] * 53 + g[1] * 17 + g[2] * 5 + slot) % 127);
-  };
-
-  std::vector<std::vector<std::byte>> padded(static_cast<std::size_t>(dec.size()));
-  SimWorld world(dec.size());
-  world.run([&](RankCtx& ctx) {
-    const int r = ctx.rank();
-    std::vector<std::int64_t> local_ext;
-    for (int d = 0; d < ndim; ++d) local_ext.push_back(dec.local_extent(r, d));
-    auto local_tensor = ir::make_sp_tensor("B", ir::DataType::f64, local_ext,
-                                           st.state()->halo(), st.state()->time_window());
-    exec::GridStorage<double> local(local_tensor);
-    std::array<std::int64_t, 3> off{0, 0, 0};
-    for (int d = 0; d < ndim; ++d) off[static_cast<std::size_t>(d)] = dec.local_offset(r, d);
-    const ExchangePlan xplan(dec, r, local.halo());
-    PlanWorkspace<double> pws;
-    ExchangeWorkspace<double> fws;
-    for (int slot = 0; slot < local.slots(); ++slot) {
-      local.for_each_interior([&](std::array<std::int64_t, 3> c) {
-        std::array<std::int64_t, 3> g = c;
-        for (int d = 0; d < ndim; ++d)
-          g[static_cast<std::size_t>(d)] += off[static_cast<std::size_t>(d)];
-        local.at(slot, c) = seed_value(slot, g);
-      });
-      local.fill_halo(slot, exec::Boundary::ZeroHalo);
-      if (plan)
-        exchange_halo_plan(ctx, xplan, pws, local, slot);
-      else
-        exchange_halo(ctx, dec, local, slot, fws);
-    }
-
-    auto& out = padded[static_cast<std::size_t>(r)];
-    const std::size_t slot_bytes =
-        static_cast<std::size_t>(local.padded_points()) * sizeof(double);
-    out.resize(static_cast<std::size_t>(local.slots()) * slot_bytes);
-    for (int slot = 0; slot < local.slots(); ++slot)
-      std::memcpy(out.data() + static_cast<std::size_t>(slot) * slot_bytes,
-                  local.slot_data(slot), slot_bytes);
-  });
-  return padded;
+  exec::GridStorage<double> global(state);
+  for (int slot = 0; slot < global.slots(); ++slot)
+    global.for_each_interior([&](std::array<std::int64_t, 3> g) {
+      global.at(slot, g) =
+          0.001 * static_cast<double>((g[0] * 53 + g[1] * 17 + g[2] * 5 + slot) % 127);
+    });
+  return check::halo_fill_mismatch(global, dec);
 }
 
-bool exchangers_agree(const DiffCase& dc) {
-  const auto legacy = exchanged_rings(dc, /*plan=*/false);
-  const auto plan = exchanged_rings(dc, /*plan=*/true);
-  if (legacy.size() != plan.size()) return false;
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    if (legacy[r].size() != plan[r].size() ||
-        std::memcmp(legacy[r].data(), plan[r].data(), legacy[r].size()) != 0)
-      return false;
-  }
-  return true;
-}
-
-/// Greedy shrink: halve grid dims while the case still disagrees; the
+/// Greedy shrink: halve grid dims while the case still mismatches; the
 /// surviving minimum is the repro worth staring at.
-DiffCase shrink_failure(DiffCase dc) {
+HaloCase shrink_failure(HaloCase dc) {
   const auto& info = workload::benchmark(dc.bench);
   const std::int64_t radius = info.radius;
   bool shrunk = true;
   while (shrunk) {
     shrunk = false;
     for (std::size_t d = 0; d < dc.proc.size(); ++d) {
-      DiffCase cand = dc;
+      HaloCase cand = dc;
       // Keep every rank's sub-extent >= halo so the case stays legal.
       const std::int64_t floor_ext = radius * dc.proc[d];
       cand.grid[d] = std::max(floor_ext, dc.grid[d] / 2);
-      if (cand.grid[d] < dc.grid[d] && !exchangers_agree(cand)) {
+      if (cand.grid[d] < dc.grid[d] && !first_mismatch(cand).empty()) {
         dc = cand;
         shrunk = true;
       }
@@ -201,50 +156,51 @@ DiffCase shrink_failure(DiffCase dc) {
   return dc;
 }
 
-void expect_bit_identical(const DiffCase& dc) {
-  if (exchangers_agree(dc)) return;
-  const DiffCase minimal = shrink_failure(dc);
-  ADD_FAILURE() << "plan exchanger diverges from the sequential exchanger\n"
-                << "  failing case: " << dc.describe() << "\n"
-                << "  minimal repro: " << minimal.describe();
+void expect_matches_global_fill(const HaloCase& dc) {
+  const std::string miss = first_mismatch(dc);
+  if (miss.empty()) return;
+  const HaloCase minimal = shrink_failure(dc);
+  ADD_FAILURE() << "plan exchanger diverges from the global halo fill\n"
+                << "  failing case: " << dc.describe() << ": " << miss << "\n"
+                << "  minimal repro: " << minimal.describe() << ": " << first_mismatch(minimal);
 }
 
-TEST(ExchangerDifferential, OddExtentsNonPeriodic2d) {
-  expect_bit_identical({"2d9pt_box", {13, 11, 0}, {3, 2}, false});
+TEST(ExchangerGlobalFill, OddExtentsNonPeriodic2d) {
+  expect_matches_global_fill({"2d9pt_box", {13, 11, 0}, {3, 2}, false});
 }
 
-TEST(ExchangerDifferential, Periodic2dBox) {
-  expect_bit_identical({"2d9pt_box", {12, 12, 0}, {2, 2}, true});
+TEST(ExchangerGlobalFill, Periodic2dBox) {
+  expect_matches_global_fill({"2d9pt_box", {12, 12, 0}, {2, 2}, true});
 }
 
-TEST(ExchangerDifferential, WideHaloStar2d) {
-  expect_bit_identical({"2d9pt_star", {16, 12, 0}, {2, 2}, false});
+TEST(ExchangerGlobalFill, WideHaloStar2d) {
+  expect_matches_global_fill({"2d9pt_star", {16, 12, 0}, {2, 2}, false});
 }
 
-TEST(ExchangerDifferential, SelfNeighborOneRankPeriodicDim) {
+TEST(ExchangerGlobalFill, SelfNeighborOneRankPeriodicDim) {
   // proc {2,1} periodic: dim 1 wraps onto the same rank — the plan's
-  // self-message path against the legacy same-rank special case.
-  expect_bit_identical({"2d9pt_box", {10, 7, 0}, {2, 1}, true});
+  // self-message path.
+  expect_matches_global_fill({"2d9pt_box", {10, 7, 0}, {2, 1}, true});
 }
 
-TEST(ExchangerDifferential, CoincidentNeighborsTwoRankPeriodicDim) {
+TEST(ExchangerGlobalFill, CoincidentNeighborsTwoRankPeriodicDim) {
   // 2-rank periodic dims: left and right neighbor coincide, so two
   // distinct messages flow between the same pair on different tags.
-  expect_bit_identical({"2d9pt_box", {8, 8, 0}, {2, 2}, true});
+  expect_matches_global_fill({"2d9pt_box", {8, 8, 0}, {2, 2}, true});
 }
 
-TEST(ExchangerDifferential, ThreeDimensionalOddExtents) {
-  expect_bit_identical({"3d7pt_star", {10, 7, 9}, {2, 1, 2}, false});
+TEST(ExchangerGlobalFill, ThreeDimensionalOddExtents) {
+  expect_matches_global_fill({"3d7pt_star", {10, 7, 9}, {2, 1, 2}, false});
 }
 
-TEST(ExchangerDifferential, ThreeDimensionalPeriodic) {
-  expect_bit_identical({"3d7pt_star", {8, 6, 8}, {2, 1, 2}, true});
+TEST(ExchangerGlobalFill, ThreeDimensionalPeriodic) {
+  expect_matches_global_fill({"3d7pt_star", {8, 6, 8}, {2, 1, 2}, true});
 }
 
-TEST(ExchangerDifferential, HaloEqualsExtentSlabs) {
+TEST(ExchangerGlobalFill, HaloEqualsExtentSlabs) {
   // Radius-2 star over 2-row slabs: the exchanged slab is the whole
   // sub-domain, every cell both sent and received each round.
-  expect_bit_identical({"2d9pt_star", {4, 6, 0}, {2, 1}, false});
+  expect_matches_global_fill({"2d9pt_star", {4, 6, 0}, {2, 1}, false});
 }
 
 }  // namespace

@@ -132,6 +132,7 @@ TEST(History, DirectionHeuristics) {
   EXPECT_EQ(metric_direction("x.gflops"), MetricDirection::HigherIsBetter);
   EXPECT_EQ(metric_direction("x.gain"), MetricDirection::HigherIsBetter);
   EXPECT_EQ(metric_direction("x.overlap_efficiency"), MetricDirection::HigherIsBetter);
+  EXPECT_EQ(metric_direction("x.plan_rounds_per_s"), MetricDirection::HigherIsBetter);
   EXPECT_EQ(metric_direction("x.tiles"), MetricDirection::Informational);
 }
 
