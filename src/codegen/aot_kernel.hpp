@@ -9,7 +9,7 @@
 // with full knowledge of the deltas.
 //
 // The step function takes a dim-0 row range, so the executor can run the
-// schedule's row bands on the process pool (bands are disjoint and the
+// schedule's row bands on the worker team (bands are disjoint and the
 // read slots are not written during a step).  Each row runs in blocks of
 // 8 points held in two 4-wide double accumulators — two independent add
 // chains per block instead of one — plus a scalar remainder loop.

@@ -107,8 +107,8 @@ std::uint64_t fingerprint(const LoopPlan& plan, std::size_t nterms, std::uint64_
 template <typename T>
 std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
                          const LinearKernel& lin, GridStorage<T>& state, std::int64_t t_begin,
-                         std::int64_t t_end, Boundary bc, const CancelToken* cancel,
-                         std::int64_t& done) {
+                         std::int64_t t_end, Boundary bc, ThreadPool* pool,
+                         const CancelToken* cancel, std::int64_t& done) {
   const SweepPlan sweep = lower_sweep(plan);
   const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0));
   for (int back = 1; back < st.time_window(); ++back)
@@ -121,7 +121,7 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
                                   static_cast<std::int64_t>(lin.terms.size()));
     const int out_slot = state.slot_for_time(t);
     const std::int64_t swept =
-        run_sweep(sweep, state, state.slot_data(out_slot), resolve_terms(lin, state, t));
+        run_sweep(sweep, state, state.slot_data(out_slot), resolve_terms(lin, state, t), pool);
     flight_step.set_a(swept);
     state.fill_halo(out_slot, bc);
     points += swept;
@@ -157,15 +157,17 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
 /// the wedges.  Each step runs the schedule's dim-0 bands (the distinct
 /// dim-0 ranges of its sweep tiles) through msc_aot_rows, spread over the
 /// pool under the same rule as run_sweep's tiles, else one call over every
-/// row.  Bands are disjoint and the ring slots a step reads are not
-/// written during it, so concurrent calls are safe and every point is
-/// computed exactly as by a serial call.  Compiled code cannot poll a
-/// token, so it is checked on the caller before each step.
+/// row.  Member m of the team always runs the same bands, so they stay in
+/// its core's cache from step to step.  Bands are disjoint and the ring
+/// slots a step reads are not written during it, so concurrent calls are
+/// safe and every point is computed exactly as by a serial call.  Compiled
+/// code cannot poll a token, so it is checked on the caller before each
+/// step.
 template <typename T>
 std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
                        const detail::AotModule& mod, GridStorage<T>& state,
-                       std::int64_t t_begin, std::int64_t t_end, const CancelToken* cancel,
-                       std::int64_t& done) {
+                       std::int64_t t_begin, std::int64_t t_end, ThreadPool* pool,
+                       const CancelToken* cancel, std::int64_t& done) {
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
   std::vector<void*> slots;
   slots.reserve(static_cast<std::size_t>(state.slots()));
@@ -177,8 +179,8 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
   // Tiles are enumerated dim 0 outermost, so equal bands are adjacent.
   bands.erase(std::unique(bands.begin(), bands.end()), bands.end());
   const auto nbands = static_cast<std::int64_t>(bands.size());
-  const bool parallel = fans_out(sweep, nbands);
-  if (!parallel) bands.assign(1, {0, plan.extent[0]});
+  const std::int64_t members = team_members(sweep.parallel, sweep.threads, nbands, pool);
+  if (members <= 1) bands.assign(1, {0, plan.extent[0]});
   const std::int64_t points_per_row = state.tensor()->interior_points() / plan.extent[0];
 
   const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0xA07));
@@ -197,8 +199,8 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
   };
   for (; t <= t_end; ++t) {
     if (cancel != nullptr) cancel->checkpoint("aot.step");
-    if (parallel)
-      global_pool().parallel_for(0, nbands, run_bands);
+    if (members > 1)
+      (pool != nullptr ? *pool : global_pool()).parallel_for(0, nbands, run_bands, members);
     else
       run_bands(0, 1);
     done = t;
@@ -260,13 +262,14 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
 
     switch (out.route) {
       case Route::Sweep:
-        points = sweep_steps(st, plan, *lin, state, t_begin, t_end, bc, opts.cancel, done);
+        points = sweep_steps(st, plan, *lin, state, t_begin, t_end, bc, opts.pool, opts.cancel,
+                             done);
         break;
       case Route::Temporal:
         points = wedge_steps(st, plan, *lin, state, t_begin, t_end, opts, out, done);
         break;
       case Route::Aot:
-        points = aot_steps(plan, *lin, *mod, state, t_begin, t_end, opts.cancel, done);
+        points = aot_steps(plan, *lin, *mod, state, t_begin, t_end, opts.pool, opts.cancel, done);
         break;
     }
   } catch (Cancelled& c) {

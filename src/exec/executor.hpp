@@ -200,7 +200,7 @@ struct ExecOptions {
   HostBackend backend = HostBackend::Sweep;
   AotOptions aot;                       ///< compile settings under HostBackend::Aot
   const CancelToken* cancel = nullptr;  ///< checked between steps; see run_scheduled
-  ThreadPool* pool = nullptr;           ///< wedge-engine pool (tests); nullptr = global_pool()
+  ThreadPool* pool = nullptr;           ///< worker team of every route; nullptr = global_pool()
 };
 
 /// What run_scheduled actually executed.  A fallback is never silent:

@@ -143,8 +143,11 @@ SweepPlan lower_sweep(const LoopPlan& plan) {
   return sweep;
 }
 
-bool fans_out(const SweepPlan& plan, std::int64_t units) {
-  return plan.parallel && plan.threads > 1 && units > 1 && global_pool().size() > 1;
+std::int64_t team_members(bool parallel, std::int64_t threads, std::int64_t units,
+                          ThreadPool* pool) {
+  if (!parallel || threads <= 1 || units <= 1) return 1;
+  const ThreadPool& team = pool != nullptr ? *pool : global_pool();
+  return std::min<std::int64_t>({threads, units, static_cast<std::int64_t>(team.size())});
 }
 
 SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent) {
@@ -326,9 +329,9 @@ template std::int64_t sweep_box<double>(const GridStorage<double>&, double*,
 
 template <typename T>
 std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                       const std::vector<detail::ResolvedTerm<T>>& terms) {
+                       const std::vector<detail::ResolvedTerm<T>>& terms, ThreadPool* pool) {
   MSC_CHECK(plan.ndim == state.ndim()) << "sweep plan rank mismatch";
-  // Tiles [lo, hi) under one flight span: one span per chunk, not per
+  // Tiles [lo, hi) under one flight span: one span per member, not per
   // tile, keeps the event rate bounded at any tile size, so the recorder
   // stays inside its overhead budget.
   const auto sweep_range = [&](std::int64_t lo, std::int64_t hi) {
@@ -340,18 +343,25 @@ std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* ou
     return points;
   };
   const auto ntiles = static_cast<std::int64_t>(plan.tiles.size());
-  if (!fans_out(plan, ntiles)) return sweep_range(0, ntiles);
+  const std::int64_t members = team_members(plan.parallel, plan.threads, ntiles, pool);
+  if (members <= 1) return sweep_range(0, ntiles);
   std::atomic<std::int64_t> total{0};
-  global_pool().parallel_for(0, ntiles, [&](std::int64_t lo, std::int64_t hi) {
-    total.fetch_add(sweep_range(lo, hi), std::memory_order_relaxed);
-  });
+  (pool != nullptr ? *pool : global_pool())
+      .parallel_for(
+          0, ntiles,
+          [&](std::int64_t lo, std::int64_t hi) {
+            total.fetch_add(sweep_range(lo, hi), std::memory_order_relaxed);
+          },
+          members);
   return total.load(std::memory_order_relaxed);
 }
 
 template std::int64_t run_sweep<float>(const SweepPlan&, const GridStorage<float>&, float*,
-                                       const std::vector<detail::ResolvedTerm<float>>&);
+                                       const std::vector<detail::ResolvedTerm<float>>&,
+                                       ThreadPool*);
 template std::int64_t run_sweep<double>(const SweepPlan&, const GridStorage<double>&,
                                         double*,
-                                        const std::vector<detail::ResolvedTerm<double>>&);
+                                        const std::vector<detail::ResolvedTerm<double>>&,
+                                        ThreadPool*);
 
 }  // namespace msc::exec

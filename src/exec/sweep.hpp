@@ -22,8 +22,9 @@
 //                      run_sweep's tiles, the wedge engine's tiles and the
 //                      distributed driver's interior and shell all sweep
 //                      through it.
-//   run_sweep        — sweeps every tile of a plan, chunked over the
-//                      process pool when the plan is parallel.
+//   run_sweep        — sweeps every tile of a plan, each team member
+//                      taking a fixed range of tiles when the plan is
+//                      parallel.
 //
 // Numerics are bit-identical to the retired per-point interpreter: each
 // output element accumulates its terms in the same order with the same
@@ -104,8 +105,8 @@ struct SweepPlan {
   std::vector<SweepTile> tiles;
   std::array<std::int64_t, 3> extent{1, 1, 1};
   int ndim = 0;
-  bool parallel = false;  ///< chunk tiles over the process thread pool
-  int threads = 1;        ///< hint from the schedule's parallel level
+  bool parallel = false;  ///< spread tiles over a worker team
+  int threads = 1;        ///< the schedule's `parallel N`: team members asked for
 };
 
 /// Lowers a LoopPlan to the flat tile list.  Tiled dimensions keep their
@@ -115,12 +116,12 @@ struct SweepPlan {
 /// for.  Remainder tiles are clamped here.
 SweepPlan lower_sweep(const LoopPlan& plan);
 
-/// The one rule for spreading a step's `units` of work (sweep tiles, AOT
-/// row bands) over the process pool: the schedule asked for more than one
-/// thread, there is more than one unit, and the pool has more than one
-/// worker — a one-worker pool adds a cross-thread handoff per step and
-/// computes serially anyway.
-bool fans_out(const SweepPlan& plan, std::int64_t units);
+/// The one rule for how many members of `pool` (nullptr = global_pool())
+/// run a step's `units` of work (sweep tiles, AOT row bands, wedge
+/// chunks): min(threads, units, pool size) when the schedule is parallel,
+/// else 1, the caller alone.  A serial answer never touches the pool.
+std::int64_t team_members(bool parallel, std::int64_t threads, std::int64_t units,
+                          ThreadPool* pool);
 
 /// Trivial serial plan: the whole interior as one tile of full rows (used
 /// by run_reference, the grid utilities, and region sweeps).
@@ -259,21 +260,22 @@ std::vector<detail::ResolvedTerm<T>> resolve_terms(const LinearKernel& lin,
 }
 
 /// Executes one timestep: every tile of `plan` through detail::sweep_box,
-/// chunked over the process pool when the plan fans out, and returns the
-/// points swept.  Out-of-line for the same reason as detail::sweep_row —
-/// one canonical, well-optimized copy of the kernels, independent of what
-/// else the caller's TU contains.  A step is the unit of cancellation: the
+/// spread over team_members() members of `pool` (nullptr = global_pool()),
+/// and returns the points swept.  Out-of-line for the same reason as
+/// detail::sweep_row — one canonical, well-optimized copy of the kernels,
+/// independent of what else the caller's TU contains.  A step is the unit of cancellation: the
 /// callers (exec::run_scheduled, exec::run_reference) check their token
 /// between calls, never inside one.
 template <typename T>
 std::int64_t run_sweep(const SweepPlan& plan, const GridStorage<T>& state, T* out,
-                       const std::vector<detail::ResolvedTerm<T>>& terms);
+                       const std::vector<detail::ResolvedTerm<T>>& terms,
+                       ThreadPool* pool = nullptr);
 
 extern template std::int64_t run_sweep<float>(
     const SweepPlan&, const GridStorage<float>&, float*,
-    const std::vector<detail::ResolvedTerm<float>>&);
+    const std::vector<detail::ResolvedTerm<float>>&, ThreadPool*);
 extern template std::int64_t run_sweep<double>(
     const SweepPlan&, const GridStorage<double>&, double*,
-    const std::vector<detail::ResolvedTerm<double>>&);
+    const std::vector<detail::ResolvedTerm<double>>&, ThreadPool*);
 
 }  // namespace msc::exec

@@ -79,11 +79,9 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
   }
 
   const auto nwedges = static_cast<std::int64_t>(set.wedges.size());
-  const std::int64_t workers =
-      std::min<std::int64_t>(static_cast<std::int64_t>(pool.size()), plan.threads);
-  const std::int64_t nchunks = std::min<std::int64_t>(std::max<std::int64_t>(1, workers), nwedges);
+  const std::int64_t nchunks = team_members(plan.parallel, plan.threads, nwedges, &pool);
 
-  if (!plan.parallel || nchunks <= 1) {
+  if (nchunks <= 1) {
     // Serial fast path: wedge-major, so a wedge's rows are swept through
     // the whole time window while they are cache-hot.  Safe in place for
     // any depth: a wedge's slot overwrites destroy only rows strictly
@@ -103,11 +101,13 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
     return;
   }
 
-  // Parallel chunk wavefront.  Contiguous wedge chunks each sweep their
-  // wedges level by level; chunk c may run level s once every chunk owning
-  // wedges [lo[c] - dep_span, lo[c]) has completed level s-1 (the deepest
-  // time term reads at most dep_span wedges behind).  With a contiguous
-  // partition that predecessor set is the chunk interval [first_pred[c], c).
+  // Parallel chunk wavefront, one chunk per team member, so a member keeps
+  // the same wedges from block to block.  Contiguous wedge chunks each
+  // sweep their wedges level by level; chunk c may run level s once every
+  // chunk owning wedges [lo[c] - dep_span, lo[c]) has completed level s-1
+  // (the deepest time term reads at most dep_span wedges behind).  With a
+  // contiguous partition that predecessor set is the chunk interval
+  // [first_pred[c], c).
   std::vector<std::int64_t> lo(static_cast<std::size_t>(nchunks) + 1, 0);
   const std::int64_t per = nwedges / nchunks, extra = nwedges % nchunks;
   for (std::int64_t c = 0; c < nchunks; ++c)
@@ -123,7 +123,7 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
   }
 
   // done[c] = levels chunk c has completed (release on store, acquire on
-  // the waiters' loads).  A failing chunk poisons its counters to full
+  // the waiters' loads).  A failing chunk poisons its counter to full
   // depth and raises `failed` so waiters drain instead of spinning; the
   // pool rethrows the first exception on the caller.
   std::unique_ptr<std::atomic<std::int64_t>[]> done(
@@ -134,58 +134,56 @@ void run_block(const TemporalPlan& plan, const WedgeSet& set, const LinearKernel
   std::mutex merge;
   std::int64_t wedges_run = 0, steps_run = 0;
 
-  pool.parallel_for(0, nchunks, [&](std::int64_t cb, std::int64_t ce) {
+  // nchunks <= pool.size(), so member c runs exactly chunk c.
+  const auto run_chunk = [&](std::int64_t c, std::int64_t) {
+    const auto cs = static_cast<std::size_t>(c);
     std::int64_t local_points = 0, local_wedges = 0, local_steps = 0;
-    for (std::int64_t c = cb; c < ce; ++c) {
-      try {
-        for (std::int64_t s = 0; s < set.depth; ++s) {
-          // Flight span only when a predecessor actually makes us spin, so
-          // uncontended levels cost zero wait events.
-          bool waited = false;
-          std::uint64_t wait_start = 0;
-          for (std::int64_t p = first_pred[static_cast<std::size_t>(c)]; p < c; ++p) {
-            while (done[static_cast<std::size_t>(p)].load(std::memory_order_acquire) < s) {
-              if (!waited) {
-                waited = true;
-                wait_start = prof::flight_now_ns();
-              }
-              if (failed.load(std::memory_order_relaxed)) break;
-              std::this_thread::yield();
+    try {
+      for (std::int64_t s = 0; s < set.depth; ++s) {
+        // Flight span only when a predecessor actually makes us spin, so
+        // uncontended levels cost zero wait events.
+        bool waited = false;
+        std::uint64_t wait_start = 0;
+        for (std::int64_t p = first_pred[cs]; p < c; ++p) {
+          while (done[static_cast<std::size_t>(p)].load(std::memory_order_acquire) < s) {
+            if (!waited) {
+              waited = true;
+              wait_start = prof::flight_now_ns();
             }
+            if (failed.load(std::memory_order_relaxed)) break;
+            std::this_thread::yield();
           }
-          if (waited && prof::global_flight().enabled())
-            prof::global_flight().record(prof::FlightKind::WedgeWait, wait_start,
-                                         prof::flight_now_ns(), c, s);
-          if (failed.load(std::memory_order_relaxed)) break;
-          prof::FlightScope level_flight(prof::FlightKind::Wedge, c, 0);
-          std::int64_t level_steps = 0;
-          for (std::int64_t w = lo[static_cast<std::size_t>(c)];
-               w < lo[static_cast<std::size_t>(c) + 1]; ++w) {
-            for (const auto& ws : set.wedges[static_cast<std::size_t>(w)].steps) {
-              if (ws.step != s) continue;
-              local_points += run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state);
-              ++local_steps;
-              ++level_steps;
-            }
-          }
-          level_flight.set_b(level_steps);
-          done[static_cast<std::size_t>(c)].store(s + 1, std::memory_order_release);
         }
-        for (std::int64_t w = lo[static_cast<std::size_t>(c)];
-             w < lo[static_cast<std::size_t>(c) + 1]; ++w)
-          if (!set.wedges[static_cast<std::size_t>(w)].steps.empty()) ++local_wedges;
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        for (std::int64_t cc = c; cc < ce; ++cc)
-          done[static_cast<std::size_t>(cc)].store(set.depth, std::memory_order_release);
-        throw;
+        if (waited && prof::global_flight().enabled())
+          prof::global_flight().record(prof::FlightKind::WedgeWait, wait_start,
+                                       prof::flight_now_ns(), c, s);
+        if (failed.load(std::memory_order_relaxed)) break;
+        prof::FlightScope level_flight(prof::FlightKind::Wedge, c, 0);
+        std::int64_t level_steps = 0;
+        for (std::int64_t w = lo[cs]; w < lo[cs + 1]; ++w) {
+          for (const auto& ws : set.wedges[static_cast<std::size_t>(w)].steps) {
+            if (ws.step != s) continue;
+            local_points += run_wedge_step(ws, ctx[static_cast<std::size_t>(s)], state);
+            ++local_steps;
+            ++level_steps;
+          }
+        }
+        level_flight.set_b(level_steps);
+        done[cs].store(s + 1, std::memory_order_release);
       }
+      for (std::int64_t w = lo[cs]; w < lo[cs + 1]; ++w)
+        if (!set.wedges[static_cast<std::size_t>(w)].steps.empty()) ++local_wedges;
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      done[cs].store(set.depth, std::memory_order_release);
+      throw;
     }
     std::lock_guard<std::mutex> lock(merge);
     points += local_points;
     wedges_run += local_wedges;
     steps_run += local_steps;
-  });
+  };
+  pool.parallel_for(0, nchunks, run_chunk, nchunks);
 
   prof::counter("sweep.temporal.wedges").add(wedges_run);
   prof::counter("sweep.temporal.wedge_steps").add(steps_run);

@@ -37,10 +37,12 @@
 // (step-major inside the chunk), and chunk c may run level s once every
 // chunk owning wedges [lo_c - dep_span, lo_c) has finished level s-1.
 // dep_span = ceil(time_window * skew / width) — the deepest time term
-// reads at most that many wedges behind.  Chunks are consumed by the
-// pool's chunked parallel_for; waits are yield-spins on per-chunk atomic
-// level counters (release/acquire), and the serial fast path is preserved
-// whenever the plan is serial or only one chunk exists.
+// reads at most that many wedges behind.  There is one chunk per member of
+// the worker team (team_members(), so `parallel N` runs on N threads, the
+// caller included); waits are yield-spins on per-chunk atomic level
+// counters (release/acquire).  A busy team runs its members inline in
+// member order, which every chunk's lower-indexed predecessors satisfy.
+// The serial fast path is taken whenever only one chunk exists.
 //
 // exec::run_scheduled takes this route when the schedule's time_tile()
 // depth is > 1 and the boundary is ZeroHalo.

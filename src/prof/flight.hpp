@@ -57,7 +57,7 @@ namespace msc::prof {
 enum class FlightKind : std::uint8_t {
   None = 0,
   Step,           ///< one timestep through the per-step sweep engine
-  RowChunk,       ///< one parallel_for chunk of sweep tiles or AOT row bands
+  RowChunk,       ///< one team member's sweep tiles or AOT row bands for a step
   WedgeBlock,     ///< one temporal time block
   Wedge,          ///< one wedge (or one chunk-level of the wavefront)
   WedgeWait,      ///< spin waiting on a predecessor chunk's level

@@ -826,50 +826,6 @@ TEST(Watchdog, StageNamesAreStable) {
   EXPECT_STREQ(resilience::watchdog_stage_name(WatchdogStage::Dumped), "dumped");
 }
 
-// ---- thread pool: exception context --------------------------------------
-
-TEST(PoolErrors, WorkerErrorCarriesChunkContext) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(0, 100, [](std::int64_t lo, std::int64_t) {
-      if (lo == 0) throw Error("boom in worker");
-    });
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom in worker"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("[in parallel chunk"), std::string::npos);
-  }
-}
-
-TEST(PoolErrors, CancelledPassesThroughUnwrapped) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(0, 100, [](std::int64_t lo, std::int64_t) {
-      if (lo == 0) throw Cancelled(ErrorCode::DeadlineExpired, "sweep.step");
-    });
-    FAIL() << "expected Cancelled";
-  } catch (const Cancelled& c) {
-    // Still catchable as its concrete type, code and site intact — context
-    // wrapping must never erase the cancellation taxonomy.
-    EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
-    EXPECT_EQ(c.site(), "sweep.step");
-    EXPECT_EQ(std::string(c.what()).find("[in parallel"), std::string::npos);
-  }
-}
-
-TEST(PoolErrors, TaskErrorCarriesTaskContext) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_tasks(8, [](std::int64_t i) {
-      if (i == 3) throw Error("task blew up");
-    });
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("task blew up"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("[in parallel task 3]"), std::string::npos);
-  }
-}
-
 // ---- validated env knobs --------------------------------------------------
 
 class EnvKnobs : public ::testing::Test {

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsl/program.hpp"
@@ -17,9 +19,11 @@
 #include "exec/linearize.hpp"
 #include "frontend/spec.hpp"
 #include "prof/counters.hpp"
+#include "prof/flight.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/shell.hpp"
+#include "support/thread_pool.hpp"
 
 namespace msc::exec {
 namespace {
@@ -584,6 +588,89 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Boundary::ZeroHalo, Boundary::Periodic),
                        ::testing::Values(ir::DataType::f32, ir::DataType::f64)),
     route_cell_name);
+
+// ---- the worker team: `parallel N` runs on exactly N threads -------------
+
+// 24x24 f64, dim 0 in `rows`-row tiles (and `rows`-row wedges under
+// time_tile), `parallel("j_outer", threads)` unless threads is 0.
+std::unique_ptr<dsl::Program> team_program(std::int64_t rows, int threads,
+                                           std::int64_t time_depth) {
+  auto prog = std::make_unique<dsl::Program>("team");
+  dsl::Var j = prog->var("j"), i = prog->var("i");
+  dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f64, 24, 24);
+  auto& k = prog->kernel("k", {j, i},
+                         dsl::ExprH(0.3) * B(j, i) + dsl::ExprH(0.15) * B(j, i - 1) +
+                             dsl::ExprH(0.15) * B(j, i + 1) + dsl::ExprH(0.2) * B(j - 1, i) +
+                             dsl::ExprH(0.2) * B(j + 1, i));
+  k.tile({rows, 24}).reorder({"j_outer", "i_outer", "j_inner", "i_inner"});
+  if (threads > 0) k.parallel("j_outer", threads);
+  if (time_depth > 1) k.time_tile(time_depth, rows);
+  prog->def_stencil("st", B, 0.7 * k[prog->t() - 1] + 0.3 * k[prog->t() - 2]);
+  return prog;
+}
+
+/// Distinct flight threads that recorded a `work` event during `run`, and
+/// whether the thread that recorded the route's `caller` event is among
+/// them.
+template <typename Run>
+std::pair<std::set<int>, bool> flight_threads(prof::FlightKind work, prof::FlightKind caller,
+                                              Run run) {
+  auto& flight = prof::global_flight();
+  const bool was_enabled = flight.enabled();
+  flight.set_enabled(true);
+  flight.clear();
+  run();
+  std::set<int> workers;
+  int caller_tid = -1;
+  for (const auto& d : flight.drain())
+    for (const auto& e : d.events) {
+      if (e.kind == work) workers.insert(d.tid);
+      if (e.kind == caller) caller_tid = d.tid;
+    }
+  flight.set_enabled(was_enabled);
+  return {workers, workers.count(caller_tid) == 1};
+}
+
+TEST(WorkerTeam, ParallelNRunsOnExactlyMinOfNUnitsAndTeamThreads) {
+  ThreadPool pool(4);  // a 4-member team on any host
+  const bool have_cc = host_cc_available();
+  struct Case {
+    std::int64_t rows;
+    int threads;  // 0: serial schedule
+  };
+  // 6 units of 4 rows, or 2 units of 12 rows (fewer units than threads).
+  for (const Case c : {Case{4, 0}, Case{4, 1}, Case{4, 2}, Case{4, 3}, Case{4, 4}, Case{4, 6},
+                       Case{12, 4}}) {
+    for (const Route route : {Route::Sweep, Route::Temporal, Route::Aot}) {
+      if (route == Route::Aot && !have_cc) continue;
+      SCOPED_TRACE(::testing::Message() << route_name(route) << ", rows " << c.rows
+                                        << ", parallel " << c.threads);
+      auto prog = team_program(c.rows, c.threads, route == Route::Temporal ? 2 : 1);
+      const auto& st = prog->stencil();
+      GridStorage<double> g(st.state());
+      for (int s = 0; s < g.slots(); ++s) g.fill_random(s, 3 + static_cast<std::uint64_t>(s));
+      ExecOptions opts;
+      opts.pool = &pool;
+      if (route == Route::Aot) opts.backend = HostBackend::Aot;
+      ExecInfo info;
+      const auto work =
+          route == Route::Temporal ? prof::FlightKind::Wedge : prof::FlightKind::RowChunk;
+      const auto caller = route == Route::Sweep      ? prof::FlightKind::Step
+                          : route == Route::Temporal ? prof::FlightKind::WedgeBlock
+                                                     : prof::FlightKind::AotRun;
+      const auto [threads, caller_worked] = flight_threads(work, caller, [&] {
+        run_scheduled(st, prog->primary_schedule(), g, 1, 4, Boundary::ZeroHalo, {}, nullptr,
+                      opts, &info);
+      });
+      ASSERT_EQ(info.route, route) << info.fallback_reason;
+      const std::int64_t units = route == Route::Temporal ? info.wedges : 24 / c.rows;
+      const std::int64_t want =
+          c.threads == 0 ? 1 : std::min<std::int64_t>({c.threads, units, 4});
+      EXPECT_EQ(static_cast<std::int64_t>(threads.size()), want);
+      EXPECT_TRUE(caller_worked) << "the caller is member 0";
+    }
+  }
+}
 
 TEST(ProgramRun, TimeTileTakesTheWedgeRoute) {
   auto prog = route_program(ir::DataType::f64, 4);

@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/buffer.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/shell.hpp"
@@ -174,50 +178,185 @@ TEST(ThreadPool, ParallelTasksRunAll) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPool, EnqueueAfterShutdownThrows) {
-  // Regression: jobs enqueued while the destructor raced were silently
-  // dropped, so parallel_for would hang on a completion latch nobody
-  // decrements.  A stopped pool must reject work loudly instead.
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_TRUE(pool.stopped());
-  EXPECT_THROW(pool.enqueue([] {}), Error);
-  EXPECT_THROW(pool.parallel_for(0, 8, [](std::int64_t, std::int64_t) {}), Error);
-  EXPECT_THROW(pool.parallel_tasks(4, [](std::int64_t) {}), Error);
+// `members` caps the team exactly, member 0 is the caller, and member m
+// owns the static range [n·m/M, n·(m+1)/M) on the same thread every
+// dispatch, so its tiles stay in its core's cache.
+TEST(ThreadPool, MembersOwnFixedRangesOnFixedThreads) {
+  ThreadPool pool(4);
+  constexpr std::int64_t kUnits = 10;
+  for (const std::int64_t members : {1, 2, 3, 4, 9}) {
+    SCOPED_TRACE(members);
+    const std::int64_t team = std::min<std::int64_t>(members, 4);
+    std::vector<std::thread::id> first(kUnits), owner(kUnits);
+    for (int round = 0; round < 3; ++round) {
+      std::mutex m;
+      std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+      pool.parallel_for(
+          0, kUnits,
+          [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t u = lo; u < hi; ++u)
+              owner[static_cast<std::size_t>(u)] = std::this_thread::get_id();
+            std::lock_guard lock(m);
+            ranges.emplace_back(lo, hi);
+          },
+          members);
+      std::sort(ranges.begin(), ranges.end());
+      ASSERT_EQ(static_cast<std::int64_t>(ranges.size()), team);
+      for (std::int64_t k = 0; k < team; ++k) {
+        EXPECT_EQ(ranges[static_cast<std::size_t>(k)].first, kUnits * k / team);
+        EXPECT_EQ(ranges[static_cast<std::size_t>(k)].second, kUnits * (k + 1) / team);
+      }
+      EXPECT_EQ(owner[0], std::this_thread::get_id());
+      EXPECT_EQ(std::set<std::thread::id>(owner.begin(), owner.end()).size(),
+                static_cast<std::size_t>(team));
+      if (round == 0) first = owner;
+      EXPECT_EQ(owner, first);
+    }
+  }
 }
 
-TEST(ThreadPool, ShutdownIsIdempotentAndDrainsQueue) {
+// The first member exception reaches the caller: a plain Error names its
+// chunk or task, and an Error subclass keeps its type, code and site.
+TEST(ThreadPool, ErrorCarriesChunkContext) {
   ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int n = 0; n < 64; ++n) pool.enqueue([&] { ran++; });
-  pool.shutdown();
-  pool.shutdown();  // second call is a no-op
-  EXPECT_EQ(ran.load(), 64);  // queued work completed, none dropped
-  EXPECT_TRUE(pool.stopped());
+  try {
+    pool.parallel_for(0, 100, [](std::int64_t lo, std::int64_t) {
+      if (lo == 0) throw Error("boom in worker");
+    });
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("boom in worker"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("[in parallel chunk [0, 50)]"), std::string::npos);
+  }
 }
 
-TEST(ThreadPool, ConcurrentSubmittersVsShutdownNeverLoseWork) {
-  // Stress the enqueue/shutdown race: every submission must either run to
-  // completion or throw — a submission that "succeeds" but never runs
-  // would deadlock callers waiting on it.
+TEST(ThreadPool, ErrorOnAHelperCarriesTaskContext) {
+  ThreadPool pool(2);
+  try {
+    pool.parallel_tasks(8, [](std::int64_t i) {
+      if (i == 6) throw Error("task blew up");
+    });
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("task blew up"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("[in parallel task 6]"), std::string::npos);
+  }
+}
+
+TEST(ThreadPool, CancelledCrossesUnwrapped) {
+  ThreadPool pool(4);
+  for (const std::int64_t failing : {0, 3}) {  // the caller, then a helper
+    try {
+      pool.parallel_for(0, 4, [&](std::int64_t lo, std::int64_t) {
+        if (lo == failing) throw Cancelled(ErrorCode::DeadlineExpired, "sweep.step");
+      });
+      FAIL() << "expected Cancelled";
+    } catch (const Cancelled& c) {
+      EXPECT_EQ(c.code(), ErrorCode::DeadlineExpired);
+      EXPECT_EQ(c.site(), "sweep.step");
+      EXPECT_EQ(std::string(c.what()).find("[in parallel"), std::string::npos);
+    }
+  }
+  std::atomic<int> ran{0};  // a failed dispatch leaves the team usable
+  pool.parallel_for(0, 4, [&](std::int64_t lo, std::int64_t hi) { ran += int(hi - lo); });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ThreadPool, DispatchOnAStoppedPoolThrows) {
+  ThreadPool pool(2);
+  pool.shutdown();
+  pool.shutdown();  // idempotent
+  EXPECT_TRUE(pool.stopped());
+  bool ran = false;
+  EXPECT_THROW(pool.parallel_for(0, 8, [&](std::int64_t, std::int64_t) { ran = true; }), Error);
+  EXPECT_THROW(pool.parallel_for(0, 1, [&](std::int64_t, std::int64_t) { ran = true; }), Error);
+  EXPECT_THROW(pool.parallel_tasks(4, [&](std::int64_t) { ran = true; }), Error);
+  EXPECT_FALSE(ran);
+}
+
+// Four threads dispatch at once: one gets the team, the others find it
+// busy and run their members inline.  Every range is covered exactly once.
+TEST(ThreadPool, ConcurrentDispatchersEachCoverTheirRangeOnce) {
+  ThreadPool pool(4);
+  constexpr int kDispatchers = 4, kRounds = 200;
+  constexpr std::int64_t kUnits = 64;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int d = 0; d < kDispatchers; ++d) hits.emplace_back(kUnits);
+  std::vector<std::thread> dispatchers;
+  for (int d = 0; d < kDispatchers; ++d)
+    dispatchers.emplace_back([&, d] {
+      for (int r = 0; r < kRounds; ++r)
+        pool.parallel_for(0, kUnits, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t u = lo; u < hi; ++u) hits[d][static_cast<std::size_t>(u)]++;
+        });
+    });
+  for (auto& t : dispatchers) t.join();
+  for (const auto& mine : hits)
+    for (const auto& h : mine) EXPECT_EQ(h.load(), kRounds);
+}
+
+// A dispatch from inside a member finds the team busy and runs inline, in
+// member order, on the member's own thread.
+TEST(ThreadPool, NestedDispatchRunsInlineInMemberOrder) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4 * 8);
+  std::atomic<bool> ordered{true}, same_thread{true};
+  pool.parallel_for(0, 4, [&](std::int64_t outer, std::int64_t) {
+    const auto me = std::this_thread::get_id();
+    std::int64_t last = -1;
+    pool.parallel_for(0, 8, [&](std::int64_t lo, std::int64_t hi) {
+      if (lo <= last) ordered = false;
+      last = lo;
+      if (std::this_thread::get_id() != me) same_thread = false;
+      for (std::int64_t u = lo; u < hi; ++u) hits[static_cast<std::size_t>(outer * 8 + u)]++;
+    });
+  });
+  EXPECT_TRUE(ordered.load());
+  EXPECT_TRUE(same_thread.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForSurvivesRacingShutdown) {
+  // parallel_for must terminate (result or msc::Error), never hang, when
+  // the pool is shut down underneath it.
+  for (int round = 0; round < 10; ++round) {
+    ThreadPool pool(4);
+    std::atomic<std::int64_t> covered{0};
+    std::thread killer([&] { pool.shutdown(); });
+    try {
+      pool.parallel_for(0, 256, [&](std::int64_t lo, std::int64_t hi) { covered += hi - lo; });
+      EXPECT_EQ(covered.load(), 256);  // accepted before the stop: all ran
+    } catch (const Error&) {
+      EXPECT_EQ(covered.load(), 0);  // rejected up front: nothing ran
+    }
+    killer.join();
+  }
+}
+
+// Dispatchers racing shutdown: every call either covers its whole range
+// or is rejected before running anything.
+TEST(ThreadPool, ConcurrentDispatchersVsShutdownNeverLoseWork) {
   for (int round = 0; round < 20; ++round) {
     ThreadPool pool(4);
-    std::atomic<int> accepted{0}, ran{0};
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-      submitters.emplace_back([&] {
+    std::atomic<std::int64_t> accepted{0}, ran{0};
+    std::vector<std::thread> dispatchers;
+    for (int t = 0; t < 4; ++t)
+      dispatchers.emplace_back([&] {
         for (int n = 0; n < 50; ++n) {
+          std::atomic<std::int64_t> mine{0};
           try {
-            pool.enqueue([&] { ran++; });
-            accepted++;
+            pool.parallel_for(0, 16, [&](std::int64_t lo, std::int64_t hi) { mine += hi - lo; });
           } catch (const Error&) {
-            break;  // pool stopped — every later enqueue throws too
+            EXPECT_EQ(mine.load(), 0);
+            break;  // pool stopped — every later dispatch throws too
           }
+          EXPECT_EQ(mine.load(), 16);
+          accepted += 16;
+          ran += mine.load();
         }
       });
-    }
     pool.shutdown();
-    for (auto& s : submitters) s.join();
+    for (auto& t : dispatchers) t.join();
     EXPECT_EQ(ran.load(), accepted.load());
   }
 }
@@ -267,25 +406,6 @@ TEST(Shell, QuoteSurvivesHostileCharacters) {
 
 TEST(Shell, HostCcProbeIsNegativeForMissingDrivers) {
   EXPECT_FALSE(host_cc_available("msc-no-such-compiler-2xyz"));
-}
-
-TEST(ThreadPool, ParallelForSurvivesRacingShutdown) {
-  // parallel_for must terminate (result or msc::Error), never hang, when
-  // the pool is shut down underneath it.
-  for (int round = 0; round < 10; ++round) {
-    ThreadPool pool(4);
-    std::atomic<std::int64_t> covered{0};
-    std::thread killer([&] { pool.shutdown(); });
-    try {
-      pool.parallel_for(0, 256, [&](std::int64_t lo, std::int64_t hi) { covered += hi - lo; });
-      EXPECT_EQ(covered.load(), 256);  // submitted before the stop: all ran
-    } catch (const Error&) {
-      // Rejected mid-submission: chunks already queued still drain, so
-      // coverage is partial but the call returned instead of hanging.
-      EXPECT_LE(covered.load(), 256);
-    }
-    killer.join();
-  }
 }
 
 }  // namespace
