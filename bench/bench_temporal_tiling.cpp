@@ -8,8 +8,8 @@
 // noise (thermal, scheduler) that best-of-N per engine would fold into the
 // ratio.
 //
-// Both engines are bit-checked against the interpreter oracle before any
-// timing (bench/verify.hpp); the run aborts if the temporal engine silently
+// The wedge engine is bit-checked against run_reference's serial full-row
+// sweep before any timing (bench/verify.hpp); the run aborts if it silently
 // fell back to the per-step path, so this ledger can never gate the wrong
 // kernel.
 
@@ -86,12 +86,12 @@ Measured measure(const Row& r) {
   schedule::Schedule wedged = sched;
   wedged.time_tile(r.wedge_depth, r.wedge_width);
 
-  // Correctness first, once: both engines vs the interpreter oracle.
+  // Correctness first, once: the wedges vs the serial reference.
   exec::ExecInfo tinfo;
   bench::require_bit_identical<double>(
       st,
       [&](exec::GridStorage<double>& g) {
-        exec::run_scheduled_interpreted(st, sched, g, 1, kSteps, exec::Boundary::ZeroHalo);
+        exec::run_reference(st, g, 1, kSteps, exec::Boundary::ZeroHalo);
       },
       [&](exec::GridStorage<double>& g) {
         exec::run_scheduled(st, wedged, g, 1, kSteps, exec::Boundary::ZeroHalo, {}, nullptr,

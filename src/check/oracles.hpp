@@ -4,8 +4,8 @@
 // one CaseSpec is executed through every available lowering of the same
 // MSC program and the final grids are compared element-wise.
 //
-//   reference    — serial IR interpreter (exec::run_reference), the anchor
-//   scheduled    — schedule-interpreting host executor (exec::run_scheduled);
+//   reference    — serial full-row sweep (exec::run_reference), the anchor
+//   scheduled    — the scheduled host executor (exec::run_scheduled);
 //                  fails unless it took the route the case asks for (the
 //                  wedges for a time_tile depth > 1, else the row sweep)
 //   c            — AOT-generated serial C, compiled with the host cc and run

@@ -12,6 +12,7 @@
 #include "prof/timeline.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault_plan.hpp"
+#include "resilience/retry.hpp"
 #include "support/env.hpp"
 #include "support/strings.hpp"
 
@@ -222,7 +223,7 @@ void RankCtx::wait(Request& req) {
 
     if (!have_deadline) {
       const double window = resilience::retry_wait_ms(
-          cfg.retry, timeout_ms, attempt,
+          timeout_ms, attempt,
           resilience::jitter_seed(cfg.seed, rank_, req.peer, req.tag, attempt));
       deadline = now + ms_duration(window);
       have_deadline = true;
@@ -244,7 +245,7 @@ void RankCtx::wait(Request& req) {
     have_deadline = false;
     ++attempt;
     prof::counter("comm.wait.timeouts").add(1);
-    const auto esc = resilience::escalation_for_attempt(cfg.retry, attempt);
+    const auto esc = resilience::escalation_for_attempt(attempt);
     if (esc == resilience::Escalation::Abort) {
       throw CodedError(
           ErrorCode::CommTimeout,
@@ -253,7 +254,7 @@ void RankCtx::wait(Request& req) {
                     "presumed lost beyond the retransmit horizon — check the fault "
                     "plan or raise MSC_COMM_TIMEOUT_MS",
                     rank_, req.peer, req.tag, static_cast<unsigned long long>(expected),
-                    cfg.retry.max_retries, timeout_ms));
+                    resilience::kMaxRetries, timeout_ms));
     }
     const bool hit = resilient && world_->retransmit_locked(box, req.tag, expected);
     prof::counter(esc == resilience::Escalation::Resync ? "resilience.resyncs"

@@ -35,7 +35,6 @@
 #include <mutex>
 #include <vector>
 
-#include "resilience/retry.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 
@@ -80,7 +79,6 @@ class RankCrashed : public Error {
 /// can never deadlock.
 struct CommConfig {
   double timeout_ms = 0.0;
-  resilience::RetryPolicy retry;
   std::uint64_t seed = 1;  ///< jitter stream seed (deterministic backoff)
 };
 

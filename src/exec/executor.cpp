@@ -54,6 +54,17 @@ const char* route_name(Route r) {
 
 namespace {
 
+/// build_loop_plan plus the check that the schedule was built for `state`.
+template <typename T>
+LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>& state) {
+  LoopPlan plan = build_loop_plan(sched);
+  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
+  for (int d = 0; d < plan.ndim; ++d)
+    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
+        << "schedule extent mismatch in dim " << d;
+  return plan;
+}
+
 std::string per_step_halo_reason(Boundary bc) {
   return "boundary '" + boundary_name(bc) + "' needs a per-step halo exchange";
 }
@@ -94,11 +105,13 @@ std::shared_ptr<detail::AotModule> acquire_aot(const ir::StencilDef& st,
   return nullptr;
 }
 
-std::uint64_t fingerprint(const LoopPlan& plan, std::size_t nterms, std::uint64_t extra) {
+/// The flight plan key of a run: its extents, term count and the tile
+/// count its route works in (sweep tiles, or wedges on the wedge route).
+std::uint64_t fingerprint(const LoopPlan& plan, std::size_t nterms, std::size_t ntiles,
+                          std::uint64_t extra) {
   return prof::plan_fingerprint(
       static_cast<std::uint64_t>(plan.extent[0]), static_cast<std::uint64_t>(plan.extent[1]),
-      static_cast<std::uint64_t>(plan.extent[2]), nterms,
-      static_cast<std::uint64_t>(plan.tiles_per_step), extra);
+      static_cast<std::uint64_t>(plan.extent[2]), nterms, ntiles, extra);
 }
 
 /// Route::Sweep: one row sweep and one halo fill per timestep, the token
@@ -110,7 +123,8 @@ std::int64_t sweep_steps(const ir::StencilDef& st, const LoopPlan& plan,
                          std::int64_t t_end, Boundary bc, ThreadPool* pool,
                          const CancelToken* cancel, std::int64_t& done) {
   const SweepPlan sweep = lower_sweep(plan);
-  const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0));
+  const prof::FlightPlanScope flight_plan(
+      fingerprint(plan, lin.terms.size(), sweep.tiles.size(), 0));
   for (int back = 1; back < st.time_window(); ++back)
     state.fill_halo(state.slot_for_time(t_begin - back), bc);
 
@@ -149,7 +163,8 @@ std::int64_t wedge_steps(const ir::StencilDef& st, const LoopPlan& plan,
 
   for (int s = 0; s < state.slots(); ++s) state.fill_halo(s, Boundary::ZeroHalo);
   const prof::FlightPlanScope flight_plan(
-      fingerprint(plan, lin.terms.size(), static_cast<std::uint64_t>(tplan.wedge_depth)));
+      fingerprint(plan, lin.terms.size(), tplan.full.wedges.size(),
+                  static_cast<std::uint64_t>(tplan.wedge_depth)));
   return run_temporal_sweep(tplan, lin, state, opts.pool, opts.cancel, done);
 }
 
@@ -183,7 +198,8 @@ std::int64_t aot_steps(const LoopPlan& plan, const LinearKernel& lin,
   if (members <= 1) bands.assign(1, {0, plan.extent[0]});
   const std::int64_t points_per_row = state.tensor()->interior_points() / plan.extent[0];
 
-  const prof::FlightPlanScope flight_plan(fingerprint(plan, lin.terms.size(), 0xA07));
+  const prof::FlightPlanScope flight_plan(
+      fingerprint(plan, lin.terms.size(), sweep.tiles.size(), 0xA07));
   prof::FlightScope flight_run(prof::FlightKind::AotRun, t_end - t_begin + 1);
   std::int64_t t = t_begin;
   const auto run_bands = [&](std::int64_t lo, std::int64_t hi) {
@@ -219,7 +235,7 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
   const auto lin = linearize_stencil(st, bindings);
   MSC_CHECK(lin.has_value())
       << "run_scheduled requires an affine stencil (use run_reference for the generic fragment)";
-  const LoopPlan plan = detail::checked_loop_plan(sched, state);
+  const LoopPlan plan = checked_loop_plan(sched, state);
 
   // Adds `nsteps` finished steps to `stats` and the exec.* counters.
   const auto account = [&](std::int64_t nsteps, std::int64_t points) {
@@ -229,9 +245,6 @@ void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
       stats->timesteps += nsteps;
       stats->points_updated += points;
       stats->flops += flops;
-      stats->tiles_executed += plan.tiles_per_step * nsteps;
-      stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read * nsteps;
-      stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write * nsteps;
     }
   };
 

@@ -14,9 +14,10 @@
 //      3. otherwise the per-step row sweep (sweep.hpp).
 //    An engine that was asked for but cannot run falls through to the next
 //    rule, and ExecInfo says which engine ran and why another did not.
-//  * run_scheduled_interpreted — the retired per-point recursive nest
-//    interpreter, retained as the differential baseline the sweep engine
-//    is tested (and benchmarked) against.
+//
+// run_reference is the one oracle: every scheduled route (tiled,
+// pool-parallel or column-swept boxes, wedges, the AOT kernel) is checked
+// bit for bit against its serial full-row sweep.
 //
 // All compute timesteps t_begin..t_end (inclusive) of a StencilDef,
 // writing the output of step t into the state grid's ring slot for t and
@@ -44,15 +45,14 @@
 
 namespace msc::exec {
 
-/// Observable work counters filled by the executors (used by tests and by
-/// the simulators' traffic accounting).
+/// Work counters a host run adds to: the same three totals the exec.*
+/// counters tick, for the one run a caller passes them to.  Host runs stage
+/// nothing, so there is no DMA traffic here; the Sunway simulator and the
+/// cost model account theirs from the Schedule's tiles.
 struct ExecStats {
   std::int64_t timesteps = 0;
   std::int64_t points_updated = 0;
-  std::int64_t flops = 0;          ///< 2 per linear term (mul + add)
-  std::int64_t tiles_executed = 0; ///< entries into the read buffer's compute_at level
-  std::int64_t staged_bytes_in = 0;
-  std::int64_t staged_bytes_out = 0;
+  std::int64_t flops = 0;  ///< 2 per linear term (mul + add)
 };
 
 /// The stencil's combined affine form: every (kernel, time term) pair
@@ -72,17 +72,6 @@ namespace detail {
 /// once per completed run, through cached Counter references.  Shared by
 /// run_reference and run_scheduled so both account the same way.
 void count_run(std::int64_t points, std::int64_t flops, std::int64_t steps);
-
-/// build_loop_plan plus the check that the schedule was built for `state`.
-template <typename T>
-LoopPlan checked_loop_plan(const schedule::Schedule& sched, const GridStorage<T>& state) {
-  LoopPlan plan = build_loop_plan(sched);
-  MSC_CHECK(plan.ndim == state.ndim()) << "plan rank mismatch";
-  for (int d = 0; d < plan.ndim; ++d)
-    MSC_CHECK(plan.extent[static_cast<std::size_t>(d)] == state.extent(d))
-        << "schedule extent mismatch in dim " << d;
-  return plan;
-}
 
 }  // namespace detail
 
@@ -248,81 +237,5 @@ extern template void run_scheduled<double>(const ir::StencilDef&, const schedule
                                            GridStorage<double>&, std::int64_t, std::int64_t,
                                            Boundary, const Bindings&, ExecStats*,
                                            const ExecOptions&, ExecInfo*);
-/// The retired per-point interpreter: recurses through the schedule's loop
-/// nest once per output element.  Numerically identical to run_scheduled;
-/// kept as the baseline the sweep engine is differentially tested against
-/// and the "before" side of bench_host_executor's speedup measurement.
-template <typename T>
-void run_scheduled_interpreted(const ir::StencilDef& st, const schedule::Schedule& sched,
-                               GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
-                               Boundary bc, const Bindings& bindings = {},
-                               ExecStats* stats = nullptr) {
-  MSC_CHECK(t_begin <= t_end) << "empty time range";
-  const auto lin = linearize_stencil(st, bindings);
-  MSC_CHECK(lin.has_value())
-      << "run_scheduled_interpreted requires an affine stencil";
-
-  const LoopPlan plan = detail::checked_loop_plan(sched, state);
-
-  for (int back = 1; back < st.time_window(); ++back)
-    state.fill_halo(state.slot_for_time(t_begin - back), bc);
-
-  for (std::int64_t t = t_begin; t <= t_end; ++t) {
-    const int out_slot = state.slot_for_time(t);
-    T* out = state.slot_data(out_slot);
-    const auto terms = resolve_terms(*lin, state, t);
-
-    // Recursive nest interpreter.  `base` accumulates tile origins from
-    // Outer levels; Inner/Original levels produce final coordinates.
-    auto run_nest = [&](auto&& self, std::size_t depth, std::array<std::int64_t, 3> base,
-                        std::array<std::int64_t, 3> coord) -> void {
-      if (depth == plan.levels.size()) {
-        detail::sweep_point_linear(out, state.index(coord), terms);
-        return;
-      }
-      const LoopLevel& lv = plan.levels[depth];
-      const auto d = static_cast<std::size_t>(lv.dim);
-
-      auto iterate = [&](std::int64_t lo, std::int64_t hi) {
-        auto b = base;
-        auto c = coord;
-        for (std::int64_t v = lo; v < hi; ++v) {
-          switch (lv.kind) {
-            case LoopLevel::Kind::Original:
-              c[d] = v;
-              break;
-            case LoopLevel::Kind::Outer:
-              b[d] = v * lv.tile;
-              break;
-            case LoopLevel::Kind::Inner:
-              c[d] = b[d] + v;
-              if (c[d] >= plan.extent[d]) continue;  // remainder tile clamp
-              break;
-          }
-          self(self, depth + 1, b, c);
-        }
-      };
-
-      if (lv.parallel && lv.threads > 1) {
-        global_pool().parallel_for(0, lv.trip,
-                                   [&](std::int64_t lo, std::int64_t hi) { iterate(lo, hi); });
-      } else {
-        iterate(0, lv.trip);
-      }
-    };
-    run_nest(run_nest, 0, {0, 0, 0}, {0, 0, 0});
-
-    state.fill_halo(out_slot, bc);
-    if (stats != nullptr) {
-      const std::int64_t step_points = state.tensor()->interior_points();
-      ++stats->timesteps;
-      stats->points_updated += step_points;
-      stats->flops += 2 * static_cast<std::int64_t>(terms.size()) * step_points;
-      stats->tiles_executed += plan.tiles_per_step;
-      stats->staged_bytes_in += plan.tiles_per_step * plan.tile_bytes_read;
-      stats->staged_bytes_out += plan.tiles_per_step * plan.tile_bytes_write;
-    }
-  }
-}
 
 }  // namespace msc::exec

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <utility>
 
-#include "ir/type.hpp"
 #include "prof/flight.hpp"
 
 namespace msc::exec {
@@ -63,26 +62,6 @@ LoopPlan build_loop_plan(const schedule::Schedule& sched) {
         << " was reordered above its outer axis";
   }
 
-  // Staging positions + per-tile traffic for the cache pipeline.
-  const auto esz = static_cast<std::int64_t>(ir::dtype_size(kernel.output()->dtype()));
-  for (const auto& buf : sched.caches()) {
-    const int depth = sched.compute_at_depth(buf);
-    if (depth < 0) continue;
-    if (buf.is_read) {
-      plan.read_stage_depth = depth;
-      plan.tile_bytes_read = sched.spm_tile_elements() * esz;
-    } else {
-      plan.write_stage_depth = depth;
-      std::int64_t elems = 1;
-      for (int d = 0; d < plan.ndim; ++d) elems *= sched.tile_extent(d);
-      plan.tile_bytes_write = elems * esz;
-    }
-  }
-  if (plan.read_stage_depth >= 0) {
-    plan.tiles_per_step = 1;
-    for (int n = 0; n <= plan.read_stage_depth; ++n)
-      plan.tiles_per_step *= plan.levels[static_cast<std::size_t>(n)].trip;
-  }
   return plan;
 }
 
@@ -110,8 +89,7 @@ SweepPlan lower_sweep(const LoopPlan& plan) {
     sweep.threads = std::max(1, par.threads);
     // A parallel Original axis carries no tiling of its own: split it into
     // ~thread-count blocks so the flat tile list exposes the parallelism
-    // the schedule asked for (the interpreter parallelized this loop level
-    // directly).
+    // the schedule asked for on that loop level.
     const auto d = static_cast<std::size_t>(par.dim);
     if (!tiled[d] && sweep.parallel && plan.extent[d] > 1) {
       const std::int64_t blocks =
@@ -169,7 +147,7 @@ SweepPlan full_sweep(int ndim, std::array<std::int64_t, 3> extent) {
 // Hot kernels.  These live here — and only here — so the unrolled row
 // bodies are optimized in a TU with nothing else competing for GCC's
 // per-TU unrolling and SLP budgets; header-inlined copies regressed ~25%
-// in consumer TUs that also instantiate the interpreter.
+// in consumer TUs with other hot code.
 
 namespace detail {
 namespace {

@@ -2,10 +2,9 @@
 
 // Compiled row-sweep engine: the shared hot path of every host executor.
 //
-// Instead of interpreting a schedule's loop nest once per point (a closure
-// call, a coordinate array, and an index multiply per output element), the
-// plan is lowered ONCE into a flat list of tile descriptors whose innermost
-// dimension is a stride-1 row loop over raw typed pointers:
+// A schedule's loop nest is lowered ONCE into a flat list of tile
+// descriptors whose innermost dimension is a stride-1 row loop over raw
+// typed pointers:
 //
 //   build_loop_plan  — Schedule -> LoopPlan (validated loop-nest digest)
 //   lower_sweep      — LoopPlan -> SweepPlan (flat clamped tile list;
@@ -26,12 +25,15 @@
 //                      taking a fixed range of tiles when the plan is
 //                      parallel.
 //
-// Numerics are bit-identical to the retired per-point interpreter: each
+// Numerics are defined point by point by detail::sweep_point_linear: each
 // output element accumulates its terms in the same order with the same
 // `acc += coeff * (double)src[idx + delta]` expression shape, and every
 // element is written exactly once (input slots are distinct ring slots), so
-// the spatial visit order cannot change any value.  The conformance harness
-// (src/check) pins this against golden snapshots.
+// the spatial visit order cannot change any value.  Any tiling therefore
+// matches run_reference's serial full-row sweep bit for bit; the tests pin
+// the row and column kernels against sweep_point_linear and every
+// scheduled route against run_reference, and the conformance harness
+// (src/check) pins both against golden snapshots.
 
 #include <algorithm>
 #include <array>
@@ -71,20 +73,17 @@ struct LoopLevel {
   int threads = 1;
 };
 
-/// Validated digest of a Schedule (also carries the staging model the
-/// cache_read/cache_write pipeline accounts DMA traffic with).
+/// Validated digest of a Schedule's loop nest.  The host stages nothing,
+/// so cache_read/cache_write/compute_at leave no trace here; the Sunway
+/// simulator, the cost model and the athread emitter read them off the
+/// Schedule itself.
 struct LoopPlan {
   std::vector<LoopLevel> levels;
   std::array<std::int64_t, 3> extent{1, 1, 1};
   int ndim = 0;
-  int parallel_depth = -1;     ///< nest index of the parallel level, or -1
-  int read_stage_depth = -1;   ///< compute_at depth of the read buffer, or -1
-  int write_stage_depth = -1;  ///< compute_at depth of the write buffer, or -1
-  std::int64_t tile_bytes_read = 0;   ///< staged bytes per tile (incl. halo)
-  std::int64_t tile_bytes_write = 0;  ///< staged bytes per tile (interior)
-  std::int64_t tiles_per_step = 0;    ///< DMA tile count per sweep (0 if no staging)
-  std::int64_t time_depth = 1;        ///< time_tile(): timesteps fused per wedge block
-  std::int64_t time_width = 0;        ///< time_tile(): wedge rows of dim 0 (0 = auto)
+  int parallel_depth = -1;       ///< nest index of the parallel level, or -1
+  std::int64_t time_depth = 1;   ///< time_tile(): timesteps fused per wedge block
+  std::int64_t time_width = 0;   ///< time_tile(): wedge rows of dim 0 (0 = auto)
 };
 
 /// Builds the digest; validates that the schedule covers the whole kernel
@@ -138,8 +137,10 @@ struct ResolvedTerm {
   const T* src = nullptr;   ///< slot base pointer for the current timestep
 };
 
-/// Single-point accumulation (kept for the per-point interpreter and as
-/// the executable definition of the term accumulation order).
+/// Single-point accumulation: the executable definition of the term
+/// accumulation order.  The row and column kernels must match it bit for
+/// bit (tests pin them point by point), and sweep_column falls back to it
+/// above kMaxFixedTerms.
 template <typename T>
 inline void sweep_point_linear(T* out_base, std::int64_t out_idx,
                                const std::vector<ResolvedTerm<T>>& terms) {
@@ -169,11 +170,11 @@ inline constexpr std::size_t kMaxFixedTerms = 32;
 inline constexpr std::int64_t kColumnSweepWidth = 4;
 
 /// Sweeps one contiguous row of `n` outputs starting at linear index
-/// `base`, dispatching on the term count.  Defined out of line (sweep.cpp)
-/// so the unrolled kernels are compiled exactly once, in a translation
-/// unit that holds nothing else hot — GCC's unrolling and SLP budgets are
-/// per-TU, and header-inlined copies came out measurably worse in TUs
-/// that also instantiate the interpreter.
+/// `base`, dispatching on the term count; every point matches
+/// sweep_point_linear bit for bit.  Defined out of line (sweep.cpp) so the
+/// unrolled kernels are compiled exactly once, in a translation unit that
+/// holds nothing else hot — GCC's unrolling and SLP budgets are per-TU,
+/// and header-inlined copies came out measurably worse in consumer TUs.
 template <typename T>
 void sweep_row(T* out, std::int64_t base, std::int64_t n,
                const std::vector<ResolvedTerm<T>>& terms);

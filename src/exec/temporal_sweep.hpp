@@ -47,7 +47,7 @@
 // exec::run_scheduled takes this route when the schedule's time_tile()
 // depth is > 1 and the boundary is ZeroHalo.
 //
-// Numerics are bit-identical to the per-step sweep and the interpreter:
+// Numerics are bit-identical to the per-step sweep and run_reference:
 // every output element is written exactly once per step by the same
 // detail::sweep_box sweeper with the same term order, so the wedge visit
 // order cannot change any value.  tests/test_temporal_tiling.cpp pins this

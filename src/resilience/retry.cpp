@@ -7,11 +7,11 @@
 
 namespace msc::resilience {
 
-Escalation escalation_for_attempt(const RetryPolicy& policy, int attempt) {
+Escalation escalation_for_attempt(int attempt) {
   MSC_CHECK(attempt >= 0) << "negative wait attempt";
   if (attempt == 0) return Escalation::Wait;
-  if (attempt <= policy.max_retries) return Escalation::Retry;
-  if (attempt == policy.max_retries + 1) return Escalation::Resync;
+  if (attempt <= kMaxRetries) return Escalation::Retry;
+  if (attempt == kMaxRetries + 1) return Escalation::Resync;
   return Escalation::Abort;
 }
 
@@ -25,20 +25,19 @@ const char* escalation_name(Escalation e) {
   return "?";
 }
 
-double retry_wait_ms(const RetryPolicy& policy, double timeout_ms, int attempt,
-                     std::uint64_t seed) {
+double retry_wait_ms(double timeout_ms, int attempt, std::uint64_t seed) {
   MSC_CHECK(timeout_ms > 0.0) << "retry_wait_ms needs a positive timeout";
   MSC_CHECK(attempt >= 0) << "negative wait attempt";
   if (attempt == 0) return timeout_ms;
   double window = timeout_ms;
   for (int a = 0; a < attempt; ++a) {
-    window *= policy.backoff_multiplier;
-    if (window >= timeout_ms * policy.cap_multiplier) break;
+    window *= kBackoffMultiplier;
+    if (window >= timeout_ms * kCapMultiplier) break;
   }
-  window = std::min(window, timeout_ms * policy.cap_multiplier);
+  window = std::min(window, timeout_ms * kCapMultiplier);
   Rng rng(seed);
   const double u = rng.next_double();
-  return window * (1.0 + policy.jitter * (u - 0.5));
+  return window * (1.0 + kJitter * (u - 0.5));
 }
 
 std::uint64_t jitter_seed(std::uint64_t base_seed, int rank, int peer, int tag, int attempt) {

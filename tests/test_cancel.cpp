@@ -425,9 +425,6 @@ void expect_same_count(const Counted& got, const Counted& want) {
   EXPECT_EQ(got.stats.timesteps, want.stats.timesteps);
   EXPECT_EQ(got.stats.points_updated, want.stats.points_updated);
   EXPECT_EQ(got.stats.flops, want.stats.flops);
-  EXPECT_EQ(got.stats.tiles_executed, want.stats.tiles_executed);
-  EXPECT_EQ(got.stats.staged_bytes_in, want.stats.staged_bytes_in);
-  EXPECT_EQ(got.stats.staged_bytes_out, want.stats.staged_bytes_out);
   EXPECT_EQ(got.timesteps, want.timesteps);
   EXPECT_EQ(got.points, want.points);
 }

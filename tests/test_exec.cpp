@@ -320,8 +320,6 @@ TEST(Executor, ScheduledMatchesReferenceBitExact) {
   EXPECT_EQ(max_relative_error(a, a.slot_for_time(6), b, b.slot_for_time(6)), 0.0);
   EXPECT_EQ(stats.timesteps, 6);
   EXPECT_EQ(stats.points_updated, 6 * 30 * 30);
-  EXPECT_GT(stats.tiles_executed, 0);
-  EXPECT_GT(stats.staged_bytes_in, 0);
 }
 
 TEST(Executor, PeriodicBoundaryMatches) {
@@ -371,9 +369,6 @@ TEST(Executor, LoopPlanValidatesCoverage) {
   EXPECT_EQ(plan.ndim, 2);
   EXPECT_EQ(plan.levels.size(), 4u);
   EXPECT_EQ(plan.parallel_depth, 0);
-  EXPECT_EQ(plan.read_stage_depth, 1);
-  EXPECT_GT(plan.tiles_per_step, 0);
-  EXPECT_GT(plan.tile_bytes_read, 0);
 }
 
 TEST(Executor, StencilLinearizationCombinesWeights) {
@@ -445,7 +440,7 @@ TEST(Executor, RejectsEmptyTimeRange) {
 // ---- the one scheduled entry point: route matrix ---------------------------
 
 // 2-D, radius 1, three-slot window, odd extents under 8x8 tiles with staged
-// buffers (so every ExecStats field is non-zero) and a parallel level.
+// buffers (which the host engines must ignore) and a parallel level.
 std::unique_ptr<dsl::Program> route_program(ir::DataType dt, std::int64_t time_depth) {
   auto prog = std::make_unique<dsl::Program>("route");
   dsl::Var j = prog->var("j"), i = prog->var("i");
@@ -545,18 +540,11 @@ class RouteMatrix : public ::testing::TestWithParam<RouteCell> {
       EXPECT_EQ(std::memcmp(ref.slot_data(s), got.slot_data(s), bytes), 0) << "slot " << s;
 
     // The same accounting on every route.
-    const LoopPlan plan = build_loop_plan(sched);
     const auto terms = static_cast<std::int64_t>(linearize_stencil(st, {})->terms.size());
     const std::int64_t points = kSteps * 19 * 23;
-    ASSERT_GT(plan.tiles_per_step, 0);
-    ASSERT_GT(plan.tile_bytes_read, 0);
-    ASSERT_GT(plan.tile_bytes_write, 0);
     EXPECT_EQ(stats.timesteps, kSteps);
     EXPECT_EQ(stats.points_updated, points);
     EXPECT_EQ(stats.flops, 2 * terms * points);
-    EXPECT_EQ(stats.tiles_executed, kSteps * plan.tiles_per_step);
-    EXPECT_EQ(stats.staged_bytes_in, kSteps * plan.tiles_per_step * plan.tile_bytes_read);
-    EXPECT_EQ(stats.staged_bytes_out, kSteps * plan.tiles_per_step * plan.tile_bytes_write);
     EXPECT_EQ(counter_value("exec.points_updated") - points0, stats.points_updated);
     EXPECT_EQ(counter_value("exec.flops") - flops0, stats.flops);
     EXPECT_EQ(counter_value("exec.timesteps") - steps0, stats.timesteps);

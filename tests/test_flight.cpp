@@ -58,7 +58,9 @@ TEST(Flight, WraparoundKeepsNewestSuffixInOrder) {
   const std::int64_t first = total - static_cast<std::int64_t>(FlightRecorder::kRingCapacity);
   for (std::size_t i = 0; i < d.events.size(); ++i) {
     EXPECT_EQ(d.events[i].a, first + static_cast<std::int64_t>(i));
-    if (i > 0) EXPECT_EQ(d.events[i].seq, d.events[i - 1].seq + 1) << "gap at " << i;
+    if (i > 0) {
+      EXPECT_EQ(d.events[i].seq, d.events[i - 1].seq + 1) << "gap at " << i;
+    }
   }
 }
 

@@ -31,49 +31,45 @@ namespace {
 // ---- retry/backoff math --------------------------------------------------
 
 TEST(Retry, EscalationLadderOrder) {
-  RetryPolicy policy;  // max_retries = 4
-  EXPECT_EQ(escalation_for_attempt(policy, 0), Escalation::Wait);
-  for (int a = 1; a <= policy.max_retries; ++a)
-    EXPECT_EQ(escalation_for_attempt(policy, a), Escalation::Retry) << "attempt " << a;
-  EXPECT_EQ(escalation_for_attempt(policy, policy.max_retries + 1), Escalation::Resync);
-  EXPECT_EQ(escalation_for_attempt(policy, policy.max_retries + 2), Escalation::Abort);
-  EXPECT_EQ(escalation_for_attempt(policy, 100), Escalation::Abort);
+  EXPECT_EQ(escalation_for_attempt(0), Escalation::Wait);
+  for (int a = 1; a <= kMaxRetries; ++a)
+    EXPECT_EQ(escalation_for_attempt(a), Escalation::Retry) << "attempt " << a;
+  EXPECT_EQ(escalation_for_attempt(kMaxRetries + 1), Escalation::Resync);
+  EXPECT_EQ(escalation_for_attempt(kMaxRetries + 2), Escalation::Abort);
+  EXPECT_EQ(escalation_for_attempt(100), Escalation::Abort);
 }
 
 TEST(Retry, AttemptZeroIsThePlainTimeout) {
-  RetryPolicy policy;
-  EXPECT_DOUBLE_EQ(retry_wait_ms(policy, 10.0, 0, 12345), 10.0);
+  EXPECT_DOUBLE_EQ(retry_wait_ms(10.0, 0, 12345), 10.0);
   // ... regardless of the jitter seed: fault-free runs keep exact deadlines.
-  EXPECT_DOUBLE_EQ(retry_wait_ms(policy, 10.0, 0, 999), 10.0);
+  EXPECT_DOUBLE_EQ(retry_wait_ms(10.0, 0, 999), 10.0);
 }
 
 TEST(Retry, BackoffGrowsAndCaps) {
-  RetryPolicy policy;  // multiplier 2, cap 8, jitter 0.25
   const double timeout = 10.0;
-  // Window centers double per attempt until the cap; jitter is at most
-  // +/- 12.5% of the window.
+  // Window centers grow by kBackoffMultiplier per attempt until the cap;
+  // jitter is at most +/- kJitter/2 of the window.
   double prev = timeout;
   for (int a = 1; a <= 3; ++a) {
-    const double w = retry_wait_ms(policy, timeout, a, jitter_seed(1, 0, 1, 0, a));
-    const double center = timeout * std::pow(policy.backoff_multiplier, a);
-    EXPECT_GE(w, center * (1.0 - policy.jitter / 2.0) - 1e-9) << "attempt " << a;
-    EXPECT_LE(w, center * (1.0 + policy.jitter / 2.0) + 1e-9) << "attempt " << a;
+    const double w = retry_wait_ms(timeout, a, jitter_seed(1, 0, 1, 0, a));
+    const double center = timeout * std::pow(kBackoffMultiplier, a);
+    EXPECT_GE(w, center * (1.0 - kJitter / 2.0) - 1e-9) << "attempt " << a;
+    EXPECT_LE(w, center * (1.0 + kJitter / 2.0) + 1e-9) << "attempt " << a;
     EXPECT_GT(w, prev);
     prev = w;
   }
   // Far beyond the cap the window stops growing.
-  const double capped = timeout * policy.cap_multiplier;
+  const double capped = timeout * kCapMultiplier;
   for (int a = 10; a < 13; ++a) {
-    const double w = retry_wait_ms(policy, timeout, a, jitter_seed(1, 0, 1, 0, a));
-    EXPECT_GE(w, capped * (1.0 - policy.jitter / 2.0) - 1e-9);
-    EXPECT_LE(w, capped * (1.0 + policy.jitter / 2.0) + 1e-9);
+    const double w = retry_wait_ms(timeout, a, jitter_seed(1, 0, 1, 0, a));
+    EXPECT_GE(w, capped * (1.0 - kJitter / 2.0) - 1e-9);
+    EXPECT_LE(w, capped * (1.0 + kJitter / 2.0) + 1e-9);
   }
 }
 
 TEST(Retry, JitterIsDeterministic) {
-  RetryPolicy policy;
-  const double a = retry_wait_ms(policy, 10.0, 2, jitter_seed(7, 0, 1, 3, 2));
-  const double b = retry_wait_ms(policy, 10.0, 2, jitter_seed(7, 0, 1, 3, 2));
+  const double a = retry_wait_ms(10.0, 2, jitter_seed(7, 0, 1, 3, 2));
+  const double b = retry_wait_ms(10.0, 2, jitter_seed(7, 0, 1, 3, 2));
   EXPECT_DOUBLE_EQ(a, b);  // same identity -> same wait schedule, replayable
   // Different attempts draw from different streams (the ladder does not
   // re-use one jitter value forever).

@@ -1,9 +1,11 @@
 // Unit + differential tests of the compiled row-sweep engine (exec/sweep):
-// lowering coverage/clamping, bit-exact agreement between the retired
-// per-point interpreter and the compiled sweep across random conformance
-// cases, the wide-kernel (row-accumulator) formulation, the strided column
-// kernel, the one box sweeper (sweep_box) on row and column boxes, and the
-// row-based grid primitives' order guarantees.
+// lowering coverage/clamping, bit-exact agreement between run_scheduled's
+// tiled / pool-parallel / column-swept sweeps and run_reference's serial
+// full-row sweep across random conformance cases, the wide-kernel
+// (row-accumulator) formulation and the strided column kernel against the
+// per-point definition (sweep_point_linear), the one box sweeper
+// (sweep_box) on row and column boxes, and the row-based grid primitives'
+// order guarantees.
 
 #include <gtest/gtest.h>
 
@@ -91,31 +93,32 @@ TEST(LowerSweep, ThreadsBeyondTripStillCoverEverything) {
   EXPECT_EQ(points, 3 * 5);
 }
 
-// ---- interpreted vs compiled, bit for bit --------------------------------
+// ---- scheduled vs reference, bit for bit ---------------------------------
 
-// Runs both executors from the same seeded state and requires bit-identical
-// interiors at the final step.
+// Runs run_reference (one serial full-row tile per step) and run_scheduled
+// (the schedule's tiles, pool and column boxes) from the same seeded state
+// and requires bit-identical interiors at the final step.
 template <typename T>
 void expect_paths_bit_identical(const ir::StencilDef& st, const schedule::Schedule& sched,
                                 std::int64_t steps, std::uint64_t seed) {
-  GridStorage<T> gi(st.state());
+  GridStorage<T> gr(st.state());
   GridStorage<T> gc(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, seed + static_cast<std::uint64_t>(s));
+  for (int s = 0; s < gr.slots(); ++s) {
+    gr.fill_random(s, seed + static_cast<std::uint64_t>(s));
     gc.fill_random(s, seed + static_cast<std::uint64_t>(s));
   }
-  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo);
+  run_reference(st, gr, 1, steps, Boundary::ZeroHalo);
   run_scheduled(st, sched, gc, 1, steps, Boundary::ZeroHalo);
-  const int fs = gi.slot_for_time(steps);
-  const auto vi = gi.interior_values(fs);
+  const int fs = gr.slot_for_time(steps);
+  const auto vr = gr.interior_values(fs);
   const auto vc = gc.interior_values(fs);
-  ASSERT_EQ(vi.size(), vc.size());
-  for (std::size_t p = 0; p < vi.size(); ++p) {
-    ASSERT_EQ(vi[p], vc[p]) << "first divergence at flat index " << p;
+  ASSERT_EQ(vr.size(), vc.size());
+  for (std::size_t p = 0; p < vr.size(); ++p) {
+    ASSERT_EQ(vr[p], vc[p]) << "first divergence at flat index " << p;
   }
 }
 
-TEST(SweepVsInterpreter, RandomConformanceCasesBitIdentical) {
+TEST(SweepVsReference, RandomConformanceCasesBitIdentical) {
   int ran = 0;
   for (std::uint64_t seed = 1; seed <= 40 && ran < 12; ++seed) {
     const auto spec = check::random_case(seed);
@@ -129,7 +132,7 @@ TEST(SweepVsInterpreter, RandomConformanceCasesBitIdentical) {
   EXPECT_GE(ran, 8) << "case generator stopped producing affine cases";
 }
 
-TEST(SweepVsInterpreter, RemainderTilesBitIdentical) {
+TEST(SweepVsReference, RemainderTilesBitIdentical) {
   // Extents deliberately not divisible by the tile in any dimension.
   auto prog = std::make_unique<dsl::Program>("rem");
   auto kvar = prog->var("k"), j = prog->var("j"), i = prog->var("i");
@@ -144,7 +147,7 @@ TEST(SweepVsInterpreter, RemainderTilesBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 3, 11);
 }
 
-TEST(SweepVsInterpreter, ParallelThreadsBeyondTripBitIdentical) {
+TEST(SweepVsReference, ParallelThreadsBeyondTripBitIdentical) {
   auto prog = std::make_unique<dsl::Program>("overpar2");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 1, 1, ir::DataType::f64, 3, 64);
@@ -155,7 +158,7 @@ TEST(SweepVsInterpreter, ParallelThreadsBeyondTripBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 4, 3);
 }
 
-TEST(SweepVsInterpreter, DeepTimeWindowBitIdentical) {
+TEST(SweepVsReference, DeepTimeWindowBitIdentical) {
   auto prog = std::make_unique<dsl::Program>("deep");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 3, 1, ir::DataType::f64, 12, 12);
@@ -168,7 +171,7 @@ TEST(SweepVsInterpreter, DeepTimeWindowBitIdentical) {
   expect_paths_bit_identical<double>(prog->stencil(), prog->primary_schedule(), 5, 21);
 }
 
-TEST(SweepVsInterpreter, Fp32BitIdentical) {
+TEST(SweepVsReference, Fp32BitIdentical) {
   auto prog = std::make_unique<dsl::Program>("f32sweep");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f32, 18, 14);
@@ -250,7 +253,7 @@ TEST(TemporalGoldenPin, EngineMatchesCommittedChecksums) {
 
 // Past kFusedTermLimit the span kernel switches to per-term accumulation
 // through an in-L1 buffer; results must still match the per-point
-// interpreter bit for bit.
+// definition (sweep_point_linear) bit for bit.
 TEST(SweepRow, WideTermCountsMatchPointLoopBitwise) {
   Rng rng(123);
   const std::int64_t n = 300;  // > kSweepChunk to exercise chunking
@@ -386,8 +389,8 @@ TEST(SweepBox, MatchesPointLoopBitwiseOnRowAndColumnBoxes) {
 
 // A schedule that tiles the last dimension below kColumnSweepWidth sends
 // every tile through sweep_column; serial and pool-parallel plans must
-// stay bit-identical to the per-point interpreter.
-TEST(SweepVsInterpreter, ColumnTilesBitIdentical) {
+// stay bit-identical to run_reference's full rows.
+TEST(SweepVsReference, ColumnTilesBitIdentical) {
   auto prog = std::make_unique<dsl::Program>("coltile");
   auto kvar = prog->var("k"), j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_3d_timewin("B", 2, 1, ir::DataType::f64, 7, 9, 10);

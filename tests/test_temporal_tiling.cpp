@@ -1,10 +1,10 @@
 // Differential battery for the time-skewed temporal engine
 // (exec/temporal_sweep): wedge lowering must cover every (step, point)
 // exactly once with every clamp resolved at lowering time, and
-// run_scheduled's wedge route must be bit-identical to the per-point
-// interpreter for every dtype, time depth and wedge shape — including odd
-// extents that force remainder wedges, skews clamped at the grid
-// boundary, wedge depths past the stencil's time window, single-row
+// run_scheduled's wedge route must be bit-identical to run_reference's
+// serial full-row sweep for every dtype, time depth and wedge shape —
+// including odd extents that force remainder wedges, skews clamped at the
+// grid boundary, wedge depths past the stencil's time window, single-row
 // grids, and over-subscribed parallel plans.  Randomized cases shrink to
 // a minimal reproducer on failure (check/shrink).
 
@@ -41,7 +41,7 @@ schedule::Schedule time_tiled(const schedule::Schedule& sched, std::int64_t dept
   return out;
 }
 
-// Runs the interpreter and run_scheduled from identically seeded grids and
+// Runs run_reference and run_scheduled from identically seeded grids and
 // compares every ring slot's interior bit for bit, so the whole retained
 // window — not just the final step — must agree.  A time_tile() depth > 1
 // must take the wedge route, depth 1 the per-step sweep.
@@ -50,13 +50,13 @@ template <typename T>
                                                   const schedule::Schedule& sched,
                                                   std::int64_t steps, std::uint64_t seed,
                                                   ThreadPool* pool = nullptr) {
-  GridStorage<T> gi(st.state());
+  GridStorage<T> gr(st.state());
   GridStorage<T> gt(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, seed + static_cast<std::uint64_t>(s));
+  for (int s = 0; s < gr.slots(); ++s) {
+    gr.fill_random(s, seed + static_cast<std::uint64_t>(s));
     gt.fill_random(s, seed + static_cast<std::uint64_t>(s));
   }
-  run_scheduled_interpreted(st, sched, gi, 1, steps, Boundary::ZeroHalo);
+  run_reference(st, gr, 1, steps, Boundary::ZeroHalo);
   ExecOptions opts;
   opts.pool = pool;
   ExecInfo info;
@@ -65,16 +65,16 @@ template <typename T>
   if (info.route != want)
     return ::testing::AssertionFailure() << "ran the " << route_name(info.route)
                                          << " route: " << info.fallback_reason;
-  for (int s = 0; s < gi.slots(); ++s) {
-    const auto vi = gi.interior_values(s);
+  for (int s = 0; s < gr.slots(); ++s) {
+    const auto vr = gr.interior_values(s);
     const auto vt = gt.interior_values(s);
-    if (vi.size() != vt.size())
+    if (vr.size() != vt.size())
       return ::testing::AssertionFailure() << "slot " << s << " size mismatch";
-    for (std::size_t p = 0; p < vi.size(); ++p) {
-      if (vi[p] != vt[p])
+    for (std::size_t p = 0; p < vr.size(); ++p) {
+      if (vr[p] != vt[p])
         return ::testing::AssertionFailure()
-               << "slot " << s << " diverges at flat index " << p << ": interpreted "
-               << vi[p] << " vs temporal " << vt[p] << " (wedge_depth="
+               << "slot " << s << " diverges at flat index " << p << ": reference "
+               << vr[p] << " vs temporal " << vt[p] << " (wedge_depth="
                << info.wedge_depth << " width=" << info.wedge_width << " blocks="
                << info.blocks << " dep_span=" << info.dep_span << ")";
     }
@@ -224,7 +224,7 @@ TEST(LowerTemporal, ScheduleTimeTileFeedsDefaults) {
 
 // ---- differential battery ------------------------------------------------
 
-TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery2D) {
+TEST(TemporalVsReference, TimeDepthByWedgeDepthBattery2D) {
   auto prog = odd_2d_program();
   for (std::int64_t steps : {1, 2, 3, 7, 16}) {
     for (std::int64_t depth : {1, 2, 3, 4}) {
@@ -236,7 +236,7 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery2D) {
   }
 }
 
-TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery3D) {
+TEST(TemporalVsReference, TimeDepthByWedgeDepthBattery3D) {
   for (auto dtype : {ir::DataType::f64, ir::DataType::f32}) {
     auto prog = odd_3d_program(dtype);
     for (std::int64_t steps : {1, 3, 7, 16}) {
@@ -256,7 +256,7 @@ TEST(TemporalVsInterpreter, TimeDepthByWedgeDepthBattery3D) {
   }
 }
 
-TEST(TemporalVsInterpreter, WedgeDepthBeyondTimeWindowBitIdentical) {
+TEST(TemporalVsReference, WedgeDepthBeyondTimeWindowBitIdentical) {
   // Depth 4 against a 2-deep window: in-place slot rotation overwrites a
   // step's inputs within the same wedge pass; the skew proof says that is
   // safe, and this pins it.
@@ -265,9 +265,9 @@ TEST(TemporalVsInterpreter, WedgeDepthBeyondTimeWindowBitIdentical) {
       prog->stencil(), time_tiled(prog->primary_schedule(), 4, 3), 9, 41));
 }
 
-TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
+TEST(TemporalVsReference, ParallelWavefrontBitIdentical) {
   // Parallel schedule + injected 4-worker pool: the chunk-level DAG with
-  // spin-wait counters must agree with the serial interpreter bitwise.
+  // spin-wait counters must agree with the serial reference bitwise.
   auto prog = std::make_unique<dsl::Program>("ttpar");
   auto j = prog->var("j"), i = prog->var("i");
   dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f64, 33, 21);
@@ -287,7 +287,7 @@ TEST(TemporalVsInterpreter, ParallelWavefrontBitIdentical) {
   }
 }
 
-TEST(TemporalVsInterpreter, OversubscribedParallelPlanBitIdentical) {
+TEST(TemporalVsReference, OversubscribedParallelPlanBitIdentical) {
   // 16 requested threads over a 4-worker pool and only a handful of
   // wedges: chunk count must clamp and the wavefront must still drain.
   auto prog = std::make_unique<dsl::Program>("ttover");
@@ -302,29 +302,29 @@ TEST(TemporalVsInterpreter, OversubscribedParallelPlanBitIdentical) {
       prog->stencil(), time_tiled(prog->primary_schedule(), 3, 2), 11, 87, &test_pool()));
 }
 
-TEST(TemporalVsInterpreter, NonZeroHaloFallsBackReported) {
+TEST(TemporalVsReference, NonZeroHaloFallsBackReported) {
   // Periodic boundaries need a fresh halo every step; the temporal engine
   // must refuse — loudly — and produce per-step-engine results.
   auto prog = odd_2d_program();
   const auto& st = prog->stencil();
-  GridStorage<double> gi(st.state());
+  GridStorage<double> gr(st.state());
   GridStorage<double> gt(st.state());
-  for (int s = 0; s < gi.slots(); ++s) {
-    gi.fill_random(s, 11 + static_cast<std::uint64_t>(s));
+  for (int s = 0; s < gr.slots(); ++s) {
+    gr.fill_random(s, 11 + static_cast<std::uint64_t>(s));
     gt.fill_random(s, 11 + static_cast<std::uint64_t>(s));
   }
-  run_scheduled_interpreted(st, prog->primary_schedule(), gi, 1, 5, Boundary::Periodic);
+  run_reference(st, gr, 1, 5, Boundary::Periodic);
   ExecInfo info;
   run_scheduled(st, time_tiled(prog->primary_schedule(), 3), gt, 1, 5, Boundary::Periodic, {},
                 nullptr, {}, &info);
   EXPECT_EQ(info.route, Route::Sweep);
   EXPECT_NE(info.fallback_reason.find("per-step halo"), std::string::npos)
       << info.fallback_reason;
-  const int fs = gi.slot_for_time(5);
-  EXPECT_EQ(gi.interior_values(fs), gt.interior_values(fs));
+  const int fs = gr.slot_for_time(5);
+  EXPECT_EQ(gr.interior_values(fs), gt.interior_values(fs));
 }
 
-TEST(TemporalVsInterpreter, RandomCasesShrinkOnFailure) {
+TEST(TemporalVsReference, RandomCasesShrinkOnFailure) {
   const auto run_case = [](const check::CaseSpec& spec) -> ::testing::AssertionResult {
     auto prog = check::build_program(spec);
     if (!linearize_stencil(prog->stencil(), prog->bindings()).has_value())

@@ -39,8 +39,8 @@ void usage() {
       "  --no-gate            always exit 0 (report-only mode)\n"
       "  --require-baseline   exit 3 instead of 0 when no baseline exists\n"
       "  --selftest           run against a synthetic history and verify the\n"
-      "                       gate trips on a 2x slowdown and a 0.4x rate and\n"
-      "                       passes in-noise\n");
+      "                       gate trips on a 2x slowdown and on each absolute\n"
+      "                       rate at 0.4x, and passes in-noise\n");
 }
 
 std::string read_file(const std::string& path) {
@@ -52,13 +52,15 @@ std::string read_file(const std::string& path) {
 }
 
 /// Synthetic-ledger sanity check: seeds a history, then verifies that a
-/// within-noise rerun passes, a 2x slowdown regresses, and an absolute
-/// rate (`*_rounds_per_s`) cut to 0.4x of its baseline regresses on its own.
+/// within-noise rerun passes, a 2x slowdown regresses, and each gated
+/// absolute rate — the halo gate's `*_rounds_per_s` and the host-executor
+/// gate's `compiled_gflops` — cut to 0.4x of its baseline regresses on its
+/// own, with every other metric in noise.
 int selftest(const std::string& workdir) {
   using msc::prof::HistoryEntry;
   const std::string dir = workdir + "/history";
 
-  auto entry = [](double seconds, double rounds_per_s) {
+  auto entry = [](double seconds, double rounds_per_s, double compiled_gflops) {
     HistoryEntry e;
     e.name = "selftest";
     e.workload = "synthetic";
@@ -66,31 +68,43 @@ int selftest(const std::string& workdir) {
     e.wall_seconds = 0.01;
     e.metrics = {{"run.elapsed_seconds", seconds},
                  {"run.gflops", 1.0 / seconds},
-                 {"run.plan_rounds_per_s", rounds_per_s}};
+                 {"run.plan_rounds_per_s", rounds_per_s},
+                 {"run.compiled_gflops", compiled_gflops}};
     return e;
   };
   // Fresh ledger each invocation (append_history appends by design).
   std::remove(msc::prof::history_path(dir, "selftest").c_str());
-  // Five baseline runs with ~1% jitter around 100 ms and 10k rounds/s.
+  // Five baseline runs with ~1% jitter around 100 ms, 10k rounds/s and
+  // 2 GF/s.
   const double base[] = {0.100, 0.101, 0.099, 0.1005, 0.0995};
-  for (double s : base) msc::prof::append_history(dir, entry(s, 1000.0 / s));
+  for (double s : base) msc::prof::append_history(dir, entry(s, 1000.0 / s, 0.2 / s));
   const auto history = msc::prof::load_history(msc::prof::history_path(dir, "selftest"));
   MSC_CHECK(history.size() == 5) << "selftest ledger round-trip lost entries";
 
-  const auto in_noise = msc::prof::diff_against_history(history, entry(0.1008, 9920.0));
-  const auto slowdown = msc::prof::diff_against_history(history, entry(0.200, 5000.0));
-  const auto rate_cut = msc::prof::diff_against_history(history, entry(0.1008, 4000.0));
-  bool rate_tripped = false;
-  for (const auto& d : rate_cut.deltas)
-    rate_tripped |= d.regressed && d.key == "run.plan_rounds_per_s";
+  const auto in_noise = msc::prof::diff_against_history(history, entry(0.1008, 9920.0, 1.984));
+  const auto slowdown = msc::prof::diff_against_history(history, entry(0.200, 5000.0, 1.0));
+  // Trips on `key` alone: that key regressed and no other did.
+  const auto trips_alone = [](const msc::prof::DiffReport& r, const std::string& key) {
+    bool hit = false, other = false;
+    for (const auto& d : r.deltas) (d.key == key ? hit : other) |= d.regressed;
+    return hit && !other;
+  };
+  const bool rounds_tripped = trips_alone(
+      msc::prof::diff_against_history(history, entry(0.1008, 4000.0, 1.984)),
+      "run.plan_rounds_per_s");
+  const bool gflops_tripped = trips_alone(
+      msc::prof::diff_against_history(history, entry(0.1008, 9920.0, 0.8)),
+      "run.compiled_gflops");
 
   std::printf("selftest: within-noise rerun  -> %s\n",
               in_noise.regressed ? "REGRESSED (unexpected)" : "ok");
   std::printf("selftest: 2x slowdown         -> %s\n",
               slowdown.regressed ? "REGRESSED (expected)" : "ok (MISSED!)");
   std::printf("selftest: rounds/s at 0.4x    -> %s\n",
-              rate_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
-  const bool pass = !in_noise.regressed && slowdown.regressed && rate_tripped;
+              rounds_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
+  std::printf("selftest: compiled GF/s at 0.4x -> %s\n",
+              gflops_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
+  const bool pass = !in_noise.regressed && slowdown.regressed && rounds_tripped && gflops_tripped;
   std::printf("selftest: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }
