@@ -142,7 +142,7 @@ void attribute_route(prof::BenchReport& report, const machine::MachineModel& hos
                  ran ? strprintf("%.2f", row.measured_gflops) : std::string("-"),
                  strprintf("%.3f", row.cost.oi),
                  ran ? strprintf("%.1f%%", row.pct_of_attainable) : std::string("-"),
-                 row.memory_bound ? "memory" : "compute",
+                 row.bound,
                  ran ? std::string("") : note});
 
   workload::Json j = workload::Json::object();

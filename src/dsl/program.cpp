@@ -151,6 +151,7 @@ void Program::def_stencil(const std::string& name, const GridRef& result, TermSu
   for (auto& t : combination.terms) terms.push_back({t.kernel, t.time_offset, t.weight});
   stencil_ = ir::make_stencil(name, result.tensor(), std::move(terms));
   ir::verify_or_throw(*stencil_);
+  kept_.reset();
 }
 void Program::def_stencil(const std::string& name, const GridRef& result, TermH single_term) {
   def_stencil(name, result, TermSum{{std::move(single_term)}});
@@ -255,7 +256,10 @@ void Program::set_aux(const GridRef& grid,
   }
 }
 
-void Program::bind(const std::string& var, double value) { bindings_[var] = value; }
+void Program::bind(const std::string& var, double value) {
+  bindings_[var] = value;
+  ++bindings_revision_;
+}
 
 RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary bc) {
   ensure_storage();
@@ -264,19 +268,28 @@ RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary 
         << "auxiliary grid '" << aux->name() << "' was never filled (call set_aux first)";
 
   RunResult result;
-  const bool affine = exec::linearize_stencil(stencil(), bindings_).has_value();
   last_info_ = {};
-
   const auto start = std::chrono::steady_clock::now();
+
+  const schedule::Schedule& sched = primary_schedule();
+  const PlanKey key{&sched, sched.revision(), bindings_revision_, backend_, bc};
+  if (!kept_.has_value() || kept_->key != key) {
+    kept_.reset();  // drop the old plan (and its module) before lowering anew
+    KeptPlan fresh{key, std::nullopt};
+    if (exec::linearize_stencil(stencil(), bindings_).has_value()) {
+      exec::ExecOptions opts;
+      opts.backend = backend_;
+      fresh.plan = exec::lower(stencil(), sched, bindings_, bc, opts);
+    }
+    kept_ = std::move(fresh);
+  }
+
   std::visit(
       [&](auto& s) {
         if constexpr (!std::is_same_v<std::decay_t<decltype(s)>, std::monostate>) {
           using T = std::decay_t<decltype(*s.slot_data(0))>;
-          if (affine) {
-            exec::ExecOptions opts;
-            opts.backend = backend_;
-            exec::run_scheduled(stencil(), primary_schedule(), s, t_begin, t_end, bc,
-                                bindings_, &result.stats, opts, &last_info_);
+          if (kept_->plan.has_value()) {
+            exec::execute(*kept_->plan, s, t_begin, t_end, &result.stats, nullptr, &last_info_);
           } else {
             exec::AuxGrids<T> aux;
             for (const auto& [name, var] : aux_storage_)

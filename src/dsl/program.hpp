@@ -175,9 +175,12 @@ class Program {
                const std::function<double(std::array<std::int64_t, 3>)>& fn,
                exec::Boundary bc = exec::Boundary::ZeroHalo);
 
-  /// Executes timesteps t_begin..t_end with exec::run_scheduled, which
-  /// picks the sweep, wedge (time_tile) or AOT engine; non-affine kernels
-  /// run the reference executor.
+  /// Executes timesteps t_begin..t_end: exec::lower picks the sweep, wedge
+  /// (time_tile) or AOT engine, and exec::execute runs the plan;
+  /// non-affine kernels run the reference executor.  The lowered plan (and
+  /// with it the AOT module) is kept and reused by later runs until the
+  /// primary schedule, a binding, the backend or `bc` changes, so a warm
+  /// run lowers, emits and hashes nothing.
   RunResult run(std::int64_t t_begin, std::int64_t t_end,
                 exec::Boundary bc = exec::Boundary::ZeroHalo);
 
@@ -189,7 +192,8 @@ class Program {
   HostBackend backend() const { return backend_; }
 
   /// What the most recent run() executed: the route taken, any fallback
-  /// reason, and the wedge shape.  Reset by every run().
+  /// reason, whether it reused the kept plan, and the wedge shape.  Reset
+  /// by every run().
   const exec::ExecInfo& last_exec_info() const { return last_info_; }
 
   /// AOT cache provenance of the most recent run(): whether the dlopen'd
@@ -249,6 +253,26 @@ class Program {
   std::int64_t last_t_end_ = 0;
   HostBackend backend_ = HostBackend::Sweep;
   exec::ExecInfo last_info_;
+
+  /// What a kept plan was lowered from; run() lowers again when it differs.
+  /// Schedule::revision() catches edits made through a retained
+  /// KernelHandle or sched_ptr(), and bind() bumps bindings_revision_.
+  struct PlanKey {
+    const schedule::Schedule* sched = nullptr;
+    std::uint64_t sched_revision = 0;
+    std::uint64_t bindings_revision = 0;
+    HostBackend backend = HostBackend::Sweep;
+    exec::Boundary bc = exec::Boundary::ZeroHalo;
+    bool operator==(const PlanKey&) const = default;
+  };
+  /// The plan run() keeps; `plan` is empty when the stencil is not affine
+  /// (run() then takes the reference executor).
+  struct KeptPlan {
+    PlanKey key;
+    std::optional<exec::ExecPlan> plan;
+  };
+  std::optional<KeptPlan> kept_;
+  std::uint64_t bindings_revision_ = 0;
 };
 
 }  // namespace msc::dsl

@@ -125,8 +125,10 @@ std::string compile_flags(const std::string& cc) {
 fs::path default_cache_dir() { return fs::temp_directory_path() / "msc_aot_cache"; }
 
 /// In-memory registry so concurrent users of the same plan share one
-/// dlopen handle.  Weak: a module is dlclose'd as soon as its last user
-/// releases it (executor teardown), which tests pin via AotModule::live().
+/// dlopen handle.  Weak: a module is dlclose'd as soon as the last
+/// exec::ExecPlan holding it is dropped (a one-shot run_scheduled on return,
+/// a dsl::Program when it re-lowers or is destroyed), which tests pin via
+/// AotModule::live().
 std::mutex g_registry_mutex;
 std::map<std::string, std::weak_ptr<AotModule>>& registry() {
   static std::map<std::string, std::weak_ptr<AotModule>> r;
@@ -194,18 +196,32 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
                                            const Bindings& bindings, const AotOptions& opts,
                                            AotExecInfo* info, std::string* why,
                                            const CancelToken* cancel) {
-  if (cancel != nullptr) cancel->checkpoint("aot.emit");
   const auto lin = linearize_stencil(st, bindings);
   if (!lin.has_value()) {
     *why = "stencil is not affine (no linear form to specialize)";
     return nullptr;
   }
-  const std::string source = codegen::gen_aot_kernel(codegen::make_aot_spec(st, sched, *lin));
-  const std::string flags = compile_flags(opts.cc);
-  const std::string hash = strprintf(
-      "%016llx", static_cast<unsigned long long>(fnv1a(
-                     source + "\n" + flags + "\nabi " +
-                     std::to_string(codegen::kMscAotAbiVersion))));
+  return load_aot_module(st, sched, *lin, opts, info, why, cancel);
+}
+
+std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
+                                           const schedule::Schedule& sched,
+                                           const LinearKernel& lin, const AotOptions& opts,
+                                           AotExecInfo* info, std::string* why,
+                                           const CancelToken* cancel) {
+  if (cancel != nullptr) cancel->checkpoint("aot.emit");
+  std::string source;
+  std::string flags;
+  std::string hash;
+  {
+    prof::FlightScope emit_flight(prof::FlightKind::AotEmit);
+    source = codegen::gen_aot_kernel(codegen::make_aot_spec(st, sched, lin));
+    flags = compile_flags(opts.cc);
+    hash = strprintf("%016llx", static_cast<unsigned long long>(fnv1a(
+                                    source + "\n" + flags + "\nabi " +
+                                    std::to_string(codegen::kMscAotAbiVersion))));
+    emit_flight.set_a(static_cast<std::int64_t>(source.size()));
+  }
   if (info != nullptr) info->plan_hash = hash;
 
   // Circuit breaker gate: a plan whose compile already crashed or timed out

@@ -8,7 +8,7 @@
 //   linearize -> make_aot_spec -> gen_aot_kernel     (emit)
 //   -> <cache_dir>/<hash>.c -> cc -shared -> <hash>.so  (compile, cached)
 //   -> dlopen + symbol/ABI checks                    (load)
-//   -> msc_aot_rows(slot_ptrs, t, r0, r1)            (dispatch, in run_scheduled:
+//   -> msc_aot_rows(slot_ptrs, t, r0, r1)            (dispatch, in exec::execute:
 //                                                     per step, the schedule's
 //                                                     dim-0 bands over the pool)
 //
@@ -18,8 +18,8 @@
 // and stale shared objects are never reused.  A cached .so that fails to
 // dlopen or fails its ABI checks is deleted and rebuilt once.
 //
-// exec::run_scheduled (executor.hpp) takes this route under
-// HostBackend::Aot.  Boundaries other than ZeroHalo, a missing host cc, or
+// exec::lower (executor.hpp) loads the module once per plan under
+// HostBackend::Aot, and every execute() of the plan reuses it.  Boundaries other than ZeroHalo, a missing host cc, or
 // a failed compile fall back to the in-process engines and report why
 // through ExecInfo — never silently.
 
@@ -58,9 +58,11 @@ void aot_breaker_reset();
 
 namespace detail {
 
-/// RAII over one dlopen'd kernel module; dlclose on destruction.  The
-/// live() count exists so tests can pin the teardown contract (no handle
-/// leaks across runs).
+/// RAII over one dlopen'd kernel module; dlclose on destruction.  An
+/// exec::ExecPlan holds its module for as long as the plan lives, so a
+/// one-shot run_scheduled releases it on return and a dsl::Program when it
+/// re-lowers or is destroyed.  The live() count exists so tests can pin
+/// that contract (no handle outlives the plans that hold it).
 class AotModule {
  public:
   AotModule(void* handle, std::string path);
@@ -93,6 +95,16 @@ class AotModule {
 std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
                                            const schedule::Schedule& sched,
                                            const Bindings& bindings, const AotOptions& opts,
+                                           AotExecInfo* info, std::string* why,
+                                           const CancelToken* cancel = nullptr);
+
+/// The same for a stencil already linearized (`lin` ==
+/// linearize_stencil(st, bindings)): exec::lower passes its plan's linear
+/// form, so one lowering linearizes once.  Emission and the cache-key hash
+/// record one FlightKind::AotEmit span.
+std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
+                                           const schedule::Schedule& sched,
+                                           const LinearKernel& lin, const AotOptions& opts,
                                            AotExecInfo* info, std::string* why,
                                            const CancelToken* cancel = nullptr);
 

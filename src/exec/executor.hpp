@@ -5,8 +5,16 @@
 //  * run_reference — serial, definition-order sweep straight off the IR;
 //    the ground truth for correctness checks (paper §5.1 measures relative
 //    error of generated code against exactly such a serial version).
-//  * run_scheduled — the one scheduled entry point.  It lowers the
-//    kernel's Schedule once and picks the host engine itself:
+//  * run_scheduled — the one scheduled entry point: execute(lower(...)).
+//    Lower once, execute many:
+//      - lower() turns a stencil + Schedule + bindings + boundary +
+//        ExecOptions into an ExecPlan: the linear form, the loop and sweep
+//        plans, the engine it picked and why, and on the AOT route the
+//        dlopen'd module with its row bands.  Nothing in it depends on the
+//        time range, so a caller that runs the same program again
+//        (dsl::Program caches its plan) keeps it and skips all of that.
+//      - execute() runs timesteps t_begin..t_end of a plan on a grid.
+//    lower() picks the host engine itself:
 //      1. the dlopen'd AOT kernel (aot_backend.hpp) when ExecOptions asks
 //         for HostBackend::Aot;
 //      2. otherwise the time-skewed wedges (temporal_sweep.hpp) when the
@@ -30,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/aot_info.hpp"
@@ -37,6 +46,7 @@
 #include "exec/grid.hpp"
 #include "exec/linearize.hpp"
 #include "exec/sweep.hpp"
+#include "exec/temporal_sweep.hpp"
 #include "ir/stencil.hpp"
 #include "schedule/schedule.hpp"
 #include "support/cancel.hpp"
@@ -194,10 +204,12 @@ struct ExecOptions {
 
 /// What run_scheduled actually executed.  A fallback is never silent:
 /// `fallback_reason` names the first requested engine that could not run,
-/// and the aot.fallback.<slug> or sweep.temporal.fallback counter ticks.
+/// and the aot.fallback.<slug> or sweep.temporal.fallback counter ticked
+/// when the plan was lowered.
 struct ExecInfo {
   Route route = Route::Sweep;
   std::string fallback_reason;  ///< empty unless a requested engine fell back
+  bool plan_reused = false;      ///< ran a plan an earlier execute() already ran
   // Wedge decomposition, set when route == Temporal.
   std::int64_t blocks = 0;       ///< time blocks executed (incl. remainder)
   std::int64_t wedges = 0;       ///< wedge count of a full-depth block
@@ -207,22 +219,83 @@ struct ExecInfo {
   AotExecInfo aot;               ///< cache provenance; aot.aot == (route == Aot)
 };
 
-/// Scheduled executor: same numerics as run_reference — bit-identical on
+namespace detail {
+class AotModule;  // exec/aot_backend.hpp
+}  // namespace detail
+
+/// A scheduled run lowered once: everything execute() needs that does not
+/// depend on the time range.  Valid for grids of the stencil's state
+/// geometry; execute() checks the grid against it.
+struct ExecPlan {
+  LinearKernel lin;            ///< the stencil's combined affine form
+  LoopPlan loop;               ///< build_loop_plan(schedule)
+  SweepPlan sweep;             ///< lower_sweep(loop)
+  Route route = Route::Sweep;  ///< the engine lower() picked
+  std::string fallback_reason; ///< why a requested engine could not run
+  std::uint64_t fingerprint = 0;  ///< flight plan key (wedge route: of `wedges`)
+  Boundary bc = Boundary::ZeroHalo;
+  int time_window = 2;         ///< the stencil's ring slots
+  std::int64_t skew = 0;       ///< the stencil's max radius
+  ThreadPool* pool = nullptr;  ///< worker team (nullptr = global_pool())
+
+  // Route::Aot: the module, its provenance, and the dim-0 row bands each
+  // step runs, spread over `members` team members.
+  std::shared_ptr<detail::AotModule> aot;
+  AotExecInfo aot_info;
+  std::vector<std::pair<std::int64_t, std::int64_t>> bands;
+  std::int64_t members = 1;
+
+  // Route::Temporal: the wedge plan depends on the step count, so
+  // execute() lowers it for the first range of each length and rebases it
+  // onto the time range of later runs of that length.
+  std::optional<TemporalPlan> wedges;
+
+  std::int64_t runs = 0;       ///< execute() calls so far
+};
+
+/// Lowers one scheduled run: linearizes the stencil (which must be affine),
+/// builds the loop and sweep plans, and picks the engine by the route rules
+/// at the top of this file; under HostBackend::Aot it also emits, compiles
+/// and dlopens the module.  A fallback sets `fallback_reason`, ticks its
+/// counter and logs once here, not per execute().  `opts.cancel` is polled
+/// between the AOT pipeline stages; a fired token throws Cancelled.
+/// Records one FlightKind::Lower span.
+ExecPlan lower(const ir::StencilDef& st, const schedule::Schedule& sched,
+               const Bindings& bindings, Boundary bc, const ExecOptions& opts);
+
+/// Runs timesteps t_begin..t_end of `plan` on `state`: bit-identical to
+/// run_reference on every route.  `stats` and the
+/// exec.points_updated/flops/timesteps counters are filled the same way on
+/// every route, and `info` reports the plan's route, fallback reason and
+/// AOT provenance (a plan's later runs report plan_reused and, on the AOT
+/// route, cache_hit).  Non-const because the wedge route keeps its wedge
+/// plan in `plan`; one plan runs on one caller at a time.
+///
+/// With `cancel` attached, the token is checked on the calling thread
+/// where the ring is consistent: before each step on the sweep and AOT
+/// routes ("sweep.step", "aot.step") and before each time block on the
+/// wedges ("temporal.block").  A fired token throws Cancelled with
+/// completed_through() set to the last finished step (t_begin - 1 if none);
+/// its slots and halos are intact, so calling again with t_begin =
+/// completed_through() + 1 finishes the run bit-exactly.  A cancelled run
+/// adds the steps it finished to `stats` and the counters, so the two calls
+/// together count what one uninterrupted run would.
+template <typename T>
+void execute(ExecPlan& plan, GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end,
+             ExecStats* stats = nullptr, const CancelToken* cancel = nullptr,
+             ExecInfo* info = nullptr);
+
+extern template void execute<float>(ExecPlan&, GridStorage<float>&, std::int64_t,
+                                    std::int64_t, ExecStats*, const CancelToken*, ExecInfo*);
+extern template void execute<double>(ExecPlan&, GridStorage<double>&, std::int64_t,
+                                     std::int64_t, ExecStats*, const CancelToken*, ExecInfo*);
+
+/// Scheduled executor: execute(lower(...)) with `opts.cancel`, the plan
+/// dropped on return.  Same numerics as run_reference — bit-identical on
 /// every route — with loop structure, parallelism and engine taken from
 /// `sched`, `bc` and `opts` (see the route rules at the top of this file).
-/// The stencil must be affine.  `stats` and the
-/// exec.points_updated/flops/timesteps counters are filled the same way on
-/// every route.
-///
-/// With `opts.cancel` attached, the token is checked on the calling thread
-/// where the ring is consistent: before each step on the sweep and AOT
-/// routes ("sweep.step", "aot.step"), before each time block on the wedges
-/// ("temporal.block"), and between the AOT pipeline stages.  A fired token
-/// throws Cancelled with completed_through() set to the last finished step
-/// (t_begin - 1 if none); its slots and halos are intact, so calling again
-/// with t_begin = completed_through() + 1 finishes the run bit-exactly.  A
-/// cancelled run adds the steps it finished to `stats` and the counters,
-/// so the two calls together count what one uninterrupted run would.
+/// A token that fires while lower() runs the AOT pipeline throws Cancelled
+/// with completed_through() = t_begin - 1 and the grid untouched.
 template <typename T>
 void run_scheduled(const ir::StencilDef& st, const schedule::Schedule& sched,
                    GridStorage<T>& state, std::int64_t t_begin, std::int64_t t_end, Boundary bc,

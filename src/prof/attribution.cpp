@@ -73,8 +73,9 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
     for (const auto& ev : d.events) {
       const double s = static_cast<double>(ev.dur_ns) * 1e-9;
       switch (ev.kind) {
-        // Leaf compute spans only: Step, WedgeBlock and AotRun are
-        // structural parents of RowChunk / Wedge and would double-count.
+        // Leaf spans only: Step, WedgeBlock and AotRun are structural
+        // parents of RowChunk / Wedge, and Lower of the AOT pipeline
+        // spans; bucketing them would double-count.
         case FlightKind::RowChunk:
         case FlightKind::Wedge:
           p.compute_s += s;
@@ -86,6 +87,7 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
           thread_total += s;
           ++p.events;
           break;
+        case FlightKind::AotEmit:
         case FlightKind::AotCacheProbe:
         case FlightKind::AotCompile:
         case FlightKind::AotDlopen:
@@ -103,6 +105,12 @@ PhaseBreakdown bucket_phases(const std::vector<FlightThreadDump>& dumps, double 
   return p;
 }
 
+const char* roofline_bound(double oi, double ridge) {
+  if (oi < ridge * (1.0 - kRidgeBand)) return "memory";
+  if (oi > ridge * (1.0 + kRidgeBand)) return "compute";
+  return "ridge";
+}
+
 AttributionRow attribute_run(const std::string& benchmark, exec::Route route,
                              const PlanCost& cost, const PhaseBreakdown& phases,
                              const machine::MachineModel& host) {
@@ -117,6 +125,7 @@ AttributionRow attribute_run(const std::string& benchmark, exec::Route route,
   const double bw_bound = cost.oi * host.mem_bw_gbs;
   row.attainable_gflops = std::min(peak, bw_bound);
   row.memory_bound = cost.oi < host.ridge_flop_per_byte();
+  row.bound = roofline_bound(cost.oi, host.ridge_flop_per_byte());
   if (row.attainable_gflops > 0)
     row.pct_of_attainable = 100.0 * row.measured_gflops / row.attainable_gflops;
   return row;
@@ -161,7 +170,7 @@ workload::Json attribution_json(const std::vector<AttributionRow>& rows,
     j["gf_per_s"] = Json::number(r.measured_gflops);
     j["attainable_gf_per_s"] = Json::number(r.attainable_gflops);
     j["pct_attainable"] = Json::number(r.pct_of_attainable);
-    j["bound"] = Json::string(r.memory_bound ? "memory" : "compute");
+    j["bound"] = Json::string(r.bound);
     arr.push_back(std::move(j));
   }
   doc["rows"] = std::move(arr);
@@ -191,7 +200,7 @@ std::string attribution_markdown(const std::vector<AttributionRow>& rows,
     out += " | " + fmt("%.3f", r.cost.oi);
     out += " | " + fmt("%.2f", r.attainable_gflops);
     out += " | " + fmt("%.1f", r.pct_of_attainable);
-    out += std::string(" | ") + (r.memory_bound ? "memory" : "compute");
+    out += std::string(" | ") + r.bound;
     out += " | " + fmt("%.4f", r.phases.compute_s);
     out += " | " + fmt("%.4f", r.phases.wedge_wait_s);
     out += " | " + fmt("%.4f", r.phases.aot_pipeline_s);

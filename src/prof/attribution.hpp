@@ -19,11 +19,11 @@
 //  * the MEASURED side (attribute_run) takes a wall-clock run with the
 //    flight recorder armed, drains it, and buckets event durations into a
 //    phase breakdown — compute (row chunks / wedges / AOT kernel), wedge
-//    wait (wavefront spins), AOT pipeline (cache probe + compile +
-//    dlopen), and dispatch (wall minus everything attributed).  Joining
+//    wait (wavefront spins), AOT pipeline (emit + cache probe + compile
+//    + dlopen), and dispatch (wall minus everything attributed).  Joining
 //    both halves against the measured host roofline (machine/probe.hpp)
-//    yields measured GF/s, %-of-attainable, and a memory- vs compute-bound
-//    verdict per run.
+//    yields measured GF/s, %-of-attainable, and a memory-, ridge- or
+//    compute-bound verdict per run.
 //
 // attribution_json renders rows as an "msc-attr-v1" document; markdown for
 // humans via attribution_markdown.  tools/msc-prof --attribute and
@@ -69,7 +69,7 @@ PlanCost attribute_plan(const ir::StencilDef& st, const schedule::Schedule& sche
 struct PhaseBreakdown {
   double compute_s = 0.0;     ///< row chunks + wedges + AOT kernel spans
   double wedge_wait_s = 0.0;  ///< wavefront spin waits
-  double aot_pipeline_s = 0.0;///< cache probe + compile + dlopen
+  double aot_pipeline_s = 0.0;///< emit + cache probe + compile + dlopen
   double dispatch_s = 0.0;    ///< wall minus the busiest thread's spans (>= 0)
   double wall_s = 0.0;
   std::int64_t events = 0;    ///< flight events that fed the buckets
@@ -92,7 +92,18 @@ struct AttributionRow {
   double attainable_gflops = 0.0;///< min(peak, oi * bw) on the host model
   double pct_of_attainable = 0.0;
   bool memory_bound = true;      ///< oi left of the host ridge point
+  const char* bound = "memory";  ///< roofline_bound(oi, host ridge)
 };
+
+/// Relative half-width of the band around the host ridge point inside
+/// which a row is labelled "ridge": the quick roofline probe alone moves
+/// the ridge by about ±18% from run to run, so a memory/compute verdict
+/// that close to it would flip between runs of the same build.
+inline constexpr double kRidgeBand = 0.25;
+
+/// "ridge" when `oi` lies within ±kRidgeBand of `ridge`, else "memory"
+/// left of the band and "compute" right of it.
+const char* roofline_bound(double oi, double ridge);
 
 /// Joins the three halves into a row.  `wall_s` is the run's wall clock.
 AttributionRow attribute_run(const std::string& benchmark, exec::Route route,

@@ -61,6 +61,8 @@ const char* flight_kind_name(FlightKind kind) {
     case FlightKind::AotRun: return "aot_run";
     case FlightKind::Crash: return "crash";
     case FlightKind::RankPhase: return "rank_phase";
+    case FlightKind::Lower: return "lower";
+    case FlightKind::AotEmit: return "aot_emit";
   }
   return "unknown";
 }

@@ -32,6 +32,8 @@
 //   AotRun        timesteps          0
 //   Crash         rank               step
 //   RankPhase     rank               prof::Phase (prof/timeline.hpp)
+//   Lower         sweep tiles        exec::Route (wedge plans: wedges, Temporal)
+//   AotEmit       source bytes       0
 //
 // Draining is wait-free for writers: the reader snapshots each ring and
 // keeps only events whose per-thread sequence number, re-read after the
@@ -67,6 +69,8 @@ enum class FlightKind : std::uint8_t {
   AotRun,         ///< the AOT route's whole time loop (parent of RowChunk)
   Crash,          ///< a fault-plan crash fired (instant, dur 0)
   RankPhase,      ///< one simmpi rank's comm/compute phase (RankPhaseScope)
+  Lower,          ///< exec::lower, or the wedge plan of a new step count
+  AotEmit,        ///< AOT C emission plus its cache-key hash
 };
 
 const char* flight_kind_name(FlightKind kind);

@@ -1,6 +1,7 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
 
@@ -20,6 +21,12 @@ CacheScope parse_scope(const std::string& s) {
 Schedule::Schedule(ir::KernelPtr kernel) : kernel_(std::move(kernel)) {
   MSC_CHECK(kernel_ != nullptr) << "schedule needs a kernel";
   axes_ = kernel_->axes();
+  touch();
+}
+
+void Schedule::touch() {
+  static std::atomic<std::uint64_t> next{1};
+  revision_ = next.fetch_add(1, std::memory_order_relaxed);
 }
 
 int Schedule::require_axis(const std::string& name) const {
@@ -37,6 +44,7 @@ const CacheBuffer* Schedule::find_cache(const std::string& buffer) const {
 
 Schedule& Schedule::split(const std::string& axis, std::int64_t tau,
                           const std::string& outer_name, const std::string& inner_name) {
+  touch();
   MSC_CHECK(tau >= 1) << "split factor must be >= 1, got " << tau;
   const int idx = require_axis(axis);
   ir::Axis& src = axes_[static_cast<std::size_t>(idx)];
@@ -89,6 +97,7 @@ Schedule& Schedule::tile(const std::vector<std::int64_t>& taus) {
 }
 
 Schedule& Schedule::reorder(const std::vector<std::string>& order) {
+  touch();
   MSC_CHECK(order.size() == axes_.size())
       << "reorder() must name all " << axes_.size() << " axes, got " << order.size();
   ir::AxisList next;
@@ -103,6 +112,7 @@ Schedule& Schedule::reorder(const std::vector<std::string>& order) {
 }
 
 Schedule& Schedule::parallel(const std::string& axis, int num_threads) {
+  touch();
   MSC_CHECK(num_threads >= 1) << "parallel() thread count must be >= 1";
   const int idx = require_axis(axis);
   for (const auto& ax : axes_)
@@ -114,6 +124,7 @@ Schedule& Schedule::parallel(const std::string& axis, int num_threads) {
 }
 
 Schedule& Schedule::vectorize(const std::string& axis) {
+  touch();
   const int idx = require_axis(axis);
   MSC_CHECK(idx == static_cast<int>(axes_.size()) - 1)
       << "vectorize() applies to the innermost axis only; '" << axis << "' is at depth " << idx;
@@ -122,6 +133,7 @@ Schedule& Schedule::vectorize(const std::string& axis) {
 }
 
 Schedule& Schedule::unroll(const std::string& axis, int factor) {
+  touch();
   MSC_CHECK(factor >= 2) << "unroll factor must be >= 2, got " << factor;
   const int idx = require_axis(axis);
   auto& ax = axes_[static_cast<std::size_t>(idx)];
@@ -133,6 +145,7 @@ Schedule& Schedule::unroll(const std::string& axis, int factor) {
 }
 
 Schedule& Schedule::time_tile(std::int64_t depth, std::int64_t width) {
+  touch();
   MSC_CHECK(depth >= 1) << "time_tile depth must be >= 1, got " << depth;
   MSC_CHECK(width >= 0) << "time_tile width must be >= 0, got " << width;
   time_depth_ = depth;
@@ -142,6 +155,7 @@ Schedule& Schedule::time_tile(std::int64_t depth, std::int64_t width) {
 
 Schedule& Schedule::cache_read(const std::string& tensor, const std::string& buffer,
                                const std::string& scope) {
+  touch();
   bool reads_tensor = false;
   for (const auto& in : kernel_->inputs())
     if (in->name() == tensor) reads_tensor = true;
@@ -153,6 +167,7 @@ Schedule& Schedule::cache_read(const std::string& tensor, const std::string& buf
 }
 
 Schedule& Schedule::cache_write(const std::string& buffer, const std::string& scope) {
+  touch();
   MSC_CHECK(find_cache(buffer) == nullptr) << "cache buffer '" << buffer << "' already bound";
   for (const auto& c : caches_)
     MSC_CHECK(c.is_read) << "only one write buffer is supported ('" << c.name
@@ -162,6 +177,7 @@ Schedule& Schedule::cache_write(const std::string& buffer, const std::string& sc
 }
 
 Schedule& Schedule::compute_at(const std::string& buffer, const std::string& axis) {
+  touch();
   require_axis(axis);
   for (auto& c : caches_) {
     if (c.name == buffer) {

@@ -135,7 +135,14 @@ class Schedule {
   /// Human-readable dump of the scheduled nest.
   std::string to_string() const;
 
+  /// Changes whenever a primitive is applied: a process-wide counter
+  /// stamped by every primitive call, so a revision names one state of
+  /// one schedule (copies carry it along with the state they copy).
+  /// dsl::Program keys its cached lowered plan on it.
+  std::uint64_t revision() const { return revision_; }
+
  private:
+  void touch();
   int require_axis(const std::string& name) const;
   const CacheBuffer* find_cache(const std::string& buffer) const;
 
@@ -144,6 +151,7 @@ class Schedule {
   std::vector<CacheBuffer> caches_;
   std::int64_t time_depth_ = 1;
   std::int64_t time_width_ = 0;
+  std::uint64_t revision_ = 0;
 };
 
 using SchedulePtr = std::shared_ptr<Schedule>;

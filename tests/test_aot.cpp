@@ -26,6 +26,7 @@
 #include "exec/executor.hpp"
 #include "exec/grid.hpp"
 #include "exec/sweep.hpp"
+#include "prof/flight.hpp"
 #include "support/shell.hpp"
 #include "workload/stencils.hpp"
 
@@ -523,6 +524,57 @@ TEST(AotBackend, ModulesAreDlclosedAtTeardown) {
   // run_scheduled holds the module only for the dispatch; nothing else
   // pins it, so the handle count must return to where it started.
   EXPECT_EQ(detail::AotModule::live(), before);
+}
+
+TEST(AotBackend, ProgramReleasesItsModule) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  const int before = detail::AotModule::live();
+  {
+    auto prog = small_benchmark("2d9pt_star");
+    prog->input(dsl::GridRef(prog->stencil().state()), 42);
+    prog->set_backend(dsl::HostBackend::Aot);
+    prog->run(1, 2);
+    ASSERT_TRUE(prog->last_aot_info().aot) << prog->last_exec_info().fallback_reason;
+    // The Program keeps its plan, and with it the module, between runs.
+    EXPECT_EQ(detail::AotModule::live(), before + 1);
+  }
+  EXPECT_EQ(detail::AotModule::live(), before);
+
+  auto prog = small_benchmark("2d9pt_star");
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  prog->set_backend(dsl::HostBackend::Aot);
+  prog->run(1, 2);
+  ASSERT_TRUE(prog->last_aot_info().aot) << prog->last_exec_info().fallback_reason;
+  prog->set_backend(dsl::HostBackend::Sweep);
+  prog->run(3, 4);
+  EXPECT_EQ(detail::AotModule::live(), before);
+}
+
+TEST(AotBackend, WarmProgramRunsEmitNothing) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto prog = small_benchmark("2d9pt_star");
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  prog->set_backend(dsl::HostBackend::Aot);
+  auto& flight = prof::global_flight();
+  const bool was_enabled = flight.enabled();
+  flight.set_enabled(true);
+  flight.clear();
+  for (std::int64_t t = 1; t <= 20; ++t) prog->run(t, t);
+  std::int64_t lowers = 0, emits = 0;
+  for (const auto& d : flight.drain())
+    for (const auto& e : d.events) {
+      lowers += e.kind == prof::FlightKind::Lower ? 1 : 0;
+      emits += e.kind == prof::FlightKind::AotEmit ? 1 : 0;
+    }
+  flight.set_enabled(was_enabled);
+  EXPECT_EQ(lowers, 1);
+  EXPECT_EQ(emits, 1);
+  // Warm runs keep the provenance of the module they reuse.
+  const auto& aot = prog->last_aot_info();
+  EXPECT_TRUE(aot.aot);
+  EXPECT_TRUE(aot.cache_hit);
+  EXPECT_EQ(aot.plan_hash.size(), 16u);
+  EXPECT_TRUE(prog->last_exec_info().plan_reused);
 }
 
 // ---- fallback + oracle behavior ------------------------------------------

@@ -169,6 +169,44 @@ TEST(Attribution, AttributeRunJoinsAgainstTheRoofline) {
   EXPECT_EQ(row.memory_bound, cost.oi < m.ridge_flop_per_byte());
 }
 
+TEST(Attribution, BoundLabelsMemoryRidgeAndCompute) {
+  machine::MachineModel m;
+  m.name = "synthetic";
+  m.mem_bw_gbs = 100.0;
+  const double ridge = m.ridge_flop_per_byte();
+  PhaseBreakdown phases;
+  phases.wall_s = 1.0;
+  const auto row_at = [&](double oi) {
+    PlanCost cost;
+    cost.oi = oi;
+    return attribute_run("fixture", exec::Route::Sweep, cost, phases, m);
+  };
+  struct Case {
+    double oi;
+    const char* bound;
+    bool memory_bound;
+  };
+  // The band is ±25% of the ridge, edges included; memory_bound keeps its
+  // strict "left of the ridge" meaning inside it.
+  for (const Case c : {Case{ridge * 0.5, "memory", true}, Case{ridge * 0.74, "memory", true},
+                       Case{ridge * 0.75, "ridge", true}, Case{ridge * 0.9, "ridge", true},
+                       Case{ridge * 1.1, "ridge", false}, Case{ridge * 1.25, "ridge", false},
+                       Case{ridge * 1.26, "compute", false}, Case{ridge * 4.0, "compute", false}}) {
+    SCOPED_TRACE(c.oi / ridge);
+    const auto row = row_at(c.oi);
+    EXPECT_STREQ(row.bound, c.bound);
+    EXPECT_EQ(row.memory_bound, c.memory_bound);
+    const auto doc = attribution_json({row}, m);
+    EXPECT_EQ(doc.find("rows")->elements()[0].find("bound")->as_string(), c.bound);
+    const std::string md = attribution_markdown({row}, m);
+    EXPECT_NE(md.find(std::string(" | ") + c.bound + " | "), std::string::npos) << md;
+  }
+  // The flip this band exists for: 3d7pt_star temporal at 2.26 F/B against
+  // quick-probe ridges anywhere in 1.93-2.75 F/B reads "ridge" every time.
+  for (const double probed : {1.93, 2.26, 2.75})
+    EXPECT_STREQ(roofline_bound(2.26, probed), "ridge") << probed;
+}
+
 // ---- document schema ----------------------------------------------------
 
 TEST(Attribution, JsonSchemaAndMarkdownRows) {

@@ -684,5 +684,197 @@ TEST(ProgramRun, SweepRunAfterAotRunClearsTheAotProvenance) {
   EXPECT_EQ(prog->last_exec_info().route, Route::Sweep);
 }
 
+// ---- the kept plan: lower once per Program, re-lower on every edit -------
+
+/// Bit pattern of a value: bit-identity, not numeric equality (-0 vs +0).
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// A Program and a run_reference copy of its state driven through the same
+/// calls; each run checks every interior value of the program's last step
+/// bit for bit against the reference under the settings of that run.
+class ReferenceTwin {
+ public:
+  explicit ReferenceTwin(dsl::Program& prog) : prog_(prog), ref_(prog.stencil().state()) {
+    for (std::int64_t t = 0; t > -prog.stencil().time_window(); --t) {
+      const int slot = ref_.slot_for_time(t);
+      ref_.for_each_interior(
+          [&](std::array<std::int64_t, 3> c) { ref_.at(slot, c) = prog.value_at(t, c); });
+    }
+  }
+
+  /// Runs [t0, t1] on both and returns the mismatching interior points.
+  std::int64_t run(std::int64_t t0, std::int64_t t1, Boundary bc = Boundary::ZeroHalo) {
+    prog_.run(t0, t1, bc);
+    return follow(t0, t1, bc);
+  }
+
+  /// Runs [t0, t1] on the reference after the program ran it.
+  std::int64_t follow(std::int64_t t0, std::int64_t t1, Boundary bc = Boundary::ZeroHalo) {
+    run_reference(prog_.stencil(), ref_, t0, t1, bc, prog_.bindings());
+    std::int64_t mismatches = 0;
+    const int slot = ref_.slot_for_time(t1);
+    ref_.for_each_interior([&](std::array<std::int64_t, 3> c) {
+      mismatches += bits(ref_.at(slot, c)) != bits(prog_.value_at(t1, c)) ? 1 : 0;
+    });
+    return mismatches;
+  }
+
+ private:
+  dsl::Program& prog_;
+  GridStorage<double> ref_;
+};
+
+/// A 19x23 five-point program on its default schedule (untiled, serial),
+/// its centre coefficient the bound variable `c0`.
+std::unique_ptr<dsl::Program> plain_program() {
+  auto prog = std::make_unique<dsl::Program>("plain");
+  dsl::Var j = prog->var("j"), i = prog->var("i");
+  dsl::GridRef B = prog->def_tensor_2d_timewin("B", 2, 1, ir::DataType::f64, 19, 23);
+  const dsl::ExprH c0(ir::make_var("c0", ir::DataType::f64));
+  auto& k = prog->kernel("k", {j, i},
+                         c0 * B(j, i) + dsl::ExprH(0.15) * B(j, i - 1) +
+                             dsl::ExprH(0.15) * B(j, i + 1) + dsl::ExprH(0.2) * B(j - 1, i) +
+                             dsl::ExprH(0.2) * B(j + 1, i));
+  prog->def_stencil("st", B, 0.7 * k[prog->t() - 1] + 0.3 * k[prog->t() - 2]);
+  prog->bind("c0", 0.3);
+  prog->input(B, 42);
+  return prog;
+}
+
+/// Flight events of `kind` recorded during `run`, and the sum of their b
+/// lanes.
+template <typename Run>
+std::pair<std::int64_t, std::int64_t> flight_count(prof::FlightKind kind, Run run) {
+  auto& flight = prof::global_flight();
+  const bool was_enabled = flight.enabled();
+  flight.set_enabled(true);
+  flight.clear();
+  run();
+  std::int64_t n = 0, b = 0;
+  for (const auto& d : flight.drain())
+    for (const auto& e : d.events)
+      if (e.kind == kind) {
+        ++n;
+        b += e.b;
+      }
+  flight.set_enabled(was_enabled);
+  return {n, b};
+}
+
+TEST(ProgramRun, TimeTileThroughTheHandleIsPickedUp) {
+  auto prog = route_program(ir::DataType::f64, 1);
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  ReferenceTwin twin(*prog);
+  EXPECT_EQ(twin.run(1, 3), 0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Sweep);
+  EXPECT_FALSE(prog->last_exec_info().plan_reused);
+  EXPECT_EQ(twin.run(4, 6), 0);
+  EXPECT_TRUE(prog->last_exec_info().plan_reused);
+
+  prog->primary_kernel().time_tile(4);
+  EXPECT_EQ(twin.run(7, 14), 0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Temporal);
+  EXPECT_EQ(prog->last_exec_info().wedge_depth, 4);
+  EXPECT_FALSE(prog->last_exec_info().plan_reused);
+  EXPECT_EQ(twin.run(15, 22), 0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Temporal);
+  EXPECT_TRUE(prog->last_exec_info().plan_reused);
+}
+
+TEST(ProgramRun, TileChangeThroughARetainedSchedPtrIsPickedUp) {
+  auto prog = plain_program();
+  const schedule::SchedulePtr sched = prog->primary_kernel().sched_ptr();
+  ReferenceTwin twin(*prog);
+  // The RowChunk b lane counts the sweep tiles a chunk ran.
+  const auto untiled = flight_count(prof::FlightKind::RowChunk, [&] { prog->run(1, 1); });
+  EXPECT_EQ(twin.follow(1, 1), 0);
+  EXPECT_EQ(untiled.second, 1);
+
+  sched->tile({4, 23});  // 5 dim-0 tiles, serial
+  const auto tiled = flight_count(prof::FlightKind::RowChunk, [&] { prog->run(2, 2); });
+  EXPECT_EQ(twin.follow(2, 2), 0);
+  EXPECT_EQ(tiled.second, 5);
+  EXPECT_FALSE(prog->last_exec_info().plan_reused);
+}
+
+TEST(ProgramRun, BindOfANewCoefficientIsPickedUp) {
+  auto prog = plain_program();
+  ReferenceTwin twin(*prog);
+  EXPECT_EQ(twin.run(1, 3), 0);
+  prog->bind("c0", 0.31);
+  EXPECT_EQ(twin.run(4, 6), 0);
+  EXPECT_FALSE(prog->last_exec_info().plan_reused);
+  // The run used the new value: 0.31 and 0.3 diverge from the same state.
+  auto stale = plain_program();
+  stale->run(1, 6);
+  EXPECT_NE(bits(stale->value_at(6, {9, 11, 0})), bits(prog->value_at(6, {9, 11, 0})));
+}
+
+TEST(ProgramRun, BoundaryChangesOnTheAotBackendFallBackAndReturn) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto prog = plain_program();
+  prog->set_backend(HostBackend::Aot);
+  ReferenceTwin twin(*prog);
+  EXPECT_EQ(twin.run(1, 2), 0);
+  ASSERT_EQ(prog->last_exec_info().route, Route::Aot) << prog->last_exec_info().fallback_reason;
+
+  EXPECT_EQ(twin.run(3, 4, Boundary::Periodic), 0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Sweep);
+  EXPECT_FALSE(prog->last_aot_info().aot);
+  EXPECT_NE(prog->last_exec_info().fallback_reason.find("per-step halo exchange"),
+            std::string::npos)
+      << prog->last_exec_info().fallback_reason;
+
+  EXPECT_EQ(twin.run(5, 6), 0);
+  EXPECT_EQ(prog->last_exec_info().route, Route::Aot);
+  EXPECT_EQ(prog->last_exec_info().fallback_reason, "");
+  EXPECT_TRUE(prog->last_aot_info().aot);
+}
+
+TEST(ProgramRun, BackendSwitchesAreBitExact) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  auto prog = plain_program();
+  ReferenceTwin twin(*prog);
+  std::int64_t t = 1;
+  for (const HostBackend b :
+       {HostBackend::Aot, HostBackend::Sweep, HostBackend::Aot, HostBackend::Sweep}) {
+    prog->set_backend(b);
+    EXPECT_EQ(twin.run(t, t + 1), 0);
+    t += 2;
+    const Route want = b == HostBackend::Aot ? Route::Aot : Route::Sweep;
+    EXPECT_EQ(prog->last_exec_info().route, want) << prog->last_exec_info().fallback_reason;
+    EXPECT_EQ(prog->last_aot_info().aot, want == Route::Aot);
+    EXPECT_FALSE(prog->last_exec_info().plan_reused);
+  }
+}
+
+TEST(ProgramRun, WarmRunsLowerNothingOnAnyRoute) {
+  const bool have_cc = host_cc_available();
+  for (const Route route : {Route::Sweep, Route::Temporal, Route::Aot}) {
+    if (route == Route::Aot && !have_cc) continue;
+    SCOPED_TRACE(route_name(route));
+    auto prog = route_program(ir::DataType::f64, route == Route::Temporal ? 3 : 1);
+    prog->input(dsl::GridRef(prog->stencil().state()), 42);
+    if (route == Route::Aot) prog->set_backend(HostBackend::Aot);
+    ReferenceTwin twin(*prog);
+    const auto cold = flight_count(prof::FlightKind::Lower, [&] { twin.run(1, 4); });
+    ASSERT_EQ(prog->last_exec_info().route, route) << prog->last_exec_info().fallback_reason;
+    EXPECT_GE(cold.first, 1);
+    std::int64_t mismatches = -1;
+    const auto warm =
+        flight_count(prof::FlightKind::Lower, [&] { mismatches = twin.run(5, 8); });
+    const auto emit = flight_count(prof::FlightKind::AotEmit, [&] { twin.run(9, 12); });
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(warm.first, 0);
+    EXPECT_EQ(emit.first, 0);
+    EXPECT_TRUE(prog->last_exec_info().plan_reused);
+    EXPECT_EQ(prog->last_exec_info().route, route);
+  }
+}
+
 }  // namespace
 }  // namespace msc::exec
