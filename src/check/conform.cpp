@@ -64,11 +64,12 @@ void write_report(const ConformOptions& opts, const ConformReport& report) {
   root["seconds"] = workload::Json::number(report.seconds);
 
   // Per-oracle tallies across the sweep: verdicts, the cases per host
-  // engine taken (oracles that go through run_scheduled), and the cases
-  // run with a time_tile depth > 1.
+  // engine taken (oracles that go through run_scheduled), the cases run
+  // with a time_tile depth > 1, and the AOT module's vector width (which
+  // branch of the emitted kernel the host's cc compiled).
   auto oracles = workload::Json::object();
   for (Oracle o : all_oracles()) {
-    int pass = 0, fail = 0, skip = 0, time_tiled = 0;
+    int pass = 0, fail = 0, skip = 0, time_tiled = 0, lanes = 0;
     double secs = 0.0;
     auto routes = workload::Json::object();
     for (const auto& c : report.cases)
@@ -78,6 +79,7 @@ void write_report(const ConformOptions& opts, const ConformReport& report) {
         secs += r.seconds;
         if (r.skipped) continue;
         if (c.time_depth > 1) ++time_tiled;
+        if (r.lanes != 0) lanes = r.lanes;
         if (r.route.empty()) continue;
         const workload::Json* seen = routes.find(r.route);
         routes[r.route] = workload::Json::integer(seen != nullptr ? seen->as_integer() + 1 : 1);
@@ -90,6 +92,7 @@ void write_report(const ConformOptions& opts, const ConformReport& report) {
     entry["seconds"] = workload::Json::number(secs);
     entry["time_tiled"] = workload::Json::integer(time_tiled);
     if (!routes.members().empty()) entry["routes"] = std::move(routes);
+    if (lanes != 0) entry["lanes"] = workload::Json::integer(lanes);
     oracles[oracle_name(o)] = std::move(entry);
   }
   root["oracles"] = std::move(oracles);
@@ -175,6 +178,7 @@ ConformReport run_conformance(const ConformOptions& opts) {
       oo.oracle = o;
       oo.seconds = run.seconds;
       oo.route = run.route;
+      oo.lanes = run.lanes;
       if (run.skipped) {
         oo.skipped = true;
         oo.note = run.note;

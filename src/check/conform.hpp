@@ -41,6 +41,7 @@ struct OracleOutcome {
   std::int64_t worst_ulp = 0;
   double seconds = 0.0;
   std::string route;             ///< engine run_scheduled took (OracleRun::route)
+  int lanes = 0;                 ///< AOT module's vector width (OracleRun::lanes)
 };
 
 struct CaseOutcome {

@@ -238,6 +238,7 @@ OracleRun run_aot_oracle(const CaseSpec& spec, const OracleOptions& opts) {
   // is called out separately: it means the compiler is broken for this plan,
   // not merely absent.
   run.route = exec::route_name(info.route);
+  run.lanes = info.aot.lanes;
   if (info.route != exec::Route::Aot) {
     run.note = std::string(info.aot.quarantined ? "aot quarantined: " : "aot fallback: ") +
                info.fallback_reason;

@@ -73,6 +73,7 @@ struct OracleRun {
   std::string route;          ///< host engine run_scheduled took (exec::route_name);
                               ///< empty for oracles that do not go through it
   std::int64_t faults_injected = 0;  ///< transport faults (simmpi + fault_plan)
+  int lanes = 0;              ///< aot: vector width of the module that ran (msc_aot_lanes)
 };
 
 struct OracleOptions {

@@ -18,27 +18,39 @@ std::string index_expr(std::int64_t delta) {
   return strprintf("x + %lld", static_cast<long long>(delta));
 }
 
-/// Accumulator lanes of the blocked row loop: two 4-wide double vectors,
-/// so each block of 8 points keeps two independent add chains in flight.
-/// More accumulators ran faster in isolation but cost 2x the compile time
-/// (setup of every cold-cache run), so the width is fixed, not tuned.
-constexpr int kLanes = 4;
-constexpr int kBlock = 2 * kLanes;
+/// Accumulator width of the blocked row loop, chosen by the compile
+/// target: the emitted `MSC_LANES` is 8 doubles (one zmm) where the cc
+/// defines __AVX512F__ and 4 (one ymm) elsewhere.  Each block holds two
+/// accumulators, so 2 * MSC_LANES points keep two independent add chains
+/// in flight at either width.  The term statements read the same at both
+/// widths, so the source and the cc time do not depend on it; more
+/// accumulators per block ran faster in isolation but cost 2x the compile
+/// time (set-up of every cold-cache run), so the count stays two.
+constexpr int kNarrowLanes = 4;
+constexpr int kWideLanes = 8;
 
-/// Emits the vector types and the load/store macros of the blocked row
-/// loop.  Loads and stores go through element-aligned `may_alias` vector
-/// types: unaligned access without an inline helper per term statement
-/// (484 helper calls cost 2d121pt_box ~15% more cc time than the macros).
-/// f32 loads widen to double and stores narrow through
+/// Emits the lane-width selection, the vector types and the load/store
+/// macros of the blocked row loop.  `msc_hi(p)` loads the block's second
+/// half, MSC_LANES elements past `p`: the term's index stays one literal
+/// offset from `x` (a second index variable cost the cc ~10% more time on
+/// the 242-term box).  Loads and stores go through element-aligned
+/// `may_alias` vector types: unaligned access without an inline helper per
+/// term statement (484 helper calls cost 2d121pt_box ~15% more cc time
+/// than the macros).  f32 loads widen to double and stores narrow through
 /// __builtin_convertvector, the same conversions as the scalar
 /// `(double)src` and `(float)acc` casts.
 void emit_vector_helpers(Emitter& e, const std::string& ty) {
-  e.line(strprintf("typedef double msc_vd __attribute__((vector_size(%d)));",
-                   kLanes * 8));
+  e.line("#if defined(__AVX512F__)");
+  e.line(strprintf("#define MSC_LANES %d", kWideLanes));
+  e.line("#else");
+  e.line(strprintf("#define MSC_LANES %d", kNarrowLanes));
+  e.line("#endif");
+  e.line("#define MSC_BLOCK (2 * MSC_LANES)");
+  e.line("typedef double msc_vd __attribute__((vector_size(MSC_LANES * 8)));");
   const int esz = ty == "double" ? 8 : 4;
-  e.line(strprintf("typedef %s msc_vu __attribute__((vector_size(%d), aligned(%d), "
+  e.line(strprintf("typedef %s msc_vu __attribute__((vector_size(MSC_LANES * %d), aligned(%d), "
                    "may_alias));",
-                   ty.c_str(), kLanes * esz, esz));
+                   ty.c_str(), esz, esz));
   if (ty == "double") {
     e.line("#define msc_ld(p) (*(const msc_vu *)(p))");
     e.line("#define msc_st(p, v) (*(msc_vu *)(p) = (v))");
@@ -46,6 +58,7 @@ void emit_vector_helpers(Emitter& e, const std::string& ty) {
     e.line("#define msc_ld(p) __builtin_convertvector(*(const msc_vu *)(p), msc_vd)");
     e.line("#define msc_st(p, v) (*(msc_vu *)(p) = __builtin_convertvector((v), msc_vu))");
   }
+  e.line("#define msc_hi(p) msc_ld((p) + MSC_LANES)");
   e.line();
 }
 
@@ -84,37 +97,49 @@ void emit_step(Emitter& e, const GenContext& ctx, const std::array<std::int64_t,
   const std::string row_end =
       nd == 1 ? std::string("r1") : strprintf("%lldL", static_cast<long long>(row));
   e.line(nd == 1 ? "long i = r0;" : "long i = 0;");
-  // A literal row extent fixes which loops can run; leaving out the dead
-  // one saves the cc a third of the statements (1-D bands vary, so they
-  // keep both).
-  const bool blocked = nd == 1 || row >= kBlock;
-  const bool remainder = nd == 1 || row % kBlock != 0;
+  // A literal row extent fixes which loops can run at each target block
+  // (8 or 16 points).  A loop dead at both widths is left out, which saves
+  // the cc a third of the statements; one dead at only one width is kept
+  // under an #if on MSC_BLOCK (1-D bands vary, so they keep both loops).
+  const bool block_any = nd == 1 || row >= 2 * kNarrowLanes;
+  const bool block_all = nd == 1 || row >= 2 * kWideLanes;
+  const bool rem_any = nd == 1 || row % (2 * kWideLanes) != 0;
+  const bool rem_all = nd == 1 || row % (2 * kNarrowLanes) != 0;
+  const auto guard = [&](bool all, const char* cond) {
+    if (!all) e.line(strprintf("#if %lld %s", static_cast<long long>(row), cond));
+  };
+  const auto end_guard = [&](bool all) {
+    if (!all) e.line("#endif");
+  };
 
-  // Blocked row loop: lane j of a0/a1 is point i+j / i+4+j, and each lane
-  // adds its terms in LinearKernel order starting from 0.0 — per point the
-  // same operation sequence as the scalar loop below.
+  // Blocked row loop: lane j of a0/a1 is point i+j / i+MSC_LANES+j, and
+  // each lane adds its terms in LinearKernel order starting from 0.0 — per
+  // point the same operation sequence as the scalar loop below.
   const auto term_delta = [&](const exec::LinTerm& term) {
     std::int64_t delta = 0;
     for (int d = 0; d < nd; ++d)
       delta += term.offset[static_cast<std::size_t>(d)] * stride[static_cast<std::size_t>(d)];
     return delta;
   };
-  if (blocked) {
-    e.open(strprintf("for (; i + %d <= %s; i += %d)", kBlock, row_end.c_str(), kBlock));
+  if (block_any) {
+    guard(block_all, ">= MSC_BLOCK");
+    e.open(strprintf("for (; i + MSC_BLOCK <= %s; i += MSC_BLOCK)", row_end.c_str()));
     e.line("const long x = base + i;");
-    e.line("msc_vd a0 = {0.0, 0.0, 0.0, 0.0}, a1 = a0;");
+    e.line("msc_vd a0 = {0.0}, a1 = a0;");
     for (const auto& term : ctx.linear.terms) {
-      const std::int64_t delta = term_delta(term);
-      e.line("a0 += " + term_text(term, index_expr(delta), "msc_ld(&", ")") + "; a1 += " +
-             term_text(term, index_expr(delta + kLanes), "msc_ld(&", ")") + ";");
+      const std::string index = index_expr(term_delta(term));
+      e.line("a0 += " + term_text(term, index, "msc_ld(&", ")") + "; a1 += " +
+             term_text(term, index, "msc_hi(&", ")") + ";");
     }
     e.line("msc_st(&out[x], a0);");
-    e.line(strprintf("msc_st(&out[x + %d], a1);", kLanes));
+    e.line("msc_st(&out[x + MSC_LANES], a1);");
     e.close();
+    end_guard(block_all);
   }
 
-  // Scalar remainder: the row's last (extent mod 8) points.
-  if (remainder) {
+  // Scalar remainder: the row's last (extent mod MSC_BLOCK) points.
+  if (rem_any) {
+    guard(rem_all, "% MSC_BLOCK");
     e.open(strprintf("for (; i < %s; ++i)", row_end.c_str()));
     e.line("const long x = base + i;");
     e.line("double acc = 0.0;");
@@ -122,6 +147,7 @@ void emit_step(Emitter& e, const GenContext& ctx, const std::array<std::int64_t,
       e.line("acc += " + term_text(term, index_expr(term_delta(term)), "(double)") + ";");
     e.line(strprintf("out[x] = (%s)acc;", ty.c_str()));
     e.close();
+    end_guard(rem_all);
   }
   for (int d = 0; d + 1 < nd; ++d) e.close();
   e.close();  // function
@@ -166,8 +192,8 @@ std::string gen_aot_kernel(const GenContext& ctx) {
                    ctx.stencil->time_window(), ctx.linear.terms.size()));
   e.line(strprintf(" * time depth %lld. Numerics match exec sweep_point_linear bit for bit",
                    static_cast<long long>(depth)));
-  e.line(" * (per point: ordered sum from 0.0 of coeff * (double)load, in 4-wide vector");
-  e.line(" * lanes or scalar; compile with -ffp-contract=off). */");
+  e.line(" * (per point: ordered sum from 0.0 of coeff * (double)load, in MSC_LANES-wide");
+  e.line(" * vector lanes or scalar; compile with -ffp-contract=off). */");
   e.line();
   e.line(win_macro(ctx));
   e.line(kSlotMacro);
@@ -208,6 +234,9 @@ std::string gen_aot_kernel(const GenContext& ctx) {
   e.close();
   e.open("MSC_EXPORT int msc_aot_window(void)");
   e.line(strprintf("return %d;", ctx.stencil->time_window()));
+  e.close();
+  e.open("MSC_EXPORT int msc_aot_lanes(void)");
+  e.line("return MSC_LANES;");
   e.close();
   e.open("MSC_EXPORT int msc_aot_abi(void)");
   e.line(strprintf("return %d;", kMscAotAbiVersion));

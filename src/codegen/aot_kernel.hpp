@@ -11,8 +11,10 @@
 // The step function takes a dim-0 row range, so the executor can run the
 // schedule's row bands on the worker team (bands are disjoint and the
 // read slots are not written during a step).  Each row runs in blocks of
-// 8 points held in two 4-wide double accumulators — two independent add
-// chains per block instead of one — plus a scalar remainder loop.
+// 2 * MSC_LANES points held in two MSC_LANES-wide double accumulators —
+// two independent add chains per block instead of one — plus a scalar
+// remainder loop.  The module takes MSC_LANES from its compile target: 8
+// (one 512-bit vector) where the cc defines __AVX512F__, 4 elsewhere.
 //
 // Numerics contract (bit-identity with exec::detail::sweep_point_linear):
 // each output element starts from 0.0, accumulates its terms in
@@ -35,6 +37,7 @@ namespace msc::codegen {
 ///   void msc_aot_run(void *const *slots, long t_begin, long t_end);
 ///   long msc_aot_padded_points(void);   /* per-slot element count */
 ///   int  msc_aot_window(void);          /* expected ring-slot count */
+///   int  msc_aot_lanes(void);           /* MSC_LANES the module was built with */
 ///   int  msc_aot_abi(void);             /* kMscAotAbiVersion */
 ///
 /// msc_aot_rows computes step t over dim-0 interior rows [r0, r1) (for a
@@ -50,6 +53,6 @@ std::string gen_aot_kernel(const GenContext& ctx);
 /// Bumped whenever the emitted ABI or numerics contract changes; baked
 /// into the module and into the backend's cache key so stale shared
 /// objects from older emitters can never be dlopen'd.
-inline constexpr int kMscAotAbiVersion = 2;
+inline constexpr int kMscAotAbiVersion = 3;
 
 }  // namespace msc::codegen

@@ -261,16 +261,7 @@ void Program::bind(const std::string& var, double value) {
   ++bindings_revision_;
 }
 
-RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary bc) {
-  ensure_storage();
-  for (const auto& aux : stencil().aux_inputs())
-    MSC_CHECK(aux_storage_.contains(aux->name()))
-        << "auxiliary grid '" << aux->name() << "' was never filled (call set_aux first)";
-
-  RunResult result;
-  last_info_ = {};
-  const auto start = std::chrono::steady_clock::now();
-
+exec::ExecPlan* Program::kept_plan(exec::Boundary bc) {
   const schedule::Schedule& sched = primary_schedule();
   const PlanKey key{&sched, sched.revision(), bindings_revision_, backend_, bc};
   if (!kept_.has_value() || kept_->key != key) {
@@ -283,13 +274,26 @@ RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary 
     }
     kept_ = std::move(fresh);
   }
+  return kept_->plan.has_value() ? &*kept_->plan : nullptr;
+}
 
+RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary bc) {
+  ensure_storage();
+  for (const auto& aux : stencil().aux_inputs())
+    MSC_CHECK(aux_storage_.contains(aux->name()))
+        << "auxiliary grid '" << aux->name() << "' was never filled (call set_aux first)";
+
+  RunResult result;
+  last_info_ = {};
+  const auto start = std::chrono::steady_clock::now();
+
+  exec::ExecPlan* plan = kept_plan(bc);
   std::visit(
       [&](auto& s) {
         if constexpr (!std::is_same_v<std::decay_t<decltype(s)>, std::monostate>) {
           using T = std::decay_t<decltype(*s.slot_data(0))>;
-          if (kept_->plan.has_value()) {
-            exec::execute(*kept_->plan, s, t_begin, t_end, &result.stats, nullptr, &last_info_);
+          if (plan != nullptr) {
+            exec::execute(*plan, s, t_begin, t_end, &result.stats, nullptr, &last_info_);
           } else {
             exec::AuxGrids<T> aux;
             for (const auto& [name, var] : aux_storage_)
@@ -306,21 +310,23 @@ RunResult Program::run(std::int64_t t_begin, std::int64_t t_end, exec::Boundary 
 }
 
 double Program::relative_error_vs_reference(std::int64_t t_begin, std::int64_t t_end,
-                                            exec::Boundary bc) {
+                                            exec::Boundary bc, exec::ExecInfo* info) {
   ensure_storage();
-  // Only affine single-grid stencils have a distinct scheduled execution
-  // path to compare; generic/multi-grid stencils already run the reference.
-  if (!exec::linearize_stencil(stencil(), bindings_).has_value()) return 0.0;
+  // Only affine single-grid stencils have a plan to compare; generic and
+  // multi-grid stencils already run the reference.
+  exec::ExecPlan* plan = kept_plan(bc);
+  if (plan == nullptr) return 0.0;
   double err = 0.0;
   std::visit(
       [&](auto& s) {
         if constexpr (!std::is_same_v<std::decay_t<decltype(s)>, std::monostate>) {
           // Copy the *current* state (including seeded slots), then rewind
-          // both copies through the same time range with the two executors.
+          // both copies through the same time range: one through the plan
+          // run() executes (its backend, engine and module), one through
+          // the serial reference.
           auto scheduled = s;
           auto reference = s;
-          exec::run_scheduled(stencil(), primary_schedule(), scheduled, t_begin, t_end, bc,
-                              bindings_);
+          exec::execute(*plan, scheduled, t_begin, t_end, nullptr, nullptr, info);
           exec::run_reference(stencil(), reference, t_begin, t_end, bc, bindings_);
           err = exec::max_relative_error(scheduled, scheduled.slot_for_time(t_end), reference,
                                          reference.slot_for_time(t_end));

@@ -200,11 +200,15 @@ class Program {
   /// module ran, the compile-cache verdict, plan hash and module path.
   const exec::AotExecInfo& last_aot_info() const { return last_info_.aot; }
 
-  /// Executes with the serial reference executor into a *separate* copy of
-  /// the state, then reports the max relative error of the last scheduled
-  /// run — the paper's §5.1 correctness check.
+  /// The paper's §5.1 correctness check: runs t_begin..t_end on two
+  /// *separate* copies of the current state, one through the plan run()
+  /// executes for `bc` (the Program's backend, so an AOT Program checks
+  /// its dlopen'd module) and one through the serial reference executor,
+  /// and returns the max relative error between them.  `info`, when given,
+  /// reports the route the checked copy took.
   double relative_error_vs_reference(std::int64_t t_begin, std::int64_t t_end,
-                                     exec::Boundary bc = exec::Boundary::ZeroHalo);
+                                     exec::Boundary bc = exec::Boundary::ZeroHalo,
+                                     exec::ExecInfo* info = nullptr);
 
   /// Bind a coefficient variable used in kernel expressions to a value.
   void bind(const std::string& var, double value);
@@ -237,6 +241,9 @@ class Program {
   template <typename T>
   exec::GridStorage<T>& storage();
   void ensure_storage();
+  /// The plan for `bc`, lowered again when its PlanKey went stale; nullptr
+  /// when the stencil is not affine.
+  exec::ExecPlan* kept_plan(exec::Boundary bc);
 
   std::string name_;
   std::map<std::string, ir::Tensor> tensors_;

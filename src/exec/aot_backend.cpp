@@ -99,29 +99,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// Probes (once per cc, cached) which optional flags the driver accepts.
-/// The AOT module is compiled in the same numerics environment as the
-/// sweep engine TU: -ffp-contract=off always, plus the host-ISA flags
-/// when the driver knows them.
-std::string compile_flags(const std::string& cc) {
-  static std::mutex m;
-  static std::map<std::string, std::string> cache;
-  std::lock_guard<std::mutex> lock(m);
-  auto it = cache.find(cc);
-  if (it != cache.end()) return it->second;
-  std::string flags = "-O2 -std=c99 -fPIC -shared -ffp-contract=off";
-  for (const char* probe : {"-march=native", "-mprefer-vector-width=256"}) {
-    // Bounded like host_cc_available: a wedged driver must cost a flag,
-    // not stall the pipeline ahead of the budgeted compile.
-    const auto r = run_shell(shell_quote(cc) + " " + probe +
-                                 " -E -x c /dev/null >/dev/null 2>&1",
-                             10000.0);
-    if (r.ok) flags += std::string(" ") + probe;
-  }
-  cache.emplace(cc, flags);
-  return flags;
-}
-
 fs::path default_cache_dir() { return fs::temp_directory_path() / "msc_aot_cache"; }
 
 /// In-memory registry so concurrent users of the same plan share one
@@ -149,8 +126,9 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
   auto* rows_fn = reinterpret_cast<AotModule::RowsFn>(sym("msc_aot_rows"));
   auto* pp_fn = reinterpret_cast<long (*)()>(sym("msc_aot_padded_points"));
   auto* win_fn = reinterpret_cast<int (*)()>(sym("msc_aot_window"));
+  auto* lanes_fn = reinterpret_cast<int (*)()>(sym("msc_aot_lanes"));
   if (abi_fn == nullptr || run_fn == nullptr || rows_fn == nullptr || pp_fn == nullptr ||
-      win_fn == nullptr) {
+      win_fn == nullptr || lanes_fn == nullptr) {
     *why = "module is missing msc_aot_* symbols";
     return nullptr;  // mod dtor dlcloses
   }
@@ -162,6 +140,7 @@ std::shared_ptr<AotModule> open_module(const std::string& path, std::string* why
   mod->rows = rows_fn;
   mod->padded_points = static_cast<std::int64_t>(pp_fn());
   mod->window = win_fn();
+  mod->lanes = lanes_fn();
   return mod;
 }
 
@@ -178,6 +157,25 @@ bool write_file(const fs::path& p, const std::string& text, std::string* why) {
 }
 
 }  // namespace
+
+std::string aot_compile_flags(const std::string& cc) {
+  static std::mutex m;
+  static std::map<std::string, std::string> cache;
+  std::lock_guard<std::mutex> lock(m);
+  auto it = cache.find(cc);
+  if (it != cache.end()) return it->second;
+  std::string flags = "-O2 -std=c99 -fPIC -shared -ffp-contract=off";
+  for (const char* probe : {"-march=native", "-mprefer-vector-width=256"}) {
+    // Bounded like host_cc_available: a wedged driver must cost a flag,
+    // not stall the pipeline ahead of the budgeted compile.
+    const auto r = run_shell(shell_quote(cc) + " " + probe +
+                                 " -E -x c /dev/null >/dev/null 2>&1",
+                             10000.0);
+    if (r.ok) flags += std::string(" ") + probe;
+  }
+  cache.emplace(cc, flags);
+  return flags;
+}
 
 AotModule::AotModule(void* handle, std::string path)
     : handle_(handle), path_(std::move(path)) {
@@ -216,9 +214,9 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
   {
     prof::FlightScope emit_flight(prof::FlightKind::AotEmit);
     source = codegen::gen_aot_kernel(codegen::make_aot_spec(st, sched, lin));
-    flags = compile_flags(opts.cc);
+    flags = aot_compile_flags(opts.cc);
     hash = strprintf("%016llx", static_cast<unsigned long long>(fnv1a(
-                                    source + "\n" + flags + "\nabi " +
+                                    source + "\n" + opts.cc + " " + flags + "\nabi " +
                                     std::to_string(codegen::kMscAotAbiVersion))));
     emit_flight.set_a(static_cast<std::int64_t>(source.size()));
   }
@@ -250,7 +248,10 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     if (!opts.force_recompile) {
       std::lock_guard<std::mutex> lock(g_registry_mutex);
       if (auto mod = registry()[hash].lock()) {
-        if (info != nullptr) info->cache_hit = true;
+        if (info != nullptr) {
+          info->cache_hit = true;
+          info->lanes = mod->lanes;
+        }
         prof::counter("aot.cache.mem_hit").add(1);
         probe_flight.set_a(1);
         return mod;
@@ -260,7 +261,10 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     if (!opts.force_recompile && fs::exists(so)) {
       std::string stale_why;
       if (auto mod = open_module(so.string(), &stale_why)) {
-        if (info != nullptr) info->cache_hit = true;
+        if (info != nullptr) {
+          info->cache_hit = true;
+          info->lanes = mod->lanes;
+        }
         prof::counter("aot.cache.disk_hit").add(1);
         probe_flight.set_a(1);
         std::lock_guard<std::mutex> lock(g_registry_mutex);
@@ -325,6 +329,7 @@ std::shared_ptr<AotModule> load_aot_module(const ir::StencilDef& st,
     return open_module(so.string(), why);
   }();
   if (mod == nullptr) return nullptr;
+  if (info != nullptr) info->lanes = mod->lanes;
   prof::counter("aot.dlopen").add(1);
   std::lock_guard<std::mutex> lock(g_registry_mutex);
   registry()[hash] = mod;

@@ -13,8 +13,8 @@
 //                                                     dim-0 bands over the pool)
 //
 // The compile cache is keyed by an FNV-1a hash over the *generated source
-// text*, the compile command flags, and the emitter ABI version — so any
-// change to the codegen output, the flags, or the ABI lands on a new key
+// text*, the compiler driver and its flags, and the emitter ABI version — so
+// any change to the codegen output, the compiler, or the ABI lands on a new key
 // and stale shared objects are never reused.  A cached .so that fails to
 // dlopen or fails its ABI checks is deleted and rebuilt once.
 //
@@ -76,6 +76,7 @@ class AotModule {
   RowsFn rows = nullptr;  ///< msc_aot_rows: step t over dim-0 rows [r0, r1)
   std::int64_t padded_points = 0;
   int window = 0;
+  int lanes = 0;  ///< msc_aot_lanes: vector width the cc compiled the kernel for
   const std::string& path() const { return path_; }
 
   /// Number of AotModule instances currently holding a dlopen handle.
@@ -85,6 +86,11 @@ class AotModule {
   void* handle_ = nullptr;
   std::string path_;
 };
+
+/// The flags every module is compiled with under `cc`: -O2, -ffp-contract=off
+/// and the host-ISA flags the driver accepts (probed once per cc).  The
+/// module's lane width follows from them (`msc_aot_lanes`).
+std::string aot_compile_flags(const std::string& cc);
 
 /// Emits, compiles (or reuses), and loads the module for one stencil +
 /// schedule.  Returns nullptr with `why` set on any failure — callers

@@ -29,6 +29,7 @@ struct AotExecInfo {
   bool aot = false;             ///< compiled module ran
   bool cache_hit = false;       ///< reused an on-disk .so (no cc invocation)
   bool quarantined = false;     ///< circuit breaker routed this plan around AOT
+  int lanes = 0;                ///< the module's vector width (msc_aot_lanes); 0 = none loaded
   std::string plan_hash;        ///< cache key of the emitted kernel
   std::string module_path;      ///< the dlopen'd shared object
 };

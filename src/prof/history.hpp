@@ -66,8 +66,8 @@ std::vector<HistoryEntry> load_history(const std::string& path);
 
 /// How a metric is judged.  Inferred from the key: seconds/time/bytes/
 /// latency/cycles are lower-is-better, gflops/speedup/gain/efficiency/
-/// ratio/r2/rounds_per_s higher-is-better, anything else informational
-/// (never gated).
+/// ratio/r2/rounds_per_s/aot_points_per_s higher-is-better, anything else
+/// informational (never gated).
 enum class MetricDirection { LowerIsBetter, HigherIsBetter, Informational };
 MetricDirection metric_direction(const std::string& key);
 

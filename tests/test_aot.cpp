@@ -113,18 +113,29 @@ std::string box121_source(std::int64_t n) {
       codegen::make_aot_spec(prog->stencil(), prog->primary_schedule(), *lin));
 }
 
+std::size_t count_guards(const std::string& src) { return count_occurrences(src, "#if "); }
+
 TEST(AotEmitter, UnrollsEveryTermWithConstantExtents) {
-  // 27 = 3 * 8 + 3 points per row: both the blocked loop and the remainder.
+  // 27 = 16 + 11 points per row: the blocked loop and the remainder both
+  // run at either target width (blocks of 8 or 16 points).
   const std::string src = box121_source(27);
   constexpr std::size_t kTerms = 242;
 
   // Every linear term is a straight-line statement — no term loop, no
-  // 16/32 cap — once per accumulator of the 8-point block and once more in
-  // the scalar remainder loop.
+  // 16/32 cap — once per accumulator of the block and once more in the
+  // scalar remainder loop.
   EXPECT_EQ(count_occurrences(src, "a0 += "), kTerms);
   EXPECT_EQ(count_occurrences(src, "a1 += "), kTerms);
-  EXPECT_EQ(count_occurrences(src, "* msc_ld(&in_m"), 2 * kTerms);
+  EXPECT_EQ(count_occurrences(src, "* msc_ld(&in_m"), kTerms);
+  EXPECT_EQ(count_occurrences(src, "* msc_hi(&in_m"), kTerms);
   EXPECT_EQ(count_occurrences(src, "* (double)in_m"), kTerms);
+  // The lane width comes from the compile target, not the emitter.
+  EXPECT_NE(src.find("#if defined(__AVX512F__)\n#define MSC_LANES 8\n#else\n"
+                     "#define MSC_LANES 4\n#endif\n#define MSC_BLOCK (2 * MSC_LANES)\n"),
+            std::string::npos);
+  EXPECT_NE(src.find("vector_size(MSC_LANES * 8)"), std::string::npos);
+  EXPECT_NE(src.find("#define msc_hi(p) msc_ld((p) + MSC_LANES)"), std::string::npos);
+  EXPECT_NE(src.find("msc_st(&out[x + MSC_LANES], a1);"), std::string::npos);
   // The ABI surface is complete, the step takes a dim-0 row range, and the
   // inner geometry is baked in as literals.
   EXPECT_NE(src.find("MSC_EXPORT void msc_aot_rows(void *const *slots_v, long t, long r0, "
@@ -133,20 +144,65 @@ TEST(AotEmitter, UnrollsEveryTermWithConstantExtents) {
   EXPECT_NE(src.find("MSC_EXPORT void msc_aot_run("), std::string::npos);
   EXPECT_NE(src.find("MSC_EXPORT long msc_aot_padded_points("), std::string::npos);
   EXPECT_NE(src.find("MSC_EXPORT int msc_aot_window("), std::string::npos);
+  EXPECT_NE(src.find("MSC_EXPORT int msc_aot_lanes(void) {\n  return MSC_LANES;"),
+            std::string::npos);
   EXPECT_NE(src.find("MSC_EXPORT int msc_aot_abi("), std::string::npos);
   EXPECT_NE(src.find("for (long c0 = r0; c0 < r1; ++c0)"), std::string::npos);
-  EXPECT_NE(src.find("i + 8 <= 27L"), std::string::npos) << "row extent must be a literal";
+  EXPECT_NE(src.find("for (; i + MSC_BLOCK <= 27L; i += MSC_BLOCK)"), std::string::npos)
+      << "row extent must be a literal";
   EXPECT_NE(src.find("for (; i < 27L; ++i)"), std::string::npos);
   EXPECT_NE(src.find("0L, 27L);"), std::string::npos) << "msc_aot_run covers every row";
+  EXPECT_EQ(count_guards(src), 1u) << "both loops live at both widths: no loop guard";
 
-  // A literal row extent leaves out the loop that cannot run: no remainder
-  // for a multiple of 8 points, no blocked loop under 8.
+  // A literal row extent leaves out the loop that runs at neither width and
+  // guards the one that runs at only one.  24 points: the remainder runs
+  // only in 16-point blocks.
   const std::string even = box121_source(24);
   EXPECT_EQ(count_occurrences(even, "a0 += "), kTerms);
-  EXPECT_EQ(count_occurrences(even, "* (double)in_m"), 0u);
+  EXPECT_EQ(count_occurrences(even, "* (double)in_m"), kTerms);
+  EXPECT_NE(even.find("#if 24 % MSC_BLOCK\n    for (; i < 24L; ++i) {"), std::string::npos);
+  // 12 points: the block runs only at 4 lanes; the remainder always.
+  const std::string mid = box121_source(12);
+  EXPECT_NE(mid.find("#if 12 >= MSC_BLOCK\n    for (; i + MSC_BLOCK <= 12L;"),
+            std::string::npos);
+  EXPECT_EQ(count_guards(mid), 2u);
+  // 7 points: no block at either width.
   const std::string narrow = box121_source(7);
   EXPECT_EQ(count_occurrences(narrow, "a0 += "), 0u);
   EXPECT_EQ(count_occurrences(narrow, "* (double)in_m"), kTerms);
+  EXPECT_EQ(count_guards(narrow), 1u);
+  // 32 points: no remainder at either width.
+  const std::string wide = box121_source(32);
+  EXPECT_EQ(count_occurrences(wide, "* (double)in_m"), 0u);
+  EXPECT_EQ(count_guards(wide), 1u);
+}
+
+TEST(AotEmitter, FullWidthSourceAddsOnlyTheWidthSelection) {
+  // perfbench's 768^2 box: 768 is a multiple of both block sizes, so no
+  // loop is guarded and the term statements are as many as in the fixed
+  // 4-lane emitter, whose source was 30,275 B.  The two-width module adds
+  // only the MSC_LANES/MSC_BLOCK/msc_hi lines and the msc_aot_lanes export.
+  const std::string src = box121_source(768);
+  EXPECT_EQ(count_guards(src), 1u);
+  EXPECT_EQ(count_occurrences(src, "a0 += "), 242u);
+  EXPECT_EQ(count_occurrences(src, "* (double)in_m"), 0u);
+  EXPECT_LE(src.size(), 30275u + 256u);
+  // Each a1 statement reads at the a0 statement's own index through
+  // msc_hi, so every load stays one literal offset from `x` (a second
+  // index variable cost the cc ~10% more time).
+  std::size_t statements = 0;
+  for (std::size_t at = src.find("a0 += "); at != std::string::npos;
+       at = src.find("a0 += ", at + 1)) {
+    // "a0 += <lo>; a1 += <hi>;"
+    const std::string line = src.substr(at, src.find('\n', at) - at);
+    const std::size_t split = line.find("; a1 += ");
+    ASSERT_NE(split, std::string::npos) << line;
+    std::string lo = line.substr(6, split - 6);
+    lo.replace(lo.find("msc_ld("), 7, "msc_hi(");
+    EXPECT_EQ(line.substr(split + 8, line.size() - split - 9), lo) << line;
+    ++statements;
+  }
+  EXPECT_EQ(statements, 242u);
 }
 
 TEST(AotEmitter, SpecPicksUpTimeTileDepth) {
@@ -268,13 +324,74 @@ ir::StencilPtr star_stencil(int ndim, ir::DataType dt, std::int64_t row) {
   return ir::make_stencil("st", B, {{k, -1, 0.7}, {k, -2, 0.3}});
 }
 
+/// MSC_LANES a module compiled by `cc` gets: 8 exactly when the driver
+/// defines __AVX512F__ under the module's compile flags.
+int expected_lanes(const std::string& cc) {
+  const auto r = run_shell(shell_quote(cc) + " " + detail::aot_compile_flags(cc) +
+                           " -dM -E -x c /dev/null 2>/dev/null");
+  return r.ok && r.output.find("#define __AVX512F__ ") != std::string::npos ? 8 : 4;
+}
+
+/// A cc driver that compiles the module's narrow (4-lane) branch on any
+/// x86 host: `cc ... -mno-avx512f`.  Empty when the driver rejects the
+/// flag (a host without the x86 options compiles that branch anyway).
+const std::string& narrow_cc() {
+  static const std::string path = [] {
+    if (!run_shell("cc -mno-avx512f -E -x c /dev/null >/dev/null 2>&1").ok) return std::string();
+    const auto dir = fs::temp_directory_path() / "msc_aot_test_narrow_cc";
+    fs::create_directories(dir);
+    const auto script = dir / "cc";
+    std::ofstream(script) << "#!/bin/sh\nexec cc \"$@\" -mno-avx512f\n";
+    fs::permissions(script, fs::perms::owner_all, fs::perm_options::add);
+    return script.string();
+  }();
+  return path;
+}
+
+TEST(AotBackend, ModuleLanesFollowTheCompileTarget) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  const std::string dir = scratch_dir("msc_aot_test_lanes");
+  auto prog = small_benchmark("2d9pt_star");
+  AotOptions opts;
+  opts.cache_dir = dir;
+  AotExecInfo info;
+  std::string why;
+  const auto mod = detail::load_aot_module(prog->stencil(), prog->primary_schedule(),
+                                           prog->bindings(), opts, &info, &why);
+  ASSERT_NE(mod, nullptr) << why;
+  EXPECT_EQ(mod->lanes, expected_lanes(opts.cc));
+  EXPECT_EQ(info.lanes, mod->lanes);
+
+  // A Program reports the width of the module it ran.
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  prog->set_backend(dsl::HostBackend::Aot);
+  prog->run(1, 2);
+  ASSERT_TRUE(prog->last_aot_info().aot) << prog->last_exec_info().fallback_reason;
+  EXPECT_EQ(prog->last_aot_info().lanes, mod->lanes);
+
+  // Another driver is another cache key: the narrow branch is its own
+  // module, not the cached native one.
+  if (narrow_cc().empty()) return;
+  opts.cc = narrow_cc();
+  AotExecInfo narrow;
+  const auto nmod = detail::load_aot_module(prog->stencil(), prog->primary_schedule(),
+                                            prog->bindings(), opts, &narrow, &why);
+  ASSERT_NE(nmod, nullptr) << why;
+  EXPECT_EQ(nmod->lanes, 4);
+  EXPECT_FALSE(narrow.cache_hit);
+  EXPECT_NE(narrow.plan_hash, info.plan_hash);
+}
+
 /// Reference, sweep and AOT runs of one matrix cell, every ring slot
-/// (halos included) compared byte for byte.
+/// (halos included) compared byte for byte; the module is compiled by
+/// `cc` and must report `lanes`.
 template <typename T>
 void expect_cell_bit_identical(int ndim, std::int64_t row, bool parallel,
-                               const std::string& cache_dir) {
+                               const std::string& cache_dir, const std::string& cc,
+                               int lanes) {
   SCOPED_TRACE(::testing::Message() << ndim << "-D, row " << row
-                                    << (parallel ? ", parallel 4" : ", serial"));
+                                    << (parallel ? ", parallel 4" : ", serial") << ", "
+                                    << lanes << " lanes");
   const auto dt = std::is_same_v<T, float> ? ir::DataType::f32 : ir::DataType::f64;
   const auto st = star_stencil(ndim, dt, row);
   schedule::Schedule sched(st->terms().front().kernel);
@@ -297,10 +414,12 @@ void expect_cell_bit_identical(int ndim, std::int64_t row, bool parallel,
   run_scheduled(*st, sched, swept, 1, kSteps, Boundary::ZeroHalo);
   AotOptions opts;
   opts.cache_dir = cache_dir;
+  opts.cc = cc;
   ExecInfo info;
   run_scheduled(*st, sched, aot, 1, kSteps, Boundary::ZeroHalo, {}, nullptr,
                 aot_options(opts), &info);
   ASSERT_EQ(info.route, Route::Aot) << info.fallback_reason;
+  ASSERT_EQ(info.aot.lanes, lanes);
 
   const auto bytes = static_cast<std::size_t>(ref.padded_points()) * sizeof(T);
   for (int s = 0; s < ref.slots(); ++s) {
@@ -310,22 +429,31 @@ void expect_cell_bit_identical(int ndim, std::int64_t row, bool parallel,
   }
 }
 
-class AotBitMatrix : public ::testing::TestWithParam<std::tuple<ir::DataType, int>> {};
+/// dtype x rank x kernel branch: `narrow` compiles the 4-lane branch
+/// (through narrow_cc()), otherwise the host's own target width.
+class AotBitMatrix
+    : public ::testing::TestWithParam<std::tuple<ir::DataType, int, bool>> {};
 
 TEST_P(AotBitMatrix, MatchesSweepAndReferenceForEveryRowShape) {
   if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
-  const auto [dt, ndim] = GetParam();
-  const std::string dir = scratch_dir(
-      ("msc_aot_test_matrix_" + ir::dtype_c_name(dt) + std::to_string(ndim)).c_str());
-  // Rows of 1-7 points run only the scalar remainder, 8 only the blocked
-  // loop, 19 = 2 * 8 + 3 both (and, as 1-D bands [0, 10) and [10, 19), a
-  // block that starts off the 8-point grid).
-  for (std::int64_t row : {1, 2, 3, 4, 5, 6, 7, 8, 19})
+  const auto [dt, ndim, narrow] = GetParam();
+  if (narrow && narrow_cc().empty()) GTEST_SKIP() << "cc rejects -mno-avx512f";
+  const std::string cc = narrow ? narrow_cc() : std::string("cc");
+  const int lanes = narrow ? 4 : expected_lanes(cc);
+  const std::string dir = scratch_dir(("msc_aot_test_matrix_" + ir::dtype_c_name(dt) +
+                                       std::to_string(ndim) + (narrow ? "n" : "w"))
+                                          .c_str());
+  // At 8 lanes (16-point blocks): rows of 1-15 points run only the scalar
+  // remainder, 16 only the blocked loop, 17, 19 and 35 = 2 * 16 + 3 both.
+  // At 4 lanes the 8-point boundary falls inside the same list.  As 1-D
+  // bands ([0, 9) and [9, 17), ..., [0, 18) and [18, 35)) blocks also start
+  // off the block grid.
+  for (std::int64_t row : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 35})
     for (bool parallel : {false, true}) {
       if (dt == ir::DataType::f32) {
-        expect_cell_bit_identical<float>(ndim, row, parallel, dir);
+        expect_cell_bit_identical<float>(ndim, row, parallel, dir, cc, lanes);
       } else {
-        expect_cell_bit_identical<double>(ndim, row, parallel, dir);
+        expect_cell_bit_identical<double>(ndim, row, parallel, dir, cc, lanes);
       }
     }
 }
@@ -333,10 +461,11 @@ TEST_P(AotBitMatrix, MatchesSweepAndReferenceForEveryRowShape) {
 INSTANTIATE_TEST_SUITE_P(
     DtypeRank, AotBitMatrix,
     ::testing::Combine(::testing::Values(ir::DataType::f32, ir::DataType::f64),
-                       ::testing::Values(1, 2, 3)),
+                       ::testing::Values(1, 2, 3), ::testing::Bool()),
     [](const ::testing::TestParamInfo<AotBitMatrix::ParamType>& p) {
       return ir::dtype_c_name(std::get<0>(p.param)) + "_" +
-             std::to_string(std::get<1>(p.param)) + "d";
+             std::to_string(std::get<1>(p.param)) + "d" +
+             (std::get<2>(p.param) ? "_narrow" : "");
     });
 
 TEST(AotBackend, RowBandsMatchOneRunCallBitForBit) {
@@ -390,6 +519,25 @@ TEST(AotBackend, ProgramRunDispatchesThroughBackendSelector) {
   for (std::int64_t j = 0; j < 24; ++j)
     for (std::int64_t i = 0; i < 24; ++i)
       ASSERT_EQ(sweep_prog->value_at(5, {j, i, 0}), aot_prog->value_at(5, {j, i, 0}));
+}
+
+TEST(AotBackend, ReferenceCheckRunsTheProgramsModule) {
+  if (!host_cc_available()) GTEST_SKIP() << "no host C compiler ('cc') on PATH";
+  // The §5.1 check of an AOT Program validates the kernel run() executes,
+  // not the in-process sweep.
+  auto prog = small_benchmark("2d121pt_box");
+  prog->input(dsl::GridRef(prog->stencil().state()), 42);
+  prog->set_backend(dsl::HostBackend::Aot);
+  prog->run(1, 2);
+  ASSERT_TRUE(prog->last_aot_info().aot) << prog->last_exec_info().fallback_reason;
+  ExecInfo checked;
+  EXPECT_EQ(prog->relative_error_vs_reference(1, 2, Boundary::ZeroHalo, &checked), 0.0);
+  EXPECT_EQ(checked.route, Route::Aot) << checked.fallback_reason;
+  EXPECT_EQ(checked.aot.plan_hash, prog->last_aot_info().plan_hash);
+
+  prog->set_backend(dsl::HostBackend::Sweep);
+  EXPECT_EQ(prog->relative_error_vs_reference(1, 2, Boundary::ZeroHalo, &checked), 0.0);
+  EXPECT_EQ(checked.route, Route::Sweep);
 }
 
 // ---- compile cache lifecycle ---------------------------------------------

@@ -133,6 +133,10 @@ TEST(History, DirectionHeuristics) {
   EXPECT_EQ(metric_direction("x.gain"), MetricDirection::HigherIsBetter);
   EXPECT_EQ(metric_direction("x.overlap_efficiency"), MetricDirection::HigherIsBetter);
   EXPECT_EQ(metric_direction("x.plan_rounds_per_s"), MetricDirection::HigherIsBetter);
+  // The AOT gate's own rate is gated; its sweep arm and their ratio are not.
+  EXPECT_EQ(metric_direction("x.aot_points_per_s"), MetricDirection::HigherIsBetter);
+  EXPECT_EQ(metric_direction("x.sweep_points_per_s"), MetricDirection::Informational);
+  EXPECT_EQ(metric_direction("x.aot_vs_sweep"), MetricDirection::Informational);
   EXPECT_EQ(metric_direction("x.tiles"), MetricDirection::Informational);
 }
 

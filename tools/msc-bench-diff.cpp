@@ -40,7 +40,8 @@ void usage() {
       "  --require-baseline   exit 3 instead of 0 when no baseline exists\n"
       "  --selftest           run against a synthetic history and verify the\n"
       "                       gate trips on a 2x slowdown and on each absolute\n"
-      "                       rate at 0.4x, and passes in-noise\n");
+      "                       rate at 0.4x, ignores a 2x slower AOT baseline\n"
+      "                       (sweep) arm, and passes in-noise\n");
 }
 
 std::string read_file(const std::string& path) {
@@ -53,14 +54,17 @@ std::string read_file(const std::string& path) {
 
 /// Synthetic-ledger sanity check: seeds a history, then verifies that a
 /// within-noise rerun passes, a 2x slowdown regresses, and each gated
-/// absolute rate — the halo gate's `*_rounds_per_s` and the host-executor
-/// gate's `compiled_gflops` — cut to 0.4x of its baseline regresses on its
-/// own, with every other metric in noise.
+/// absolute rate — the halo gate's `*_rounds_per_s`, the host-executor
+/// gate's `compiled_gflops` and the AOT gate's `aot_points_per_s` — cut to
+/// 0.4x of its baseline regresses on its own, with every other metric in
+/// noise.  The AOT gate must also stay quiet when only its sweep arm runs
+/// 2x slower (that arm and the `aot_vs_sweep` ratio are informational).
 int selftest(const std::string& workdir) {
   using msc::prof::HistoryEntry;
   const std::string dir = workdir + "/history";
 
-  auto entry = [](double seconds, double rounds_per_s, double compiled_gflops) {
+  auto entry = [](double seconds, double rounds_per_s, double compiled_gflops,
+                  double sweep_pps = 1e7, double aot_pps = 1e8) {
     HistoryEntry e;
     e.name = "selftest";
     e.workload = "synthetic";
@@ -69,7 +73,10 @@ int selftest(const std::string& workdir) {
     e.metrics = {{"run.elapsed_seconds", seconds},
                  {"run.gflops", 1.0 / seconds},
                  {"run.plan_rounds_per_s", rounds_per_s},
-                 {"run.compiled_gflops", compiled_gflops}};
+                 {"run.compiled_gflops", compiled_gflops},
+                 {"box.sweep_points_per_s", sweep_pps},
+                 {"box.aot_points_per_s", aot_pps},
+                 {"box.aot_vs_sweep", aot_pps / sweep_pps}};
     return e;
   };
   // Fresh ledger each invocation (append_history appends by design).
@@ -95,6 +102,16 @@ int selftest(const std::string& workdir) {
   const bool gflops_tripped = trips_alone(
       msc::prof::diff_against_history(history, entry(0.1008, 9920.0, 0.8)),
       "run.compiled_gflops");
+  const bool aot_tripped = trips_alone(
+      msc::prof::diff_against_history(history, entry(0.1008, 9920.0, 1.984, 1e7, 4e7)),
+      "box.aot_points_per_s");
+  // The sweep arm at half speed: a ratio gate would read this as a 2x
+  // better AOT kernel; the rate gate must not move at all.
+  const auto slow_sweep =
+      msc::prof::diff_against_history(history, entry(0.1008, 9920.0, 1.984, 5e6, 1e8));
+  bool aot_unmoved = !slow_sweep.regressed;
+  for (const auto& d : slow_sweep.deltas)
+    if (d.key == "box.aot_points_per_s") aot_unmoved &= d.rel_delta == 0.0;
 
   std::printf("selftest: within-noise rerun  -> %s\n",
               in_noise.regressed ? "REGRESSED (unexpected)" : "ok");
@@ -104,7 +121,12 @@ int selftest(const std::string& workdir) {
               rounds_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
   std::printf("selftest: compiled GF/s at 0.4x -> %s\n",
               gflops_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
-  const bool pass = !in_noise.regressed && slowdown.regressed && rounds_tripped && gflops_tripped;
+  std::printf("selftest: aot pt/s at 0.4x    -> %s\n",
+              aot_tripped ? "REGRESSED (expected)" : "ok (MISSED!)");
+  std::printf("selftest: aot sweep arm 2x slower -> %s\n",
+              aot_unmoved ? "ok (expected)" : "AOT GATE MOVED (unexpected)");
+  const bool pass = !in_noise.regressed && slowdown.regressed && rounds_tripped &&
+                    gflops_tripped && aot_tripped && aot_unmoved;
   std::printf("selftest: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -112,17 +112,20 @@ int main(int argc, char** argv) {
       if (backend == "aot") {
         const auto& info = prog->last_exec_info();
         if (info.route == msc::exec::Route::Aot) {
-          std::printf("mscc: aot backend: plan %s (%s) from %s\n", info.aot.plan_hash.c_str(),
-                      info.aot.cache_hit ? "cache hit" : "compiled",
-                      info.aot.module_path.c_str());
+          std::printf("mscc: aot backend: plan %s (%s, %d lanes) from %s\n",
+                      info.aot.plan_hash.c_str(), info.aot.cache_hit ? "cache hit" : "compiled",
+                      info.aot.lanes, info.aot.module_path.c_str());
         } else {
           std::printf("mscc: aot backend fell back to %s: %s\n",
                       msc::exec::route_name(info.route), info.fallback_reason.c_str());
         }
       }
       if (validate) {
-        const double err = prog->relative_error_vs_reference(1, run_steps);
-        std::printf("mscc: max relative error vs serial reference: %.3g\n", err);
+        msc::exec::ExecInfo checked;
+        const double err = prog->relative_error_vs_reference(1, run_steps,
+                                                             msc::exec::Boundary::ZeroHalo, &checked);
+        std::printf("mscc: max relative error vs serial reference: %.3g (route %s)\n", err,
+                    msc::exec::route_name(checked.route));
         const double bound = prog->stencil().state()->dtype() == msc::ir::DataType::f64
                                  ? 1e-10
                                  : 1e-5;
